@@ -65,18 +65,24 @@ void BM_SessionSimulate(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionSimulate);
 
-void BM_SessionSimulateBatch(benchmark::State& state) {
-  api::Session session;
-  const api::ModelId model = must_load(session, "fig1");
-  std::vector<api::SimulateRequest> batch;
-  for (std::int64_t seed = 0; seed < state.range(0); ++seed) {
+/// A seed sweep of simulate envelopes over `model`, seeds 1..count.
+std::vector<api::AnyRequest> seed_sweep(api::ModelId model, std::int64_t count) {
+  std::vector<api::AnyRequest> sweep;
+  sweep.reserve(static_cast<std::size_t>(count));
+  for (std::int64_t seed = 1; seed <= count; ++seed) {
     api::SimulateRequest request{.model = model};
     request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = static_cast<std::uint64_t>(seed + 1);
-    batch.push_back(request);
+    request.options.seed = static_cast<std::uint64_t>(seed);
+    sweep.push_back({.payload = request});
   }
+  return sweep;
+}
+
+void BM_SessionSimulateBatch(benchmark::State& state) {
+  api::Session session;
+  const auto batch = seed_sweep(must_load(session, "fig1"), state.range(0));
   for (auto _ : state) {
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -90,17 +96,9 @@ BENCHMARK(BM_SessionSimulateBatch)->Arg(4)->Arg(16)->Arg(64);
 void BM_BatchThroughput(benchmark::State& state) {
   constexpr std::int64_t kRequests = 64;
   api::Session session{api::make_executor(static_cast<std::size_t>(state.range(0)))};
-  const api::ModelId model = must_load(session, "synthetic");
-  std::vector<api::SimulateRequest> batch;
-  batch.reserve(kRequests);
-  for (std::int64_t seed = 1; seed <= kRequests; ++seed) {
-    api::SimulateRequest request{.model = model};
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = static_cast<std::uint64_t>(seed);
-    batch.push_back(request);
-  }
+  const auto batch = seed_sweep(must_load(session, "synthetic"), kRequests);
   for (auto _ : state) {
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * kRequests);
@@ -111,19 +109,13 @@ BENCHMARK(BM_BatchThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 /// A deliberately skewed batch: slot 0 is a small fig1 run, the remaining
 /// slots are much heavier synthetic scenarios — the shape where
 /// latency-to-first-result and self-scheduling matter.
-std::vector<api::SimulateRequest> make_skewed_batch(api::Session& session, std::size_t heavy) {
+std::vector<api::AnyRequest> make_skewed_batch(api::Session& session, std::size_t heavy) {
   const api::ModelId small = must_load(session, "fig1");
   const api::ModelId big = must_load(
       session, api::LoadBuiltinRequest{.name = "synthetic",
                                        .options = models::SyntheticSpec{.variants = 12}});
-  std::vector<api::SimulateRequest> batch;
-  batch.push_back({.model = small});
-  for (std::size_t i = 0; i < heavy; ++i) {
-    api::SimulateRequest request{.model = big};
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = i + 1;
-    batch.push_back(request);
-  }
+  std::vector<api::AnyRequest> batch = seed_sweep(big, static_cast<std::int64_t>(heavy));
+  batch.insert(batch.begin(), api::AnyRequest{.payload = api::SimulateRequest{.model = small}});
   return batch;
 }
 
@@ -134,7 +126,7 @@ void BM_FirstSlotLatencyStreaming(benchmark::State& state) {
   const auto batch = make_skewed_batch(session, 7);
   for (auto _ : state) {
     const auto started = std::chrono::steady_clock::now();
-    auto handle = session.submit_simulate_batch(batch);
+    auto handle = session.submit(batch);
     handle.slot(0).wait();
     state.SetIterationTime(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - started)
@@ -152,7 +144,7 @@ void BM_FirstSlotLatencyBlocking(benchmark::State& state) {
   const auto batch = make_skewed_batch(session, 7);
   for (auto _ : state) {
     const auto started = std::chrono::steady_clock::now();
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.front().ok());
     state.SetIterationTime(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - started)
@@ -168,7 +160,7 @@ void BM_SkewedBatch(benchmark::State& state) {
   api::Session session{api::make_executor(static_cast<std::size_t>(state.range(0)))};
   const auto batch = make_skewed_batch(session, 7);
   for (auto _ : state) {
-    const auto results = session.simulate_batch(batch);
+    const auto results = session.call_batch(batch);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
@@ -205,17 +197,10 @@ void BM_ColdVsWarmSweep(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
   api::Session session;
   if (warm) session.enable_cache({.capacity = 4096});
-  const api::ModelId model = must_load(session, "synthetic");
-  std::vector<api::SimulateRequest> sweep;
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    api::SimulateRequest request{.model = model};
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = seed;
-    sweep.push_back(request);
-  }
-  if (warm) benchmark::DoNotOptimize(session.simulate_batch(sweep).size());  // prefill
+  const auto sweep = seed_sweep(must_load(session, "synthetic"), 16);
+  if (warm) benchmark::DoNotOptimize(session.call_batch(sweep).size());  // prefill
   for (auto _ : state) {
-    const auto results = session.simulate_batch(sweep);
+    const auto results = session.call_batch(sweep);
     benchmark::DoNotOptimize(results.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sweep.size()));
@@ -235,14 +220,14 @@ void BM_UrgentSlotUnderLoad(benchmark::State& state) {
   const api::ModelId small = must_load(session, "fig1");
   const auto background = make_skewed_batch(session, 12);
   for (auto _ : state) {
-    auto backlog = session.submit_simulate_batch(background);
+    auto backlog = session.submit(background);
     const auto started = std::chrono::steady_clock::now();
     // A 1 ms deadline on the urgent slot arms the executor's deadline-miss
     // telemetry: at normal priority the slot queues behind the backlog and
     // blows the deadline, at high priority it overtakes and meets it.
-    auto urgent = session.submit_simulate_batch(
-        {{.model = small}}, {},
-        {.priority = priority, .deadline = std::chrono::milliseconds{1}});
+    auto urgent = session.submit(
+        {{.payload = api::SimulateRequest{.model = small},
+          .options = {.priority = priority, .deadline = std::chrono::milliseconds{1}}}});
     urgent.slot(0).wait();
     state.SetIterationTime(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - started)

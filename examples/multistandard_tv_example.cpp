@@ -57,17 +57,17 @@ int main() {
 
   // One session model per boot region — typed per-model options through the
   // registry — simulated as a batch.
-  std::vector<api::SimulateRequest> batch;
+  std::vector<api::AnyRequest> batch;
   for (int region = 0; region < 3; ++region) {
     const auto loaded = session.load_builtin(api::LoadBuiltinRequest{
         .name = "multistandard_tv",
         .options = models::TvOptions{.region = region, .frames = 25}});
     if (api::report_failure(loaded)) return 1;
-    batch.push_back({.model = loaded.value().id});
+    batch.emplace_back(api::SimulateRequest{.model = loaded.value().id});
   }
   // The pooled session evaluates models the loader session put in the
   // shared store — cross-session sharding in two lines.
-  const auto results = pooled.simulate_batch(batch);
+  const auto results = pooled.call_batch(batch);
 
   std::cout << "\nboot-time selection per region:\n";
   support::TextTable table{{"region", "video demod firings", "audio firings", "frames shown"}};
@@ -76,7 +76,7 @@ int main() {
   const char* audios[3] = {"PAudioPal", "PAudioNtsc", "PAudioSecam"};
   for (int region = 0; region < 3; ++region) {
     if (api::report_failure(results[region])) return 1;
-    const auto& response = results[region].value();
+    const auto& response = std::get<api::SimulateResponse>(results[region].value());
     table.add_row({regions[region], std::to_string(firings_of(response, demods[region])),
                    std::to_string(firings_of(response, audios[region])),
                    std::to_string(firings_of(response, "PDisplay"))});

@@ -37,24 +37,30 @@ int main() {
   const spi::Graph graphs[3] = {models::make_video_system(options),
                                 models::make_video_system(no_output_valve),
                                 models::make_video_system(no_valves)};
-  std::vector<api::SimulateRequest> batch;
+  std::vector<api::AnyRequest> batch;
   for (const spi::Graph& graph : graphs) {
     const auto loaded = session.load(variant::VariantModel{spi::Graph{graph}}, "video-scenario");
     if (api::report_failure(loaded)) return 1;
-    batch.push_back({.model = loaded.value().id});
+    api::SimulateRequest run{.model = loaded.value().id};
+    // Only the first scenario's protocol is printed.
+    run.options.record_trace = batch.empty();
+    batch.push_back({.payload = run});
   }
-  batch[0].options.record_trace = true;  // only the first scenario's protocol is printed
 
   std::cout << "=== Figure 4 video system: 200 frames, 4 reconfiguration requests ===\n\n";
 
   // Streamed evaluation: slots land independently (and, with a pooled
   // session, out of order); wait() still returns them in slot order,
-  // bit-identical to the blocking simulate_batch.
+  // bit-identical to the blocking call_batch.
   const char* labels[3] = {"valves on (paper)", "no output valve", "no valves"};
-  auto handle = session.submit_simulate_batch(
-      batch, [&labels](std::size_t slot, const api::Result<api::SimulateResponse>& run) {
+  const auto simulated = [](const api::Result<api::AnyResponse>& run) -> const sim::SimResult& {
+    return std::get<api::SimulateResponse>(run.value()).result;
+  };
+  auto handle = session.submit(
+      std::move(batch),
+      [&labels, &simulated](std::size_t slot, const api::Result<api::AnyResponse>& run) {
         std::cout << "scenario '" << labels[slot] << "' landed ("
-                  << (run.ok() ? std::to_string(run.value().result.total_firings) + " firings"
+                  << (run.ok() ? std::to_string(simulated(run).total_firings) + " firings"
                                : run.error_summary())
                   << ")\n";
       });
@@ -66,7 +72,7 @@ int main() {
 
   std::cout << "reconfiguration protocol (control-related trace events):\n";
   int shown = 0;
-  for (const auto& event : results[0].value().result.trace.events()) {
+  for (const auto& event : simulated(results[0]).trace.events()) {
     if (event.subject != "PControl" && event.kind != sim::TraceKind::kReconfigure) continue;
     if (shown++ > 24) break;
     std::cout << "  " << event.time << " " << sim::to_string(event.kind) << " "
@@ -75,7 +81,7 @@ int main() {
 
   models::VideoOutcome outcomes[3];
   for (int i = 0; i < 3; ++i) {
-    outcomes[i] = models::harvest_video_outcome(graphs[i], results[i].value().result);
+    outcomes[i] = models::harvest_video_outcome(graphs[i], simulated(results[i]));
   }
 
   std::cout << "\n";

@@ -1,11 +1,12 @@
 // Umbrella header for the spivar::api layer — the only include front ends
 // need.
 //
-// v8 surface — the unified request envelope remains the primary entry
-// point; the result cache is *tiered* (a persistent on-disk second tier,
-// content-fingerprint keyed, survives process restarts); and the store /
-// session stack is now *multi-tenant* with lateness-driven overload
-// shedding:
+// v9 surface — the AnyRequest envelope is the *only* evaluation path:
+// Session::call / call_batch / submit, with the per-kind endpoints as thin
+// typed wrappers over call() and no per-kind batch family. The result cache
+// is *tiered* (a persistent on-disk second tier, content-fingerprint keyed,
+// survives process restarts), and the store / session stack is
+// *multi-tenant* with lateness-driven overload shedding:
 //   * TenantContext / TenantQuota (tenant.hpp) — a tenant's identity (name,
 //     runtime tag, restart-stable content salt derived from the name) and
 //     its limits (live models, cache entries, in-flight requests). Tag 0 is
@@ -30,12 +31,13 @@
 //     carries the model's canonical content fingerprint.
 //   * Session::call / call_batch / submit (session.hpp) — one uniform
 //     entry point, one heterogeneous blocking batch, one heterogeneous
-//     streaming batch (BatchHandle<AnyResponse>). Dispatch runs through the
-//     same snapshot + result-cache seam as the per-kind endpoints, so an
-//     envelope slot is bit-identical to its dedicated endpoint and shares
-//     its cache entries; slots grouped by identical SubmitOptions become
-//     one executor submission each, so priority bands and EDF deadlines
-//     hold per slot.
+//     streaming batch (BatchHandle<AnyResponse>). Every entry point —
+//     per-kind endpoints included — sheds under admission, checks tenant
+//     ownership, installs the trace and evaluates through one snapshot +
+//     result-cache seam, so results and cache entries never depend on the
+//     entry point. Batch slots with identical SubmitOptions share one
+//     executor submission, so priority bands and EDF deadlines hold per
+//     slot.
 //   * wire (wire.hpp) — versioned line-oriented codec for the envelope:
 //     every AnyRequest/Result<AnyResponse> (error responses included)
 //     round-trips bit-identically as a plain-text frame; malformed and
@@ -53,15 +55,16 @@
 //     the disk tier).
 //   * ResultCache (cache.hpp) — sharded cost-aware LRU keyed by (store
 //     entry id, load generation, request kind, canonical request
-//     fingerprint, content fingerprint); every entry is charged its
-//     measured eval time and eviction drops the cheapest entry in the LRU
-//     tail's cost window (CacheConfig::cost_window — self-tuning with
-//     adaptive_window). With CacheConfig::persist, inserts write through to
-//     a persist::DiskTier, memory misses consult disk and promote on hit,
-//     and evicted entries spill down; persist_all()/clear(include_disk)
-//     are the admin hooks. CacheStats accounts hit/miss/eviction counters,
-//     cached/saved/evicted cost, the live cost window, and the disk tier's
-//     hits/spills/promotes/skipped/fill.
+//     fingerprint, StoreEntry::cache_content — the content fingerprint,
+//     plus the registry name for builtins with a curated library); every
+//     entry is charged its measured eval time and eviction drops the
+//     cheapest entry in the LRU tail's cost window (CacheConfig::cost_window
+//     — self-tuning with adaptive_window). With CacheConfig::persist,
+//     inserts write through to a persist::DiskTier, memory misses consult
+//     disk and promote on hit, and evicted entries spill down;
+//     persist_all()/clear(include_disk) are the admin hooks. CacheStats
+//     accounts hit/miss/eviction counters, cached/saved/evicted cost, the
+//     live cost window, and the disk tier's hits/spills/promotes/skipped/fill.
 //   * persist::DiskTier (persist/disk_tier.hpp) — the durable tier itself:
 //     one versioned, CRC-checked entry file per (content fingerprint,
 //     kind, request fingerprint) key; corrupt or stale entries are skipped
@@ -70,9 +73,9 @@
 //     load_text/load_file/load_model, typed load_builtin(LoadBuiltinRequest),
 //     resolve() (spec -> handle through the target cache),
 //     validate/stats/dot/write_text (variant-aware `variants v1` spit
-//     round-trip), the per-kind analyze/simulate/explore/pareto/compare,
-//     blocking batches (simulate_batch/explore_batch), the streaming
-//     submit_* surface, and executor_stats() for deadline telemetry.
+//     round-trip; tenant-scoped when bound), the per-kind
+//     analyze/simulate/explore/pareto/compare wrappers, the envelope
+//     call/call_batch/submit, and executor_stats() for deadline telemetry.
 //   * Executor (executor.hpp) — SerialExecutor / self-scheduling
 //     ThreadPoolExecutor / make_executor(jobs); run() participates in its
 //     own batch (nested dispatch is deadlock-free), submit() streams, both

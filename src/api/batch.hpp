@@ -1,24 +1,24 @@
 // Streaming batch evaluation — the async face of the session's batch
 // surface.
 //
-// submit_simulate_batch / submit_explore_batch / submit_compare return a
-// BatchHandle<Response>: one future per slot, an optional on_slot callback
-// streamed as results land, a blocking wait(), and a cooperative cancel().
-// Slot tasks capture immutable ModelStore snapshots (never the session), so
-// a handle stays valid across session moves, model unloads, and even the
-// session's destruction.
+// Session::submit returns a BatchHandle<AnyResponse>: one future per
+// envelope slot, an optional on_slot callback streamed as results land, a
+// blocking wait(), and a cooperative cancel(). Slot tasks capture immutable
+// ModelStore snapshots (never the session), so a handle stays valid across
+// session moves, model unloads, and even the session's destruction.
 //
-//   auto handle = session.submit_simulate_batch(requests,
-//       [](std::size_t slot, const api::Result<api::SimulateResponse>& r) {
+//   auto handle = session.submit(std::move(envelopes),
+//       [](std::size_t slot, const api::Result<api::AnyResponse>& r) {
 //         std::cout << "slot " << slot << (r.ok() ? " ok" : " failed") << "\n";
 //       });
 //   handle.slot(0).wait();             // first result, before the batch ends
 //   auto results = handle.wait();      // everything, in slot order
+//   auto& run = std::get<api::SimulateResponse>(results[0].value());
 //
 // Ordering contract per slot: the result is computed, on_slot fires on the
 // evaluating thread, then the slot's future becomes ready. Slot results are
-// bit-identical to the blocking batch entry points (and therefore to serial
-// evaluation) regardless of executor or cancellation-free interleaving.
+// bit-identical to Session::call_batch (and therefore to serial evaluation)
+// regardless of executor or cancellation-free interleaving.
 #pragma once
 
 #include <atomic>
@@ -126,10 +126,10 @@ class BatchHandle {
   }
 
   /// Blocks until every slot has landed and returns the results in slot
-  /// order — bit-identical to the blocking batch entry points. Callable any
-  /// number of times. wait() does not execute tasks itself, so call it from
-  /// a thread outside the session's pool (the blocking batch entry points,
-  /// which do participate, are the safe choice inside pool tasks).
+  /// order — bit-identical to Session::call_batch. Callable any number of
+  /// times. wait() does not execute tasks itself, so call it from a thread
+  /// outside the session's pool (a uniform-options call_batch, which does
+  /// participate, is the safe choice inside pool tasks).
   [[nodiscard]] std::vector<Result<Response>> wait() const {
     std::vector<Result<Response>> results;
     if (!state_) return results;

@@ -183,10 +183,9 @@ class ResultCache {
   /// Full cache key. `model`/`generation` pin the snapshot (ids are never
   /// reused; generation distinguishes reloads), `kind` discriminates the
   /// response type behind the type-erased slot, `fingerprint` is the
-  /// canonical request digest. `content` is the model's canonical content
-  /// fingerprint — the restart-stable half of the snapshot identity that
-  /// keys the persistent tier; 0 means "no content identity" and such
-  /// entries never touch disk.
+  /// canonical request digest. `content` is StoreEntry::cache_content — the
+  /// restart-stable half of the snapshot identity that keys the persistent
+  /// tier; 0 means "no content identity" and such entries never touch disk.
   struct Key {
     std::uint32_t model = 0;
     std::uint64_t generation = 0;

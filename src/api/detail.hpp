@@ -62,19 +62,9 @@ inline std::string empty_problem_message(const std::string& model_name) {
 }
 
 // --- snapshot evaluation seam ------------------------------------------------
-//
-// The whole pipeline evaluates against immutable StoreEntry snapshots, never
-// against a Session: batch tasks capture a snapshot (keeping the model alive
-// across unloads and session moves) and call these.
 
-[[nodiscard]] Result<SimulateResponse> eval_simulate(const StoreEntry& entry,
-                                                     const SimulateRequest& request);
-[[nodiscard]] Result<ExploreResponse> eval_explore(const StoreEntry& entry,
-                                                   const ExploreRequest& request);
-[[nodiscard]] Result<ParetoResponse> eval_pareto(const StoreEntry& entry,
-                                                 const ParetoRequest& request);
-[[nodiscard]] Result<AnalyzeResponse> eval_analyze(const StoreEntry& entry,
-                                                   const AnalyzeRequest& request);
+/// Evaluates a compare request against an immutable StoreEntry snapshot
+/// (never a Session; the other kinds' evals are local to session.cpp).
 /// Compare fans its strategy jobs across `executor` (nested dispatch is safe
 /// on the self-scheduling pool).
 [[nodiscard]] Result<CompareResponse> eval_compare(const StoreEntry& entry,
@@ -97,14 +87,14 @@ Result<Response> with_cache(const std::shared_ptr<ResultCache>& cache, const Sto
     obs::ScopedSpan span{obs::SpanKind::kEval};
     return eval(entry, request);
   }
-  // The content fingerprint is the restart-stable half of the key: it routes
-  // the persistent tier and costs nothing here (memoized per entry, and the
-  // store already computed it to describe the model).
+  // The entry's cache content is the restart-stable half of the key: it
+  // routes the persistent tier and costs nothing here (memoized per entry,
+  // and the store already computed it to describe the model).
   const ResultCache::Key key{.model = entry.id().value(),
                              .generation = entry.generation(),
                              .kind = kind_of(request),
                              .fingerprint = fingerprint(request),
-                             .content = entry.content_fingerprint()};
+                             .content = entry.cache_content()};
   {
     obs::ScopedSpan probe{obs::SpanKind::kCacheProbe};
     if (const auto hit = cache->find<Response>(key)) return *hit;

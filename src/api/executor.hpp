@@ -1,8 +1,9 @@
 // Execution policy for the session's batch surface.
 //
-// Every batch entry point (simulate_batch, explore_batch, compare and the
-// submit_* streaming variants) splits its work into independent tasks and
-// hands them to the session's Executor. Tasks are deterministic by seed and
+// Session::call_batch and Session::submit turn each envelope slot into one
+// independent task and hand them to the session's Executor (call_batch
+// through the participating run(), submit through submit()); compare fans
+// its strategy jobs out the same way. Tasks are deterministic by seed and
 // write to disjoint result slots, so the outcome is bit-identical whether
 // they run serially or across a pool — parallelism is purely a wall-clock
 // decision, asserted by the tests.
@@ -97,23 +98,27 @@ class ExecutorStatsRecorder {
   /// Records one task completion against the (absolute) deadline of its
   /// submission; nullopt marks deadline-free work.
   void record(const std::optional<std::chrono::steady_clock::time_point>& deadline) noexcept {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (!deadline) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now <= *deadline) return;
-    const std::int64_t late =
-        std::chrono::duration_cast<std::chrono::microseconds>(now - *deadline).count();
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    total_lateness_us_.fetch_add(static_cast<std::uint64_t>(late), std::memory_order_relaxed);
-    std::int64_t prev = max_lateness_us_.load(std::memory_order_relaxed);
-    while (prev < late &&
-           !max_lateness_us_.compare_exchange_weak(prev, late, std::memory_order_relaxed)) {
+    if (deadline) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now > *deadline) {
+        const std::int64_t late =
+            std::chrono::duration_cast<std::chrono::microseconds>(now - *deadline).count();
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        total_lateness_us_.fetch_add(static_cast<std::uint64_t>(late), std::memory_order_relaxed);
+        std::int64_t prev = max_lateness_us_.load(std::memory_order_relaxed);
+        while (prev < late &&
+               !max_lateness_us_.compare_exchange_weak(prev, late, std::memory_order_relaxed)) {
+        }
+      }
     }
+    // Completion last, released: a snapshot that counts this task also
+    // sees its miss and lateness.
+    completed_.fetch_add(1, std::memory_order_release);
   }
 
   [[nodiscard]] ExecutorStats snapshot() const noexcept {
     ExecutorStats stats;
-    stats.completed = completed_.load(std::memory_order_relaxed);
+    stats.completed = completed_.load(std::memory_order_acquire);
     stats.deadline_misses = misses_.load(std::memory_order_relaxed);
     stats.max_lateness =
         std::chrono::microseconds{max_lateness_us_.load(std::memory_order_relaxed)};

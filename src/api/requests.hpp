@@ -1,10 +1,9 @@
 // Request structs for api::Session operations.
 //
 // Each request wraps the underlying subsystem's option type plus the handle
-// of the session model it applies to, so one struct travels through single
-// and batch entry points alike. AnyRequest is the v5 envelope: one variant
-// over every request kind plus a target spec and per-slot scheduling
-// options, so mixed-kind workloads travel through one entry point
+// of the session model it applies to. AnyRequest is the envelope: one
+// variant over every request kind plus a target spec and per-slot
+// scheduling options — the one shape every evaluation travels in
 // (Session::call / call_batch / submit) and one wire protocol (api/wire).
 #pragma once
 

@@ -1,12 +1,12 @@
 #include "api/session.hpp"
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <functional>
 #include <optional>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "analysis/buffer_bounds.hpp"
 #include "analysis/deadlock.hpp"
@@ -25,7 +25,9 @@
 
 namespace spivar::api {
 
+using detail::empty_problem_message;
 using detail::guarded;
+using detail::problem_has_elements;
 using detail::unknown_model;
 
 namespace {
@@ -38,15 +40,11 @@ std::vector<std::string> process_names(const spi::Graph& graph,
   return names;
 }
 
-}  // namespace
-
 // --- snapshot evaluation -----------------------------------------------------
 //
-// Everything below detail:: evaluates one immutable StoreEntry. These are
-// the functions batch tasks capture (together with their snapshot), so no
-// evaluation path ever touches Session state.
-
-namespace detail {
+// Each eval_* evaluates one immutable StoreEntry. eval_any dispatches
+// envelope payloads to them against a captured snapshot, so no evaluation
+// path ever touches Session state.
 
 Result<SimulateResponse> eval_simulate(const StoreEntry& entry, const SimulateRequest& request) {
   return guarded<SimulateResponse>([&]() -> Result<SimulateResponse> {
@@ -151,7 +149,7 @@ Result<AnalyzeResponse> eval_analyze(const StoreEntry& entry, const AnalyzeReque
   });
 }
 
-}  // namespace detail
+}  // namespace
 
 // --- construction ------------------------------------------------------------
 
@@ -240,91 +238,99 @@ Result<ModelInfo> Session::info(ModelId id) const {
 
 std::vector<std::string> Session::builtins() { return builtin_names(); }
 
-// --- pipeline operations ----------------------------------------------------
+// --- model accessors ---------------------------------------------------------
 
-Result<ValidateResponse> Session::validate(ModelId id) const {
-  const ModelStore::Snapshot snapshot = store_->find(id);
-  if (!snapshot) return unknown_model<ValidateResponse>(id);
-  return guarded<ValidateResponse>([&]() -> Result<ValidateResponse> {
-    ValidateResponse response{.model = snapshot->model().graph().name(), .findings = {}};
-    if (snapshot->model().interface_count() > 0) {
-      // Includes the core graph pass with the mutual-exclusivity oracle.
-      response.findings = variant::validate_variants(snapshot->model());
-    } else {
-      response.findings = spi::validate(snapshot->model().graph());
-    }
-    return Result<ValidateResponse>::success(std::move(response));
-  });
-}
-
-Result<spi::ModelStatistics> Session::stats(ModelId id) const {
-  const ModelStore::Snapshot snapshot = store_->find(id);
-  if (!snapshot) return unknown_model<spi::ModelStatistics>(id);
-  return guarded<spi::ModelStatistics>([&] {
-    return Result<spi::ModelStatistics>::success(
-        spi::collect_statistics(snapshot->model().graph()));
-  });
-}
-
-Result<std::string> Session::dot(ModelId id) const {
-  const ModelStore::Snapshot snapshot = store_->find(id);
-  if (!snapshot) return unknown_model<std::string>(id);
-  return guarded<std::string>([&] {
-    return Result<std::string>::success(snapshot->model().interface_count() > 0
-                                            ? variant::to_dot(snapshot->model())
-                                            : spi::to_dot(snapshot->model().graph()));
-  });
-}
-
-Result<std::string> Session::write_text(ModelId id) const {
-  const ModelStore::Snapshot snapshot = store_->find(id);
-  if (!snapshot) return unknown_model<std::string>(id);
-  // variant::write_text appends the versioned `variants v1` section for
-  // models with interfaces, so variant structure is no longer silently
-  // dropped on save; flat models keep emitting plain graph text.
-  return guarded<std::string>(
-      [&] { return Result<std::string>::success(variant::write_text(snapshot->model())); });
+ModelStore::Snapshot Session::owned_snapshot(ModelId id) const {
+  // A bound session only sees ids its own view issued — a raw handle guessed
+  // (or leaked) from another tenant fails exactly like an unknown model,
+  // never disclosing that it exists.
+  if (view_ && !view_->owns(id)) return nullptr;
+  return store_->find(id);
 }
 
 namespace {
 
-/// The one snapshot-and-cache path behind every evaluation entry point —
-/// per-kind endpoint, envelope call, and every batch slot all converge
-/// here, which is what makes their results (and cache keys) identical.
-template <typename Response, typename Request, typename Eval>
-Result<Response> call_one(const ModelStore& store, const Request& request, Eval&& eval) {
-  const ModelStore::Snapshot snapshot = store.find(request.model);
-  if (!snapshot) return unknown_model<Response>(request.model);
-  return detail::with_cache<Response>(store.cache(), *snapshot, request,
-                                      std::forward<Eval>(eval));
+/// Runs `fn` over the snapshot's model inside the no-throw boundary; a null
+/// snapshot is the unknown-model failure.
+template <typename T, typename Fn>
+Result<T> inspect(const ModelStore::Snapshot& snapshot, ModelId id, Fn&& fn) {
+  if (!snapshot) return unknown_model<T>(id);
+  return guarded<T>([&] { return Result<T>::success(fn(snapshot->model())); });
+}
+
+}  // namespace
+
+Result<ValidateResponse> Session::validate(ModelId id) const {
+  return inspect<ValidateResponse>(owned_snapshot(id), id, [](const variant::VariantModel& model) {
+    // The variant pass includes the core graph pass with the
+    // mutual-exclusivity oracle.
+    return ValidateResponse{.model = model.graph().name(),
+                            .findings = model.interface_count() > 0
+                                            ? variant::validate_variants(model)
+                                            : spi::validate(model.graph())};
+  });
+}
+
+Result<spi::ModelStatistics> Session::stats(ModelId id) const {
+  return inspect<spi::ModelStatistics>(
+      owned_snapshot(id), id,
+      [](const variant::VariantModel& model) { return spi::collect_statistics(model.graph()); });
+}
+
+Result<std::string> Session::dot(ModelId id) const {
+  return inspect<std::string>(owned_snapshot(id), id, [](const variant::VariantModel& model) {
+    return model.interface_count() > 0 ? variant::to_dot(model) : spi::to_dot(model.graph());
+  });
+}
+
+Result<std::string> Session::write_text(ModelId id) const {
+  // variant::write_text appends the versioned `variants v1` section for
+  // models with interfaces, so variant structure is no longer silently
+  // dropped on save; flat models keep emitting plain graph text.
+  return inspect<std::string>(owned_snapshot(id), id, [](const variant::VariantModel& model) {
+    return variant::write_text(model);
+  });
+}
+
+// --- the per-kind endpoints: thin wrappers over call() ----------------------
+
+namespace {
+
+/// Wraps a typed request in an envelope, evaluates it through Session::call
+/// and unwraps the typed alternative, keeping diagnostics (failure lists and
+/// success notes) intact.
+template <typename Response, typename Request>
+Result<Response> call_typed(const Session& session, const Request& request) {
+  Result<AnyResponse> result = session.call(AnyRequest{.payload = request});
+  if (!result.ok()) return Result<Response>::failure(result.diagnostics());
+  support::DiagnosticList notes = result.diagnostics();
+  return Result<Response>::success(std::get<Response>(std::move(result).value()),
+                                   std::move(notes));
 }
 
 }  // namespace
 
 Result<AnalyzeResponse> Session::analyze(const AnalyzeRequest& request) const {
-  return call_one<AnalyzeResponse>(*store_, request, &detail::eval_analyze);
+  return call_typed<AnalyzeResponse>(*this, request);
 }
 
 Result<SimulateResponse> Session::simulate(const SimulateRequest& request) const {
-  return call_one<SimulateResponse>(*store_, request, &detail::eval_simulate);
+  return call_typed<SimulateResponse>(*this, request);
 }
 
 Result<ExploreResponse> Session::explore(const ExploreRequest& request) const {
-  return call_one<ExploreResponse>(*store_, request, &detail::eval_explore);
+  return call_typed<ExploreResponse>(*this, request);
 }
 
 Result<ParetoResponse> Session::pareto(const ParetoRequest& request) const {
-  return call_one<ParetoResponse>(*store_, request, &detail::eval_pareto);
+  return call_typed<ParetoResponse>(*this, request);
 }
 
 Result<CompareResponse> Session::compare(const CompareRequest& request) const {
-  return call_one<CompareResponse>(*store_, request,
-                                   [this](const StoreEntry& entry, const CompareRequest& r) {
-                                     return detail::eval_compare(entry, r, *executor_);
-                                   });
+  return call_typed<CompareResponse>(*this, request);
 }
 
-// --- the unified envelope (v5) ----------------------------------------------
+// --- the unified envelope ----------------------------------------------------
 
 namespace {
 
@@ -338,9 +344,9 @@ Result<AnyResponse> to_any(Result<Response> result) {
 }
 
 /// Evaluates one resolved payload against a captured snapshot through the
-/// result-cache seam — the envelope twin of the submit_batch task body.
-/// `executor` powers compare's nested strategy fan-out (raw pointer for the
-/// same lifetime reason as Session::submit_compare).
+/// result-cache seam — where every entry point ends, which is what makes
+/// their results (and cache keys) identical. `executor` powers compare's
+/// nested strategy fan-out (raw pointer: see Session::submit).
 Result<AnyResponse> eval_any(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
                              const RequestPayload& payload, Executor* executor) {
   return std::visit(
@@ -353,17 +359,14 @@ Result<AnyResponse> eval_any(const std::shared_ptr<ResultCache>& cache, const St
               }));
         } else if constexpr (std::is_same_v<Request, SimulateRequest>) {
           return to_any(
-              detail::with_cache<SimulateResponse>(cache, entry, request, &detail::eval_simulate));
+              detail::with_cache<SimulateResponse>(cache, entry, request, &eval_simulate));
         } else if constexpr (std::is_same_v<Request, AnalyzeRequest>) {
-          return to_any(
-              detail::with_cache<AnalyzeResponse>(cache, entry, request, &detail::eval_analyze));
+          return to_any(detail::with_cache<AnalyzeResponse>(cache, entry, request, &eval_analyze));
         } else if constexpr (std::is_same_v<Request, ExploreRequest>) {
-          return to_any(
-              detail::with_cache<ExploreResponse>(cache, entry, request, &detail::eval_explore));
+          return to_any(detail::with_cache<ExploreResponse>(cache, entry, request, &eval_explore));
         } else {
           static_assert(std::is_same_v<Request, ParetoRequest>);
-          return to_any(
-              detail::with_cache<ParetoResponse>(cache, entry, request, &detail::eval_pareto));
+          return to_any(detail::with_cache<ParetoResponse>(cache, entry, request, &eval_pareto));
         }
       },
       payload);
@@ -378,9 +381,7 @@ Result<ModelId> Session::resolve_target(const AnyRequest& request) const {
                                       "envelope target options require a target spec");
     }
     const ModelId id = model_of(request.payload);
-    // A bound session only evaluates ids its own view issued — a raw handle
-    // guessed (or leaked) from another tenant fails exactly like an unknown
-    // model, never disclosing that it exists.
+    // Tenant ownership, exactly as owned_snapshot() checks it.
     if (view_ && !view_->owns(id)) return unknown_model<ModelId>(id);
     return Result<ModelId>::success(id);
   }
@@ -417,129 +418,20 @@ Result<AnyResponse> Session::call(const AnyRequest& request) const {
   if (const auto decision = shed()) return overload_failure(*decision);
   const Result<ModelId> target = resolve_target(request);
   if (!target.ok()) return Result<AnyResponse>::failure(target.diagnostics());
-  RequestPayload payload = request.payload;
-  set_model(payload, target.value());
   const ModelStore::Snapshot snapshot = store_->find(target.value());
   if (!snapshot) return unknown_model<AnyResponse>(target.value());
   // Inline calls evaluate on this thread, so the trace (if the envelope
   // carries one) installs here; no queue-wait span on this path.
   obs::TraceScope scope{request.trace.get()};
+  if (request.target.empty()) {
+    return eval_any(store_->cache(), *snapshot, request.payload, executor_.get());
+  }
+  RequestPayload payload = request.payload;  // point it at the resolved target
+  set_model(payload, target.value());
   return eval_any(store_->cache(), *snapshot, payload, executor_.get());
 }
 
-// --- batch surface ----------------------------------------------------------
-
-namespace {
-
-/// Shared submit path of the streaming surface. Every request's snapshot is
-/// resolved *now* — the batch evaluates the store as of submission, so a
-/// concurrent unload (or session move/destruction) cannot touch a slot.
-/// Tasks capture only the batch state, the snapshot, the result cache (if
-/// the store has one) and `eval`; cancelled slots never touch the cache.
-template <typename Response, typename Request, typename Eval>
-BatchHandle<Response> submit_batch(const ModelStore& store, std::shared_ptr<Executor> executor,
-                                   std::vector<Request> requests,
-                                   SlotCallback<Response> on_slot, SubmitOptions options,
-                                   Eval eval) {
-  auto state =
-      std::make_shared<detail::BatchState<Response>>(requests.size(), std::move(on_slot));
-  const std::shared_ptr<ResultCache> cache = store.cache();
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    tasks.push_back([state, cache, snapshot = store.find(requests[i].model),
-                     request = std::move(requests[i]), i, eval] {
-      Result<Response> result = [&]() -> Result<Response> {
-        if (state->core.cancel_requested()) {
-          return Result<Response>::failure(detail::cancelled_diagnostics(i));
-        }
-        if (!snapshot) return unknown_model<Response>(request.model);
-        return detail::with_cache<Response>(cache, *snapshot, request, eval);
-      }();
-      state->deliver(i, std::move(result));
-    });
-  }
-  executor->submit(std::move(tasks), options);
-  return make_batch_handle<Response>(std::move(state), std::move(executor));
-}
-
-}  // namespace
-
-BatchHandle<SimulateResponse> Session::submit_simulate_batch(
-    std::vector<SimulateRequest> requests, SlotCallback<SimulateResponse> on_slot,
-    SubmitOptions options) const {
-  return submit_batch<SimulateResponse>(*store_, executor_, std::move(requests),
-                                        std::move(on_slot), options, &detail::eval_simulate);
-}
-
-BatchHandle<ExploreResponse> Session::submit_explore_batch(
-    std::vector<ExploreRequest> requests, SlotCallback<ExploreResponse> on_slot,
-    SubmitOptions options) const {
-  return submit_batch<ExploreResponse>(*store_, executor_, std::move(requests),
-                                       std::move(on_slot), options, &detail::eval_explore);
-}
-
-BatchHandle<CompareResponse> Session::submit_compare(std::vector<CompareRequest> requests,
-                                                     SlotCallback<CompareResponse> on_slot,
-                                                     SubmitOptions options) const {
-  // Each compare slot fans its strategy jobs across the same executor; the
-  // self-scheduling pool lets the slot's thread help drain its own jobs, so
-  // nesting cannot deadlock. Deliberately a raw pointer: the executor
-  // outlives every queued task (the handle keeps it alive, and the pool
-  // destructor drains its queue before joining), while an owning copy here
-  // could make a *worker* drop the last reference and self-join the pool.
-  Executor* executor = executor_.get();
-  return submit_batch<CompareResponse>(
-      *store_, executor_, std::move(requests), std::move(on_slot), options,
-      [executor](const StoreEntry& entry, const CompareRequest& request) {
-        return detail::eval_compare(entry, request, *executor);
-      });
-}
-
-namespace {
-
-/// Blocking twin of submit_batch with the same snapshot-at-submit
-/// semantics, built on Executor::run for two reasons the streaming path
-/// can't provide: the calling thread participates in its own batch (so a
-/// blocking batch issued from inside a pool task cannot deadlock), and
-/// results move straight out of their slots — no promise/future machinery,
-/// no copies.
-template <typename Response, typename Request, typename Eval>
-std::vector<Result<Response>> run_batch(const ModelStore& store, Executor& executor,
-                                        const std::vector<Request>& requests, Eval eval) {
-  const std::shared_ptr<ResultCache> cache = store.cache();
-  std::vector<std::optional<Result<Response>>> slots(requests.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    tasks.push_back(
-        [&slots, &requests, &cache, snapshot = store.find(requests[i].model), &eval, i] {
-          slots[i] = snapshot
-                         ? detail::with_cache<Response>(cache, *snapshot, requests[i], eval)
-                         : unknown_model<Response>(requests[i].model);
-        });
-  }
-  executor.run(std::move(tasks));
-
-  std::vector<Result<Response>> results;
-  results.reserve(slots.size());
-  for (auto& slot : slots) results.push_back(std::move(*slot));
-  return results;
-}
-
-}  // namespace
-
-std::vector<Result<SimulateResponse>> Session::simulate_batch(
-    const std::vector<SimulateRequest>& requests) const {
-  return run_batch<SimulateResponse>(*store_, *executor_, requests, &detail::eval_simulate);
-}
-
-std::vector<Result<ExploreResponse>> Session::explore_batch(
-    const std::vector<ExploreRequest>& requests) const {
-  return run_batch<ExploreResponse>(*store_, *executor_, requests, &detail::eval_explore);
-}
-
-// --- envelope batch surface --------------------------------------------------
+// --- batches: call_batch and submit ------------------------------------------
 
 namespace {
 
@@ -557,37 +449,14 @@ struct PreparedSlot {
   std::shared_ptr<obs::TraceContext> trace;
 };
 
-/// Envelope slots grouped by identical SubmitOptions, in first-appearance
-/// order. Each group becomes one executor submission, so priority bands and
-/// EDF deadlines hold per slot while slots that agree still share one
-/// self-scheduling batch. Tasks are *moved* into their group — a slot task
-/// owns the request payload and snapshot, so copying it would duplicate
-/// every request's data.
-template <typename Task>
-std::vector<std::pair<SubmitOptions, std::vector<Task>>> group_by_options(
-    const std::vector<PreparedSlot>& slots, std::vector<Task>&& tasks) {
-  std::vector<std::pair<SubmitOptions, std::vector<Task>>> groups;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    auto group = groups.begin();
-    for (; group != groups.end(); ++group) {
-      if (group->first == slots[i].options) break;
-    }
-    if (group == groups.end()) {
-      groups.push_back({slots[i].options, {}});
-      group = std::prev(groups.end());
-    }
-    group->second.push_back(std::move(tasks[i]));
-  }
-  return groups;
-}
-
-/// Resolves every envelope's target and snapshot at submission time — the
-/// batch sees the store as of submit, exactly like the v4 streaming
-/// surface. Takes the requests by value so owning callers (submit) move
-/// payloads through instead of copying; call_batch pays its one copy here
-/// and none later.
+/// Resolves every envelope's target and snapshot at submission time — a
+/// batch evaluates the store as of submission, so a concurrent unload (or
+/// session move/destruction) cannot touch a slot. Takes the requests by
+/// value so submit moves payloads through; call_batch pays its one copy
+/// here and none later.
+template <typename Resolve>
 std::vector<PreparedSlot> prepare(const ModelStore& store, std::vector<AnyRequest> requests,
-                                  const std::function<Result<ModelId>(const AnyRequest&)>& resolve) {
+                                  Resolve&& resolve) {
   std::vector<PreparedSlot> slots;
   slots.reserve(requests.size());
   for (AnyRequest& request : requests) {
@@ -606,113 +475,100 @@ std::vector<PreparedSlot> prepare(const ModelStore& store, std::vector<AnyReques
   return slots;
 }
 
+/// The one slot body behind call_batch and submit: cancel check (streaming
+/// batches only — call_batch passes no core), then the resolution failure,
+/// then unknown model, then the evaluation.
+Result<AnyResponse> run_slot(const PreparedSlot& slot, std::size_t index,
+                             const detail::BatchCore* core,
+                             const std::shared_ptr<ResultCache>& cache, Executor* executor) {
+  if (slot.trace) slot.trace->end_queue_wait();
+  obs::TraceScope scope{slot.trace.get()};
+  if (core != nullptr && core->cancel_requested()) {
+    return Result<AnyResponse>::failure(detail::cancelled_diagnostics(index));
+  }
+  if (slot.failure) return Result<AnyResponse>::failure(*slot.failure);
+  if (!slot.snapshot) return unknown_model<AnyResponse>(model_of(slot.payload));
+  return eval_any(cache, *slot.snapshot, slot.payload, executor);
+}
+
 }  // namespace
 
 BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
                                          SlotCallback<AnyResponse> on_slot) const {
+  auto state =
+      std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
   if (const auto decision = shed()) {
     // Shed before submission: every slot lands with the typed overload
     // failure and the executor never sees the work — queueing it anyway is
     // exactly how an overloaded tail gets worse.
-    auto state =
-        std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
     for (std::size_t i = 0; i < requests.size(); ++i) {
       state->deliver(i, overload_failure(*decision));
     }
     return make_batch_handle<AnyResponse>(std::move(state), executor_);
   }
-  auto state =
-      std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
   const std::shared_ptr<ResultCache> cache = store_->cache();
-  // Raw pointer for compare's nested fan-out; the handle's owning copy
-  // keeps the executor alive past the session (see submit_compare).
+  // Each compare slot fans its strategy jobs across the same executor; the
+  // self-scheduling pool lets the slot's thread help drain its own jobs, so
+  // nesting cannot deadlock. Deliberately a raw pointer: the executor
+  // outlives every queued task (the handle keeps it alive, and the pool
+  // destructor drains its queue before joining), while an owning copy here
+  // could make a *worker* drop the last reference and self-join the pool.
   Executor* executor = executor_.get();
 
+  // Slots grouped by identical SubmitOptions, in first-appearance order.
+  // Each group becomes one executor submission, so priority bands and EDF
+  // deadlines hold per slot while slots that agree still share one
+  // self-scheduling batch. A task owns its slot (moved in, never copied).
+  std::vector<std::pair<SubmitOptions, std::vector<std::function<void()>>>> groups;
   std::vector<PreparedSlot> slots = prepare(*store_, std::move(requests),
                                             [this](const AnyRequest& r) { return resolve_target(r); });
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    tasks.push_back([state, cache, executor, i, payload = std::move(slots[i].payload),
-                     snapshot = std::move(slots[i].snapshot),
-                     failure = std::move(slots[i].failure), trace = std::move(slots[i].trace)] {
-      if (trace) trace->end_queue_wait();
-      obs::TraceScope scope{trace.get()};
-      Result<AnyResponse> result = [&]() -> Result<AnyResponse> {
-        if (state->core.cancel_requested()) {
-          return Result<AnyResponse>::failure(detail::cancelled_diagnostics(i));
-        }
-        if (failure) return Result<AnyResponse>::failure(*failure);
-        if (!snapshot) return unknown_model<AnyResponse>(model_of(payload));
-        return eval_any(cache, *snapshot, payload, executor);
-      }();
-      state->deliver(i, std::move(result));
+    const SubmitOptions options = slots[i].options;
+    auto group = std::find_if(groups.begin(), groups.end(),
+                              [&](const auto& g) { return g.first == options; });
+    if (group == groups.end()) {
+      groups.emplace_back(options, std::vector<std::function<void()>>{});
+      group = std::prev(groups.end());
+    }
+    group->second.push_back([state, cache, executor, i, slot = std::move(slots[i])] {
+      state->deliver(i, run_slot(slot, i, &state->core, cache, executor));
     });
   }
-  for (auto& [options, group] : group_by_options(slots, std::move(tasks))) {
-    executor_->submit(std::move(group), options);
-  }
+  for (auto& [options, group] : groups) executor_->submit(std::move(group), options);
   return make_batch_handle<AnyResponse>(std::move(state), executor_);
 }
 
 std::vector<Result<AnyResponse>> Session::call_batch(
     const std::vector<AnyRequest>& requests) const {
+  // Mixed options need one executor submission per options group so the
+  // executor can order them (priority band, then EDF): the streaming path,
+  // waited on. Its groups drain on the pool's workers, so prefer uniform
+  // options when calling from inside a pool task.
+  const bool uniform = std::all_of(requests.begin(), requests.end(), [&](const AnyRequest& r) {
+    return r.options == requests.front().options;
+  });
+  if (!uniform) return submit(requests).wait();
+
   if (const auto decision = shed()) {
-    std::vector<Result<AnyResponse>> out;
-    out.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) out.push_back(overload_failure(*decision));
-    return out;
+    return std::vector<Result<AnyResponse>>(requests.size(), overload_failure(*decision));
   }
+  // Uniform options: the participating run(). The calling thread helps its
+  // own batch — safe even from inside a task already on the session's pool
+  // — and results move straight out of their slots, with no promise/future
+  // machinery and no copies.
   const std::shared_ptr<ResultCache> cache = store_->cache();
   Executor* executor = executor_.get();
-  std::vector<PreparedSlot> slots =
+  const std::vector<PreparedSlot> slots =
       prepare(*store_, requests, [this](const AnyRequest& r) { return resolve_target(r); });
-
   std::vector<std::optional<Result<AnyResponse>>> results(slots.size());
   std::vector<std::function<void()>> tasks;
   tasks.reserve(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    tasks.push_back([&results, &slots, cache, executor, i] {
-      const PreparedSlot& slot = slots[i];
-      if (slot.trace) slot.trace->end_queue_wait();
-      obs::TraceScope scope{slot.trace.get()};
-      results[i] = slot.failure ? Result<AnyResponse>::failure(*slot.failure)
-                   : !slot.snapshot
-                       ? unknown_model<AnyResponse>(model_of(slot.payload))
-                       : eval_any(cache, *slot.snapshot, slot.payload, executor);
+    tasks.push_back([&results, &slots, &cache, executor, i] {
+      results[i] = run_slot(slots[i], i, nullptr, cache, executor);
     });
   }
-
-  auto groups = group_by_options(slots, std::move(tasks));
-  if (groups.size() <= 1) {
-    // Uniform options: the classic participating run() — safe even from
-    // inside a task already on the session's pool.
-    if (!groups.empty()) executor_->run(std::move(groups.front().second), groups.front().first);
-  } else {
-    // Mixed options: one submission per options group so the executor can
-    // order them (priority band, then EDF), plus a latch so the call stays
-    // blocking. Groups drain on the pool's workers; prefer uniform options
-    // when calling from inside a pool task.
-    struct Latch {
-      std::mutex mutex;
-      std::condition_variable done;
-      std::size_t remaining;
-    };
-    auto latch = std::make_shared<Latch>();
-    latch->remaining = slots.size();  // tasks was consumed by the grouping
-    for (auto& [options, group] : groups) {
-      for (auto& task : group) {
-        task = [task = std::move(task), latch] {
-          task();
-          std::lock_guard lock{latch->mutex};
-          if (--latch->remaining == 0) latch->done.notify_all();
-        };
-      }
-      executor_->submit(std::move(group), options);
-    }
-    std::unique_lock lock{latch->mutex};
-    latch->done.wait(lock, [&] { return latch->remaining == 0; });
-  }
+  if (!tasks.empty()) executor_->run(std::move(tasks), requests.front().options);
 
   std::vector<Result<AnyResponse>> out;
   out.reserve(results.size());

@@ -16,11 +16,18 @@
 //   api::Session a{store};                        // many sessions,
 //   api::Session b{store, api::make_executor(4)}; // one model store
 //
-// The batch surface evaluates whole scenario sets: blocking
-// (simulate_batch/explore_batch/compare) or streaming (submit_* returning a
-// BatchHandle with per-slot futures, an on_slot callback, and cancel()).
-// Batch tasks capture store snapshots — never the session — so sessions are
-// movable even with batches in flight.
+// Every evaluation travels one path: the AnyRequest envelope. The per-kind
+// endpoints wrap their request in one and go through call(); whole scenario
+// sets — of any mix of kinds — go through call_batch (blocking) or submit
+// (streaming: a BatchHandle with per-slot futures, an on_slot callback, and
+// cancel()). Admission, tenant ownership, tracing and the result cache
+// therefore behave the same for every entry point. Batch tasks capture
+// store snapshots — never the session — so sessions are movable even with
+// batches in flight.
+//
+//   auto slots = session.call_batch({{.payload = api::SimulateRequest{.model = id}},
+//                                    {.payload = api::ExploreRequest{.model = id}}});
+//   auto& run = std::get<api::SimulateResponse>(slots[0].value());
 #pragma once
 
 #include <cstdint>
@@ -83,8 +90,8 @@ class Session {
   /// Binds this session to one tenant: every load/unload/enumeration below
   /// routes through `view` (tenant-scoped ids and quotas, salted content
   /// identity — including envelope target resolution), and when `admission`
-  /// is set, call/call_batch/submit shed with a typed api-overload failure
-  /// carrying a retry-after hint while the projected deadline-miss rate
+  /// is set, every evaluation entry point sheds with a typed api-overload
+  /// failure carrying a retry-after hint while the projected deadline-miss rate
   /// sits above the controller's bound. Either argument may be null; an
   /// unbound session is the default tenant and behaves exactly as before
   /// tenancy existed. Bind before use, not concurrently with calls.
@@ -163,7 +170,10 @@ class Session {
   [[nodiscard]] Result<ModelInfo> info(ModelId id) const;
   [[nodiscard]] static std::vector<std::string> builtins();
 
-  // --- pipeline operations --------------------------------------------------
+  // --- model accessors --------------------------------------------------------
+  //
+  // A bound session answers these only for ids its tenant view issued; any
+  // other id fails with api-unknown-model, the same answer call() gives.
 
   /// Core graph validation plus the variant pass when the model has
   /// interfaces. Findings (even errors) are the payload.
@@ -179,6 +189,12 @@ class Session {
   /// one, so `--opt`-configured variant models round-trip losslessly.
   [[nodiscard]] Result<std::string> write_text(ModelId id) const;
 
+  // --- per-kind endpoints ----------------------------------------------------
+  //
+  // Typed sugar over call(): each wraps its request in an AnyRequest, calls
+  // and unwraps the typed alternative — bit-identical to the envelope, the
+  // same cache entries, the same admission and ownership checks.
+
   [[nodiscard]] Result<AnalyzeResponse> analyze(const AnalyzeRequest& request) const;
   [[nodiscard]] Result<SimulateResponse> simulate(const SimulateRequest& request) const;
   [[nodiscard]] Result<ExploreResponse> explore(const ExploreRequest& request) const;
@@ -192,72 +208,37 @@ class Session {
   /// across the session's executor.
   [[nodiscard]] Result<CompareResponse> compare(const CompareRequest& request) const;
 
-  // --- the unified envelope (v5) --------------------------------------------
+  // --- the envelope: the one evaluation path --------------------------------
   //
-  // One entry point for every evaluation kind: the AnyRequest envelope
-  // carries the payload variant, an optional target spec (resolved through
-  // a tombstone-aware per-session target cache — wire clients never hold
-  // handles), and per-slot SubmitOptions. Dispatch runs through the same
-  // snapshot + result-cache seam as the per-kind methods above, so an
-  // envelope call and its dedicated endpoint produce bit-identical results
-  // and share cache entries. The per-kind methods are thin wrappers over
-  // the same internals and remain the convenient typed surface.
+  // The AnyRequest envelope carries the payload variant, an optional target
+  // spec (resolved through a tombstone-aware per-session target cache —
+  // wire clients never hold handles), and per-slot SubmitOptions. Every
+  // entry point sheds under admission, checks tenant ownership, installs
+  // the envelope's trace and evaluates through the snapshot + result-cache
+  // seam, so results and cache entries never depend on the entry point.
 
   /// Evaluates one envelope (target resolved first when set).
   [[nodiscard]] Result<AnyResponse> call(const AnyRequest& request) const;
 
   /// Heterogeneous blocking batch: every slot evaluates independently
   /// across the executor and the call returns all slots in order,
-  /// bit-identical to per-kind evaluation. Slots sharing identical
-  /// SubmitOptions run as one executor submission (the calling thread
-  /// participates when every slot agrees, so a uniform batch is safe from
-  /// inside a pool task); mixed options split into per-options submissions
-  /// so priority and deadline hold per slot.
+  /// bit-identical to serial evaluation; one failing slot never aborts the
+  /// batch. When every slot has the same SubmitOptions the calling thread
+  /// participates in the batch, so a uniform batch is safe from inside a
+  /// pool task; mixed options run as submit(...).wait() so priority and
+  /// deadline hold per slot.
   [[nodiscard]] std::vector<Result<AnyResponse>> call_batch(
       const std::vector<AnyRequest>& requests) const;
 
-  /// Heterogeneous streaming batch: snapshots resolve at submission, slots
-  /// land through `on_slot` and the handle's futures, and each slot's
-  /// SubmitOptions select its scheduling band — a high-priority simulate
-  /// overtakes a queued normal compare from the same envelope batch.
+  /// Heterogeneous streaming batch: snapshots resolve at submission (a
+  /// concurrent unload cannot touch a slot), slots land through `on_slot`
+  /// and the handle's futures, and each slot's SubmitOptions select its
+  /// scheduling band — a high-priority simulate overtakes a queued normal
+  /// compare from the same batch. Slots with identical options share one
+  /// executor submission; each slot's strategy jobs (compare) fan out
+  /// across the same executor.
   [[nodiscard]] BatchHandle<AnyResponse> submit(std::vector<AnyRequest> requests,
                                                 SlotCallback<AnyResponse> on_slot = {}) const;
-
-  // --- blocking batch surface ------------------------------------------------
-
-  /// Evaluates each request independently across the session's executor;
-  /// one failing scenario never aborts the batch — its slot carries the
-  /// diagnostics. Results are bit-identical to serial evaluation (requests
-  /// are deterministic by seed and write disjoint slots). The calling
-  /// thread participates in the batch, so these are safe to call even from
-  /// inside a task already running on the session's pool.
-  [[nodiscard]] std::vector<Result<SimulateResponse>> simulate_batch(
-      const std::vector<SimulateRequest>& requests) const;
-  [[nodiscard]] std::vector<Result<ExploreResponse>> explore_batch(
-      const std::vector<ExploreRequest>& requests) const;
-
-  // --- streaming batch surface -----------------------------------------------
-  //
-  // submit_* resolve every request's snapshot immediately (the batch sees
-  // the store as of submission) and return without waiting. Results stream
-  // through `on_slot` and the handle's per-slot futures as they land;
-  // handle.wait() yields the same vector the blocking entry point would.
-  // `options` selects the executor's scheduling band: a high-priority batch
-  // overtakes queued normal/low work, and a deadline orders it EDF within
-  // its band (see SubmitOptions).
-
-  [[nodiscard]] BatchHandle<SimulateResponse> submit_simulate_batch(
-      std::vector<SimulateRequest> requests, SlotCallback<SimulateResponse> on_slot = {},
-      SubmitOptions options = {}) const;
-  [[nodiscard]] BatchHandle<ExploreResponse> submit_explore_batch(
-      std::vector<ExploreRequest> requests, SlotCallback<ExploreResponse> on_slot = {},
-      SubmitOptions options = {}) const;
-  /// One slot per CompareRequest — a cross-model comparison sweep; each
-  /// slot's strategy jobs fan out across the same executor (safe: the pool
-  /// self-schedules nested batches).
-  [[nodiscard]] BatchHandle<CompareResponse> submit_compare(
-      std::vector<CompareRequest> requests, SlotCallback<CompareResponse> on_slot = {},
-      SubmitOptions options = {}) const;
 
  private:
   /// Tombstone-aware target-spec memoization behind AnyRequest::target.
@@ -272,6 +253,10 @@ class Session {
   /// Resolves the envelope's target spec (when set) into the payload's
   /// model handle; returns the resolution failure otherwise.
   [[nodiscard]] Result<ModelId> resolve_target(const AnyRequest& request) const;
+
+  /// The live snapshot for `id`, or null when the store doesn't hold it or
+  /// — for a bound session — the tenant view never issued it.
+  [[nodiscard]] ModelStore::Snapshot owned_snapshot(ModelId id) const;
 
   /// The overload gate at the head of call/call_batch/submit: nullopt
   /// admits, a decision sheds (the caller turns it into per-slot failures).

@@ -85,6 +85,16 @@ SynthesisSetup compute_setup(const StoreEntry& entry,
   return setup;
 }
 
+/// Re-keys a restart-stable identity with `salt`. 0 stays 0 — "no content
+/// identity" must keep meaning "never touches disk" whatever is mixed in.
+std::uint64_t rekey(std::uint64_t digest, std::uint64_t salt) {
+  if (digest == 0 || salt == 0) return digest;
+  support::Fnv1aHasher hasher;
+  hasher.u64(digest);
+  hasher.u64(salt);
+  return hasher.digest() == 0 ? 1 : hasher.digest();
+}
+
 }  // namespace
 
 // --- StoreEntry --------------------------------------------------------------
@@ -109,21 +119,21 @@ std::shared_ptr<const SynthesisSetup> StoreEntry::default_setup() const {
 
 std::uint64_t StoreEntry::content_fingerprint() const {
   std::call_once(content_once_, [this] {
-    std::uint64_t digest = variant::content_fingerprint(model_);
     // A tenant salt re-keys the restart-stable identity so salted and
     // unsalted (or differently-salted) loads of the same text never share
-    // persistent-tier entries. 0 stays 0 — "no content identity" must keep
-    // meaning "never touches disk" regardless of tenant.
-    if (digest != 0 && content_salt_ != 0) {
-      support::Fnv1aHasher hasher;
-      hasher.u64(digest);
-      hasher.u64(content_salt_);
-      digest = hasher.digest();
-      if (digest == 0) digest = 1;
-    }
-    content_fingerprint_ = digest;
+    // persistent-tier entries.
+    content_fingerprint_ = rekey(variant::content_fingerprint(model_), content_salt_);
+    const bool curated = builtin_ != nullptr && builtin_->library != nullptr;
+    cache_content_ = curated ? rekey(content_fingerprint_,
+                                     support::Fnv1aHasher{}.str(builtin_->name).digest())
+                             : content_fingerprint_;
   });
   return content_fingerprint_;
+}
+
+std::uint64_t StoreEntry::cache_content() const {
+  (void)content_fingerprint();  // one memoization computes both
+  return cache_content_;
 }
 
 std::shared_ptr<const SynthesisSetup> resolve_setup(

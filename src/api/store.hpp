@@ -105,6 +105,15 @@ class StoreEntry {
   /// salt 0 (the default tenant) keeps the pre-tenancy fingerprint exactly.
   [[nodiscard]] std::uint64_t content_fingerprint() const;
 
+  /// The restart-stable half of this entry's result-cache key: the content
+  /// fingerprint, with the registry name mixed in when the builtin supplies
+  /// a curated library. The synthesis setup then depends on more than the
+  /// text — builtin `fig2` explores its curated library, a parsed copy of
+  /// its text a derived one — so the two must never share persistent-tier
+  /// entries. Memoized together with content_fingerprint(); 0 exactly when
+  /// that is 0.
+  [[nodiscard]] std::uint64_t cache_content() const;
+
   /// The namespace salt this entry was loaded under (0 = unsalted).
   [[nodiscard]] std::uint64_t content_salt() const noexcept { return content_salt_; }
 
@@ -121,6 +130,7 @@ class StoreEntry {
 
   mutable std::once_flag content_once_;
   mutable std::uint64_t content_fingerprint_ = 0;
+  mutable std::uint64_t cache_content_ = 0;
 };
 
 /// Resolves the synthesis setup for `entry` under optional request

@@ -185,15 +185,15 @@ class Service {
     std::size_t count = 0;
   };
 
-  /// One tenant's service-side state: the view/session pair every
-  /// connection bound to this tenant shares, plus in-flight accounting for
-  /// the per-tenant cap. Created at startup (configured tenants) or on
-  /// first hello (ad hoc tenants) and kept for the service's lifetime.
   /// One instrument handle per request kind, indexed by RequestKind — the
   /// pre-resolved handles the request paths bump without registry lookups.
   static constexpr std::size_t kKinds = 5;
   using KindCounters = std::array<obs::Counter*, kKinds>;
 
+  /// One tenant's service-side state: the view/session pair every
+  /// connection bound to this tenant shares, plus in-flight accounting for
+  /// the per-tenant cap. Created at startup (configured tenants) or on
+  /// first hello (ad hoc tenants) and kept for the service's lifetime.
   struct Tenant {
     api::TenantContext context;
     api::TenantQuota quota;
@@ -206,8 +206,6 @@ class Service {
     KindCounters requests{};
     KindCounters errors{};
   };
-
-  struct Tenant;
 
   void record_frame(const std::string& frame);
   void handle_batch(std::size_t slots, std::istream& in, Writer& writer, api::Session& session,
@@ -232,7 +230,8 @@ class Service {
   /// Creates (and registers) a tenant. Caller holds tenants_mutex_.
   std::shared_ptr<Tenant> create_tenant_locked(const std::string& name,
                                                const api::TenantQuota& quota);
-  /// "tenant <name> tag N ..." lines for cache-stats / executor-stats.
+  /// Per-tenant cache rows ("tenant <name>  entries ... hit-rate ...") for
+  /// the `cache-stats` and `cache stats` controls.
   [[nodiscard]] std::string render_tenant_cache_stats();
   static std::string describe_model(const api::ModelInfo& info);
 

@@ -130,16 +130,16 @@ TEST(ResultCache, BatchesAreFrontedToo) {
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
 
-  std::vector<api::SimulateRequest> sweep;
+  std::vector<api::AnyRequest> sweep;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     api::SimulateRequest request{.model = loaded.value().id};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = seed;
-    sweep.push_back(request);
+    sweep.emplace_back(request);
   }
-  const auto cold = session.simulate_batch(sweep);
-  const auto warm = session.simulate_batch(sweep);  // every slot hits
-  const auto streamed = session.submit_simulate_batch(sweep).wait();
+  const auto cold = session.call_batch(sweep);
+  const auto warm = session.call_batch(sweep);  // every slot hits
+  const auto streamed = session.submit(sweep).wait();
   ASSERT_EQ(cold.size(), warm.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     EXPECT_EQ(render_result(cold[i]), render_result(warm[i])) << i;

@@ -331,11 +331,13 @@ TEST(BuiltinOptions, OptionsChangeSimulatedBehavior) {
       .name = "fig1", .options = models::Fig1Options{.tagged = false}});
   const auto tagged = session.load_builtin("fig1");
   ASSERT_TRUE(quiet.ok() && tagged.ok());
-  const auto runs = session.simulate_batch(
-      {{.model = quiet.value().id}, {.model = tagged.value().id}});
+  const auto runs =
+      session.call_batch({{.payload = api::SimulateRequest{.model = quiet.value().id}},
+                          {.payload = api::SimulateRequest{.model = tagged.value().id}}});
   ASSERT_TRUE(runs[0].ok() && runs[1].ok());
   // Untagged tokens never enable p2: the untagged run fires strictly less.
-  EXPECT_LT(runs[0].value().result.total_firings, runs[1].value().result.total_firings);
+  EXPECT_LT(std::get<api::SimulateResponse>(runs[0].value()).result.total_firings,
+            std::get<api::SimulateResponse>(runs[1].value()).result.total_firings);
 }
 
 TEST(BuiltinOptions, MismatchedStructFailsWithDiagnostics) {

@@ -20,6 +20,14 @@ namespace {
 using api::ModelId;
 using api::Session;
 
+api::AnyRequest simulate_on(ModelId model) {
+  return {.payload = api::SimulateRequest{.model = model}};
+}
+
+const sim::SimResult& simulated(const api::Result<api::AnyResponse>& result) {
+  return std::get<api::SimulateResponse>(result.value()).result;
+}
+
 // --- round trips -----------------------------------------------------------
 
 class RoundTrip : public ::testing::TestWithParam<const char*> {};
@@ -67,11 +75,11 @@ TEST(ApiSession, TextRoundTripPreservesBehavior) {
   EXPECT_EQ(reparsed.value().name, "fig1-reparsed");
   EXPECT_EQ(reparsed.value().processes, original.value().processes);
 
-  const auto runs = session.simulate_batch(
-      {{.model = original.value().id}, {.model = reparsed.value().id}});
+  const auto runs =
+      session.call_batch({simulate_on(original.value().id), simulate_on(reparsed.value().id)});
   ASSERT_TRUE(runs[0].ok() && runs[1].ok());
-  EXPECT_EQ(runs[0].value().result.total_firings, runs[1].value().result.total_firings);
-  EXPECT_EQ(runs[0].value().result.end_time, runs[1].value().result.end_time);
+  EXPECT_EQ(simulated(runs[0]).total_firings, simulated(runs[1]).total_firings);
+  EXPECT_EQ(simulated(runs[0]).end_time, simulated(runs[1]).end_time);
 }
 
 TEST(ApiSession, ExploreFig2ReproducesTable1JointCost) {
@@ -115,17 +123,17 @@ TEST(ApiSession, BatchIsolatesFailingScenarios) {
   ASSERT_TRUE(fig1.ok());
 
   // Middle request uses a bogus handle: its slot fails, neighbors succeed.
-  const auto runs = session.simulate_batch({{.model = fig1.value().id},
-                                            {.model = ModelId{9999}},
-                                            {.model = fig1.value().id}});
+  const auto runs = session.call_batch(
+      {simulate_on(fig1.value().id), simulate_on(ModelId{9999}), simulate_on(fig1.value().id)});
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_TRUE(runs[0].ok());
   EXPECT_FALSE(runs[1].ok());
   EXPECT_TRUE(runs[1].diagnostics().has_code(api::diag::kUnknownModel));
   EXPECT_TRUE(runs[2].ok());
 
-  const auto explores = session.explore_batch({{.model = fig1.value().id},
-                                               {.model = ModelId{9999}}});
+  const auto explores =
+      session.call_batch({{.payload = api::ExploreRequest{.model = fig1.value().id}},
+                          {.payload = api::ExploreRequest{.model = ModelId{9999}}}});
   ASSERT_EQ(explores.size(), 2u);
   EXPECT_TRUE(explores[0].ok());
   EXPECT_FALSE(explores[1].ok());
@@ -136,19 +144,19 @@ TEST(ApiSession, BatchSeedSweepIsDeterministic) {
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
 
-  std::vector<api::SimulateRequest> sweep;
+  std::vector<api::AnyRequest> sweep;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     api::SimulateRequest request{.model = loaded.value().id};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = seed;
-    sweep.push_back(request);
+    sweep.emplace_back(request);
   }
-  const auto a = session.simulate_batch(sweep);
-  const auto b = session.simulate_batch(sweep);
+  const auto a = session.call_batch(sweep);
+  const auto b = session.call_batch(sweep);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     ASSERT_TRUE(a[i].ok() && b[i].ok());
-    EXPECT_EQ(a[i].value().result.total_firings, b[i].value().result.total_firings);
-    EXPECT_EQ(a[i].value().result.end_time, b[i].value().result.end_time);
+    EXPECT_EQ(simulated(a[i]).total_firings, simulated(b[i]).total_firings);
+    EXPECT_EQ(simulated(a[i]).end_time, simulated(b[i]).end_time);
   }
 }
 

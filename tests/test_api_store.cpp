@@ -1,8 +1,9 @@
-// ModelStore and the streaming batch surface: cross-session sharding over
-// one store, snapshot isolation against concurrent unloads, the tombstone
-// unload contract, cooperative cancellation, and streamed delivery landing
-// slots before the batch completes. The concurrent cases double as the
-// ThreadSanitizer targets (CI runs this binary under -fsanitize=thread).
+// ModelStore and the envelope batch surface (call_batch / submit):
+// cross-session sharding over one store, snapshot isolation against
+// concurrent unloads, the tombstone unload contract, cooperative
+// cancellation, and streamed delivery landing slots before the batch
+// completes. The concurrent cases double as the ThreadSanitizer targets
+// (CI runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,6 +33,18 @@ std::string render_batch(const std::vector<api::Result<T>>& results) {
     out += "\n---\n";
   }
   return out;
+}
+
+api::AnyRequest simulate_on(api::ModelId model) {
+  return {.payload = api::SimulateRequest{.model = model}};
+}
+
+/// A random-resolution simulate envelope — the shape of every seed sweep.
+api::AnyRequest seeded(api::ModelId model, std::uint64_t seed) {
+  api::SimulateRequest request{.model = model};
+  request.options.resolution = sim::Resolution::kRandom;
+  request.options.seed = seed;
+  return {.payload = request};
 }
 
 // --- sharding: many sessions over one store ----------------------------------
@@ -74,14 +87,11 @@ TEST(ModelStoreSharding, TwoSessionsRunConcurrentBatchesOverOneStore) {
   const auto fig2 = loader.load_builtin("fig2");
   ASSERT_TRUE(fig1.ok() && fig2.ok());
 
-  std::vector<api::SimulateRequest> batch;
+  std::vector<api::AnyRequest> batch;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    api::SimulateRequest request{.model = seed % 2 == 0 ? fig1.value().id : fig2.value().id};
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = seed;
-    batch.push_back(request);
+    batch.push_back(seeded(seed % 2 == 0 ? fig1.value().id : fig2.value().id, seed));
   }
-  const std::string expected = render_batch(loader.simulate_batch(batch));
+  const std::string expected = render_batch(loader.call_batch(batch));
 
   // Two pooled sessions shard the same snapshots from two caller threads —
   // the TSAN-audited hot path. Results stay bit-identical to serial.
@@ -90,9 +100,9 @@ TEST(ModelStoreSharding, TwoSessionsRunConcurrentBatchesOverOneStore) {
   std::string observed_a;
   std::string observed_b;
   std::thread caller_a(
-      [&] { observed_a = render_batch(shard_a.simulate_batch(batch)); });
+      [&] { observed_a = render_batch(shard_a.call_batch(batch)); });
   std::thread caller_b(
-      [&] { observed_b = render_batch(shard_b.simulate_batch(batch)); });
+      [&] { observed_b = render_batch(shard_b.call_batch(batch)); });
   caller_a.join();
   caller_b.join();
   EXPECT_EQ(observed_a, expected);
@@ -127,38 +137,33 @@ TEST(ModelStoreIsolation, InFlightBatchSurvivesConcurrentUnload) {
   const auto loaded = session.load_builtin("synthetic");
   ASSERT_TRUE(loaded.ok());
 
-  std::vector<api::SimulateRequest> batch;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    api::SimulateRequest request{.model = loaded.value().id};
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = seed;
-    batch.push_back(request);
-  }
-  const std::string expected = render_batch(session.simulate_batch(batch));
+  std::vector<api::AnyRequest> batch;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) batch.push_back(seeded(loaded.value().id, seed));
+  const std::string expected = render_batch(session.call_batch(batch));
 
   // Snapshots are resolved at submit time: unloading while the batch is in
   // flight must not affect a single slot.
-  auto handle = session.submit_simulate_batch(batch);
+  auto handle = session.submit(batch);
   EXPECT_EQ(session.unload(loaded.value().id), UnloadStatus::kUnloaded);
   EXPECT_EQ(render_batch(handle.wait()), expected);
 
   // New work, by contrast, sees the tombstone.
   EXPECT_FALSE(session.simulate({.model = loaded.value().id}).ok());
-  const auto late = session.submit_simulate_batch({batch[0]}).wait();
+  const auto late = session.submit({batch[0]}).wait();
   ASSERT_EQ(late.size(), 1u);
   EXPECT_TRUE(late[0].diagnostics().has_code(api::diag::kUnknownModel));
 }
 
 TEST(ModelStoreIsolation, HandlesOutliveTheSession) {
-  api::BatchHandle<api::SimulateResponse> handle;
+  api::BatchHandle<api::AnyResponse> handle;
   std::string expected;
   {
     Session session{api::make_executor(2)};
     const auto loaded = session.load_builtin("fig1");
     ASSERT_TRUE(loaded.ok());
-    std::vector<api::SimulateRequest> batch(4, {.model = loaded.value().id});
-    expected = render_batch(session.simulate_batch(batch));
-    handle = session.submit_simulate_batch(batch);
+    const std::vector<api::AnyRequest> batch(4, simulate_on(loaded.value().id));
+    expected = render_batch(session.call_batch(batch));
+    handle = session.submit(batch);
     // The session (and its store reference) dies here with the batch
     // possibly still in flight; slots captured their snapshots.
   }
@@ -177,9 +182,9 @@ TEST(StreamingBatch, SlotsLandBeforeTheBatchCompletes) {
   ASSERT_TRUE(quick.ok() && slow.ok());
 
   std::atomic<std::size_t> streamed{0};
-  auto handle = session.submit_simulate_batch(
-      {{.model = quick.value().id}, {.model = slow.value().id}},
-      [&streamed](std::size_t, const api::Result<api::SimulateResponse>& r) {
+  auto handle = session.submit(
+      {simulate_on(quick.value().id), simulate_on(slow.value().id)},
+      [&streamed](std::size_t, const api::Result<api::AnyResponse>& r) {
         EXPECT_TRUE(r.ok());
         ++streamed;
       });
@@ -206,12 +211,12 @@ TEST(StreamingBatch, CancelMidBatchDiagnosesUntouchedSlots) {
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
 
-  std::vector<api::SimulateRequest> batch(4, {.model = loaded.value().id});
-  api::BatchHandle<api::SimulateResponse> handle;
+  const std::vector<api::AnyRequest> batch(4, simulate_on(loaded.value().id));
+  api::BatchHandle<api::AnyResponse> handle;
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
-  handle = session.submit_simulate_batch(
-      batch, [&handle, ready](std::size_t slot, const api::Result<api::SimulateResponse>&) {
+  handle = session.submit(
+      batch, [&handle, ready](std::size_t slot, const api::Result<api::AnyResponse>&) {
         if (slot == 0) {
           ready.wait();     // the submitting thread has assigned `handle`
           handle.cancel();  // cancel from inside the stream
@@ -237,13 +242,13 @@ TEST(StreamingBatch, ThrowingCallbackStillLandsEverySlot) {
   Session session{api::make_executor(2)};
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
-  std::vector<api::SimulateRequest> batch(4, {.model = loaded.value().id});
+  const std::vector<api::AnyRequest> batch(4, simulate_on(loaded.value().id));
 
   // on_slot is a progress stream: a throwing callback must neither escape
   // the session boundary nor leave promises unfulfilled.
   std::atomic<std::size_t> streamed{0};
-  auto handle = session.submit_simulate_batch(
-      batch, [&streamed](std::size_t, const api::Result<api::SimulateResponse>&) {
+  auto handle = session.submit(
+      batch, [&streamed](std::size_t, const api::Result<api::AnyResponse>&) {
         ++streamed;
         throw std::runtime_error("front end hiccup");
       });
@@ -255,21 +260,21 @@ TEST(StreamingBatch, ThrowingCallbackStillLandsEverySlot) {
 }
 
 TEST(StreamingBatch, BlockingBatchNestedInsideAPoolTaskCompletes) {
-  // A blocking simulate_batch issued from *inside* a pool task (here: an
-  // on_slot callback running on the single worker) must make progress —
-  // the blocking entry points participate in their own batch instead of
+  // A blocking call_batch issued from *inside* a pool task (here: an
+  // on_slot callback running on the single worker) must make progress — a
+  // uniform-options batch participates in its own execution instead of
   // parking the worker on futures nobody will fulfil.
   auto store = std::make_shared<ModelStore>();
   Session session{store, std::make_shared<api::ThreadPoolExecutor>(1)};
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
 
-  std::vector<api::SimulateRequest> inner(3, {.model = loaded.value().id});
+  const std::vector<api::AnyRequest> inner(3, simulate_on(loaded.value().id));
   std::atomic<std::size_t> inner_ok{0};
-  auto handle = session.submit_simulate_batch(
-      {{.model = loaded.value().id}},
-      [&session, &inner, &inner_ok](std::size_t, const api::Result<api::SimulateResponse>&) {
-        for (const auto& result : session.simulate_batch(inner)) {
+  auto handle = session.submit(
+      {simulate_on(loaded.value().id)},
+      [&session, &inner, &inner_ok](std::size_t, const api::Result<api::AnyResponse>&) {
+        for (const auto& result : session.call_batch(inner)) {
           if (result.ok()) ++inner_ok;
         }
       });
@@ -290,16 +295,13 @@ TEST(StreamingBatch, WaitAfterCancelNeverHangsWhenCancelRacesCompletion) {
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
 
-  std::vector<api::SimulateRequest> requests;
+  std::vector<api::AnyRequest> requests;
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    api::SimulateRequest request{.model = loaded.value().id};
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = seed;
-    requests.push_back(request);
+    requests.push_back(seeded(loaded.value().id, seed));
   }
 
   for (int round = 0; round < 16; ++round) {
-    auto handle = session.submit_simulate_batch(requests);
+    auto handle = session.submit(requests);
     std::thread canceller{[&handle] { handle.cancel(); }};
 
     // Per-slot deadline so a lost slot fails the test instead of freezing
@@ -316,7 +318,8 @@ TEST(StreamingBatch, WaitAfterCancelNeverHangsWhenCancelRacesCompletion) {
     std::size_t cancelled = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
-        EXPECT_GT(results[i].value().result.total_firings, 0) << i;
+        EXPECT_GT(std::get<api::SimulateResponse>(results[i].value()).result.total_firings, 0)
+            << i;
       } else {
         EXPECT_TRUE(results[i].diagnostics().has_code(api::diag::kCancelled)) << i;
         ++cancelled;
@@ -338,15 +341,14 @@ TEST(StreamingBatch, CancelFromOnSlotRacingManyWorkersLandsEverySlot) {
   Session session{api::make_executor(4)};
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
-  std::vector<api::SimulateRequest> batch(24, {.model = loaded.value().id});
+  const std::vector<api::AnyRequest> batch(24, simulate_on(loaded.value().id));
 
-  api::BatchHandle<api::SimulateResponse> handle;
+  api::BatchHandle<api::AnyResponse> handle;
   std::atomic<std::size_t> streamed{0};
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
-  handle = session.submit_simulate_batch(
-      batch, [&handle, &streamed, ready](std::size_t slot,
-                                         const api::Result<api::SimulateResponse>&) {
+  handle = session.submit(
+      batch, [&handle, &streamed, ready](std::size_t slot, const api::Result<api::AnyResponse>&) {
         ++streamed;
         if (slot % 5 == 0) {
           ready.wait();
@@ -369,7 +371,7 @@ TEST(StreamingBatch, CancelAfterCompletionIsANoOp) {
   Session session;
   const auto loaded = session.load_builtin("fig1");
   ASSERT_TRUE(loaded.ok());
-  auto handle = session.submit_simulate_batch({{.model = loaded.value().id}});
+  auto handle = session.submit({simulate_on(loaded.value().id)});
   const auto results = handle.wait();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].ok());
@@ -399,7 +401,7 @@ TEST(ModelStoreContract, TombstonesNeverForgetAndIdsAreNeverReused) {
 
 TEST(ModelStoreContract, EmptySubmitCompletesImmediately) {
   Session session{api::make_executor(2)};
-  auto handle = session.submit_simulate_batch({});
+  auto handle = session.submit({});
   EXPECT_TRUE(handle.done());
   EXPECT_EQ(handle.size(), 0u);
   EXPECT_TRUE(handle.wait().empty());

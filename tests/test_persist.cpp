@@ -434,6 +434,42 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
   EXPECT_EQ(stats.disk_spills, 0u);
 }
 
+TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
+  TempDir dir;
+  // Synchronous spills: the builtin's entry is on disk before the copy asks.
+  const api::CacheConfig config{.capacity = 64,
+                                .persist = PersistConfig{.dir = dir.str()},
+                                .async_spill = false};
+  Session session;
+  session.enable_cache(config);
+  const auto builtin = session.load_builtin("fig2");
+  ASSERT_TRUE(builtin.ok());
+  const auto curated = session.explore({.model = builtin.value().id});
+  ASSERT_TRUE(curated.ok()) << curated.error_summary();
+  ASSERT_EQ(curated.value().library_origin, "curated");
+
+  // The text copy has the same text identity, but synthesizes over a
+  // derived library — the curated answer on disk is not its answer.
+  const auto text = session.write_text(builtin.value().id);
+  ASSERT_TRUE(text.ok());
+  const auto copy = session.load_text(text.value());
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(copy.value().content_fingerprint, builtin.value().content_fingerprint);
+  const auto derived = session.explore({.model = copy.value().id});
+  ASSERT_TRUE(derived.ok()) << derived.error_summary();
+  EXPECT_EQ(derived.value().library_origin, "derived");
+
+  Session uncached;
+  const auto reference_copy = uncached.load_text(text.value());
+  ASSERT_TRUE(reference_copy.ok());
+  const auto reference = uncached.explore({.model = reference_copy.value().id});
+  ASSERT_TRUE(reference.ok());
+  const auto encode = [](const api::ExploreResponse& response) {
+    return api::wire::encode(api::Result<api::AnyResponse>::success(response));
+  };
+  EXPECT_EQ(encode(derived.value()), encode(reference.value()));
+}
+
 TEST(TieredCache, CorruptEntryFallsThroughToLiveEvaluation) {
   TempDir dir;
   const api::ResultCache::Key key{.model = 1, .generation = 1,

@@ -117,6 +117,41 @@ TEST(TenantViews, UnloadAndInfoAreTenantScoped) {
   EXPECT_FALSE(alpha->info(a.value().id).ok());
 }
 
+TEST(TenantViews, EveryEntryPointRefusesAnotherTenantsId) {
+  auto store = std::make_shared<ModelStore>();
+  api::Session alpha{store};
+  alpha.bind_tenant(view_of(store, "alpha", 1));
+  api::Session beta{store};
+  beta.bind_tenant(view_of(store, "beta", 2));
+
+  const auto loaded = beta.load_builtin("fig2");
+  ASSERT_TRUE(loaded.ok());
+  const api::ModelId theirs = loaded.value().id;
+  ASSERT_TRUE(beta.validate(theirs).ok());  // the owner sees it
+
+  // Alpha gets exactly the answer the envelope gives for an unknown id,
+  // from every per-kind endpoint, every model accessor and the batches.
+  const auto expected = alpha.call({.payload = api::SimulateRequest{.model = theirs}});
+  ASSERT_FALSE(expected.ok());
+  ASSERT_TRUE(expected.diagnostics().has_code(api::diag::kUnknownModel));
+  const std::string refusal = api::render_diagnostics(expected.diagnostics());
+  const auto refused = [&refusal](const auto& result) {
+    return !result.ok() && api::render_diagnostics(result.diagnostics()) == refusal;
+  };
+  EXPECT_TRUE(refused(alpha.analyze({.model = theirs})));
+  EXPECT_TRUE(refused(alpha.simulate({.model = theirs})));
+  EXPECT_TRUE(refused(alpha.explore({.model = theirs})));
+  EXPECT_TRUE(refused(alpha.pareto({.model = theirs})));
+  EXPECT_TRUE(refused(alpha.compare({.model = theirs})));
+  EXPECT_TRUE(refused(alpha.validate(theirs)));
+  EXPECT_TRUE(refused(alpha.stats(theirs)));
+  EXPECT_TRUE(refused(alpha.dot(theirs)));
+  EXPECT_TRUE(refused(alpha.write_text(theirs)));
+  const std::vector<api::AnyRequest> batch{{.payload = api::ExploreRequest{.model = theirs}}};
+  EXPECT_TRUE(refused(alpha.call_batch(batch).front()));
+  EXPECT_TRUE(refused(alpha.submit(batch).wait().front()));
+}
+
 TEST(TenantViews, ModelQuotaBoundsLiveModelsAndFreesOnUnload) {
   auto store = std::make_shared<ModelStore>();
   auto alpha = view_of(store, "alpha", 1, {.max_models = 1});
@@ -291,15 +326,12 @@ TEST(Admission, FreshWindowAdmitsAProbeSoDrainIsNoticed) {
   });
   session.bind_tenant(nullptr, admission);
 
-  std::vector<api::AnyRequest> warmup;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    api::AnyRequest hopeless = simulate_envelope("fig1", seed);
-    hopeless.options.deadline = std::chrono::milliseconds{0};
-    warmup.push_back(std::move(hopeless));
-  }
-  for (const auto& result : session.call_batch(std::move(warmup))) {
-    ASSERT_TRUE(result.ok());
-  }
+  // Open the window, then record four misses on the executor with cheap
+  // expired-deadline tasks: the 50 ms window must not roll over before the
+  // check below, and a sanitizer build simulates slower than that.
+  (void)admission->admit(executor->stats());
+  const auto late = [] { std::this_thread::sleep_for(std::chrono::milliseconds{1}); };
+  executor->run({late, late, late, late}, {.deadline = std::chrono::milliseconds{0}});
   // Prove the misses register at all: inside the window the next request
   // sheds...
   EXPECT_FALSE(session.call(simulate_envelope("fig1")).ok());

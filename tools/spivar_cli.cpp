@@ -455,11 +455,12 @@ int cmd_compare(api::Session& session, api::ModelId model,
 
   // --stream submits through the async surface and reports progress on
   // stderr as slots land (the rendered table on stdout stays stable).
-  api::Result<api::CompareResponse> result = [&] {
-    if (!has_flag(flags, "--stream")) return session.compare(request);
+  const api::Result<api::AnyResponse> result = [&] {
+    if (!has_flag(flags, "--stream")) return session.call({.payload = request});
     const auto started = std::chrono::steady_clock::now();
-    auto handle = session.submit_compare(
-        {request}, [&started](std::size_t slot, const api::Result<api::CompareResponse>& r) {
+    auto handle = session.submit(
+        {{.payload = request}},
+        [&started](std::size_t slot, const api::Result<api::AnyResponse>& r) {
           const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - started)
                               .count();
@@ -469,7 +470,7 @@ int cmd_compare(api::Session& session, api::ModelId model,
     return std::move(handle.wait().front());
   }();
   if (report_failure(result)) return 1;
-  return print_compare(result.value());
+  return print_compare(std::get<api::CompareResponse>(result.value()));
 }
 
 api::ParetoRequest build_pareto_request(const std::vector<std::string>& flags) {
@@ -517,32 +518,32 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
   if (sims == 0) throw UsageError("'--sims' must be at least 1");
   const api::SubmitOptions submit_options = parse_submit_options(flags);
 
-  std::vector<api::SimulateRequest> requests;
+  std::vector<api::AnyRequest> requests;
   requests.reserve(models.size() * sims);
   for (const api::ModelId model : models) {
     for (std::uint64_t seed = 1; seed <= sims; ++seed) {
       api::SimulateRequest request{.model = model};
       request.options.resolution = sim::Resolution::kRandom;
       request.options.seed = seed;
-      requests.push_back(request);
+      requests.emplace_back(request).options = submit_options;
     }
   }
 
-  api::SlotCallback<api::SimulateResponse> on_slot;
+  api::SlotCallback<api::AnyResponse> on_slot;
   const auto started = std::chrono::steady_clock::now();
   if (has_flag(flags, "--stream")) {
     const std::size_t total = requests.size();
-    on_slot = [&started, total](std::size_t slot, const api::Result<api::SimulateResponse>& r) {
+    on_slot = [&started, total](std::size_t slot, const api::Result<api::AnyResponse>& r) {
       const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::steady_clock::now() - started)
                           .count();
       std::cerr << "slot " << slot << "/" << total << (r.ok() ? " landed" : " failed")
                 << " after " << ms << " ms"
-                << (r.ok() ? " (" + r.value().model + ")" : std::string{}) << "\n";
+                << (r.ok() ? " (" + api::model_of(r.value()) + ")" : std::string{}) << "\n";
     };
   }
 
-  auto handle = session.submit_simulate_batch(requests, std::move(on_slot), submit_options);
+  auto handle = session.submit(requests, std::move(on_slot));
   const auto results = handle.wait();
 
   support::TextTable table{{"slot", "model", "seed", "firings", "end time", "status"}};
@@ -551,7 +552,7 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
     const std::string& name = names[i / sims];
     const std::uint64_t seed = i % sims + 1;
     if (results[i].ok()) {
-      const auto& r = results[i].value().result;
+      const auto& r = std::get<api::SimulateResponse>(results[i].value()).result;
       table.add_row({std::to_string(i), name, std::to_string(seed),
                      std::to_string(r.total_firings),
                      std::to_string(r.end_time.count()) + "us", "ok"});
@@ -598,13 +599,14 @@ int cmd_selfcheck() {
     return 1;
   }
 
-  const auto batch = session.simulate_batch({{.model = original.value().id},
-                                             {.model = reparsed.value().id}});
+  const auto batch =
+      session.call_batch({{.payload = api::SimulateRequest{.model = original.value().id}},
+                          {.payload = api::SimulateRequest{.model = reparsed.value().id}}});
   for (const auto& run : batch) {
     if (report_failure(run)) return 1;
   }
-  const auto& ra = batch[0].value().result;
-  const auto& rb = batch[1].value().result;
+  const auto& ra = std::get<api::SimulateResponse>(batch[0].value()).result;
+  const auto& rb = std::get<api::SimulateResponse>(batch[1].value()).result;
   if (ra.total_firings != rb.total_firings || ra.end_time != rb.end_time) {
     std::cerr << "selfcheck: behavior differs after round-trip\n";
     return 1;
