@@ -55,17 +55,15 @@ api::SimulateRequest seeded_request(api::ModelId model) {
 }
 
 /// One representative cached value: a real fig1 simulation result.
-api::Result<api::SimulateResponse> sample_result() {
+api::Result<api::AnyResponse> sample_result() {
   api::Session session;
-  return session.simulate(seeded_request(must_load(session, "fig1")));
+  return session.call({.payload = seeded_request(must_load(session, "fig1"))});
 }
 
 api::ResultCache::Key sample_key(std::uint64_t fingerprint) {
-  return api::ResultCache::Key{.model = 1,
-                               .generation = 1,
-                               .kind = api::RequestKind::kSimulate,
-                               .fingerprint = fingerprint,
-                               .content = 0xfeedc0de};
+  return api::ResultCache::Key{.content = 0xfeedc0de,
+                               .kind = static_cast<std::uint8_t>(api::RequestKind::kSimulate),
+                               .fingerprint = fingerprint};
 }
 
 void print_report() {
@@ -109,7 +107,7 @@ void BM_MemoryTierHit(benchmark::State& state) {
                           .persist = persist::PersistConfig{.dir = dir.str()}}};
   cache.insert(sample_key(1), sample_result(), 100);
   for (auto _ : state) {
-    auto hit = cache.find<api::SimulateResponse>(sample_key(1));
+    auto hit = cache.find(sample_key(1));
     benchmark::DoNotOptimize(hit);
   }
 }
@@ -124,7 +122,7 @@ void BM_DiskTierHit(benchmark::State& state) {
   cache.insert(sample_key(1), sample_result(), 100);
   for (auto _ : state) {
     cache.clear(/*include_disk=*/false);
-    auto hit = cache.find<api::SimulateResponse>(sample_key(1));
+    auto hit = cache.find(sample_key(1));
     benchmark::DoNotOptimize(hit);
   }
   if (cache.stats().disk_skipped != 0) state.SkipWithError("disk entries were skipped");

@@ -1,22 +1,22 @@
 // Umbrella header for the spivar::api layer — the only include front ends
 // need.
 //
-// v9 surface — the AnyRequest envelope is the *only* evaluation path:
+// v10 surface — the AnyRequest envelope is the *only* evaluation path:
 // Session::call / call_batch / submit, with the per-kind endpoints as thin
 // typed wrappers over call() and no per-kind batch family. The result cache
-// is *tiered* (a persistent on-disk second tier, content-fingerprint keyed,
-// survives process restarts), and the store / session stack is
-// *multi-tenant* with lateness-driven overload shedding:
+// is *tiered* (a persistent on-disk second tier that survives process
+// restarts) and both tiers share one content key, and the store / session
+// stack is *multi-tenant* with lateness-driven overload shedding:
 //   * TenantContext / TenantQuota (tenant.hpp) — a tenant's identity (name,
 //     runtime tag, restart-stable content salt derived from the name) and
 //     its limits (live models, cache entries, in-flight requests). Tag 0 is
 //     the default tenant: bit-identical to pre-tenancy behavior everywhere.
 //   * StoreView (store_view.hpp) — one tenant's namespace over one shared
-//     ModelStore: loads are quota-checked, content-salted and recorded as
-//     tenant-owned; unload/info/models refuse ids the view never issued
-//     (no cross-tenant tombstones or cache invalidations); builtin and
-//     corpus *names* stay globally loadable while the instantiated models
-//     are tenant-scoped.
+//     ModelStore: loads are quota-checked, content-salted, tenant-tagged
+//     and recorded as tenant-owned; unload/info/models refuse ids the view
+//     never issued (no cross-tenant tombstones); builtin and corpus *names*
+//     stay globally loadable while the instantiated models are
+//     tenant-scoped.
 //   * AdmissionController (admission.hpp) — rolling-window projection of
 //     the executor's deadline-miss rate; above the configured bound,
 //     Session::call/call_batch/submit shed with a typed diag::kOverload
@@ -46,22 +46,26 @@
 //     info replies) spoken by tools/spivar_serve and `spivar_cli remote`.
 //     The persistent cache tier stores these same frames on disk.
 //   * ModelStore (store.hpp) — thread-safe, share-by-snapshot model
-//     ownership: loads produce immutable `shared_ptr<const StoreEntry>`
-//     snapshots (model + registry entry + memoized synthesis setup +
-//     memoized content fingerprint, each carrying its id and load
-//     generation), unload is tombstone-only (UnloadStatus three-way
-//     contract), and any number of sessions attach to one store.
+//     ownership: loads (taking the loading TenantContext) produce immutable
+//     `shared_ptr<const StoreEntry>` snapshots (model + registry entry +
+//     memoized synthesis setup + memoized content fingerprint, each
+//     carrying its id, tenant salt and tenant tag), unload is
+//     tombstone-only (UnloadStatus three-way contract) and leaves cached
+//     results in place, and any number of sessions attach to one store.
 //     enable_cache() attaches the result cache (CacheConfig::persist adds
 //     the disk tier).
-//   * ResultCache (cache.hpp) — sharded cost-aware LRU keyed by (store
-//     entry id, load generation, request kind, canonical request
-//     fingerprint, StoreEntry::cache_content — the content fingerprint,
-//     plus the registry name for builtins with a curated library); every
-//     entry is charged its measured eval time and eviction drops the
-//     cheapest entry in the LRU tail's cost window (CacheConfig::cost_window
-//     — self-tuning with adaptive_window). With CacheConfig::persist,
-//     inserts write through to a persist::DiskTier, memory misses consult
-//     disk and promote on hit, and evicted entries spill down;
+//   * ResultCache (cache.hpp) — sharded cost-aware LRU whose one key type
+//     (persist::DiskKey) serves both tiers: StoreEntry::cache_content (the
+//     content fingerprint with the tenant salt, plus the registry name for
+//     builtins with a curated library), request kind, canonical request
+//     fingerprint. Two loads of the same content share entries and a
+//     re-load re-hits; a model with no content identity evaluates
+//     uncached. The memory tier holds the envelope's Result<AnyResponse>;
+//     every entry is charged its measured eval time and eviction drops the
+//     cheapest entry in the LRU tail's cost window (self-tuning with
+//     CacheConfig::adaptive_window). With CacheConfig::persist, inserts
+//     write through to a persist::DiskTier as wire frames, memory misses
+//     consult disk and promote on hit, and evicted entries spill down;
 //     persist_all()/clear(include_disk) are the admin hooks. CacheStats
 //     accounts hit/miss/eviction counters, cached/saved/evicted cost, the
 //     live cost window, and the disk tier's hits/spills/promotes/skipped/fill.

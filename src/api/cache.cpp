@@ -1,6 +1,7 @@
 #include "api/cache.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -134,85 +135,34 @@ const std::string& model_of(const AnyResponse& response) noexcept {
   return std::visit([](const auto& r) -> const std::string& { return r.model; }, response);
 }
 
-// --- type-erased slot <-> wire frame bridge ----------------------------------
-//
-// The persistent tier stores wire-encoded Result<AnyResponse> frames (the
-// PR 5 codec round-trips every response bit-identically); the memory tier
-// stores typed Result<Response> slots behind shared_ptr<const void>. The
-// key's kind names which Response hides behind the erasure, so the bridge is
-// a switch over RequestKind around two templates.
+// --- ResultCache -------------------------------------------------------------
 
 namespace {
 
-template <typename Response>
-std::string encode_typed(const std::shared_ptr<const void>& slot) {
-  const auto& typed = *static_cast<const Result<Response>*>(slot.get());
-  if (typed.ok()) {
-    return wire::encode(
-        Result<AnyResponse>::success(AnyResponse{typed.value()}, typed.diagnostics()));
-  }
-  return wire::encode(Result<AnyResponse>::failure(typed.diagnostics()));
-}
+/// LRU-tail entries an eviction examines until adaptive tuning moves it.
+constexpr std::size_t kInitialCostWindow = 4;
 
-template <typename Response>
-std::shared_ptr<const void> decode_typed(std::string_view frame) {
-  Result<AnyResponse> any = wire::decode_response(frame);
-  if (any.ok()) {
-    if (!std::holds_alternative<Response>(any.value())) return nullptr;
-    support::DiagnosticList notes = any.diagnostics();
-    return std::make_shared<const Result<Response>>(Result<Response>::success(
-        std::get<Response>(std::move(any).value()), std::move(notes)));
-  }
-  // A failed decode is either a transported *cached failure* (results
-  // memoize deterministic failures too) or an undecodable frame. The codec
-  // marks the latter with diag::kWireError — a code no eval path emits — so
-  // the two are distinguishable and a rotten frame never masquerades as a
-  // cached diagnosis.
-  for (const auto& d : any.diagnostics().items()) {
-    if (d.code == diag::kWireError) return nullptr;
-  }
-  return std::make_shared<const Result<Response>>(
-      Result<Response>::failure(any.diagnostics()));
-}
-
-std::string encode_slot(RequestKind kind, const std::shared_ptr<const void>& slot) {
-  switch (kind) {
-    case RequestKind::kSimulate: return encode_typed<SimulateResponse>(slot);
-    case RequestKind::kAnalyze: return encode_typed<AnalyzeResponse>(slot);
-    case RequestKind::kExplore: return encode_typed<ExploreResponse>(slot);
-    case RequestKind::kPareto: return encode_typed<ParetoResponse>(slot);
-    case RequestKind::kCompare: return encode_typed<CompareResponse>(slot);
-  }
-  return {};
-}
-
-std::shared_ptr<const void> decode_slot(RequestKind kind, std::string_view frame) {
-  switch (kind) {
-    case RequestKind::kSimulate: return decode_typed<SimulateResponse>(frame);
-    case RequestKind::kAnalyze: return decode_typed<AnalyzeResponse>(frame);
-    case RequestKind::kExplore: return decode_typed<ExploreResponse>(frame);
-    case RequestKind::kPareto: return decode_typed<ParetoResponse>(frame);
-    case RequestKind::kCompare: return decode_typed<CompareResponse>(frame);
-  }
-  return nullptr;
-}
-
-persist::DiskKey disk_key_of(const ResultCache::Key& key) noexcept {
-  return persist::DiskKey{.content = key.content,
-                          .kind = static_cast<std::uint8_t>(key.kind),
-                          .fingerprint = key.fingerprint};
+/// Decodes a disk-tier frame into a cached result, or nullptr when the frame
+/// is not a `kind` result. A failed decode is either a transported *cached
+/// failure* (results memoize deterministic failures too) or an undecodable
+/// frame; the codec marks the latter with diag::kWireError — a code no eval
+/// path emits — so a rotten frame never masquerades as a cached diagnosis.
+ResultCache::Value decode_frame(std::string_view frame, RequestKind kind) {
+  Result<AnyResponse> result = wire::decode_response(frame);
+  const bool usable = result.ok() ? kind_of(result.value()) == kind
+                                  : !result.diagnostics().has_code(diag::kWireError);
+  if (!usable) return nullptr;
+  return std::make_shared<const Result<AnyResponse>>(std::move(result));
 }
 
 }  // namespace
-
-// --- ResultCache --------------------------------------------------------------
 
 ResultCache::ResultCache(CacheConfig config, persist::DiagnosticSink sink)
     : shards_(std::max<std::size_t>(config.shards, 1)),
       capacity_(std::max<std::size_t>(config.capacity, 1)),
       per_shard_capacity_(std::max<std::size_t>(
           (capacity_ + shards_.size() - 1) / shards_.size(), 1)),
-      cost_window_(std::max<std::size_t>(config.cost_window, 1)),
+      cost_window_(kInitialCostWindow),
       adaptive_window_(config.adaptive_window) {
   if (config.persist.has_value()) {
     auto tier = std::make_unique<persist::DiskTier>(*config.persist, std::move(sink));
@@ -245,66 +195,51 @@ ResultCache::~ResultCache() {
   }
 }
 
-std::uint64_t ResultCache::hash_key(const Key& key) noexcept {
-  // `content` is deliberately absent: it is a function of (model,
-  // generation) for the entry's lifetime, so hashing it would be redundant,
-  // and leaving it out keeps keys built with and without a content
-  // fingerprint in the same shard.
-  support::Fnv1aHasher hasher;
-  hasher.u64(key.model);
-  hasher.u64(key.generation);
-  hasher.u64(static_cast<std::uint64_t>(key.kind));
-  hasher.u64(key.fingerprint);
-  return hasher.digest();
+ResultCache::Key ResultCache::key_of(std::uint64_t content, const RequestPayload& payload) {
+  return std::visit(
+      [content](const auto& request) {
+        return Key{.content = content,
+                   .kind = static_cast<std::uint8_t>(kind_of(request)),
+                   .fingerprint = fingerprint(request)};
+      },
+      payload);
 }
 
-ResultCache::Slot ResultCache::lookup(const Key& key) {
+ResultCache::Value ResultCache::find(const Key& key, std::uint32_t tenant) {
+  Value found;
   {
-    std::uint32_t tag = 0;
-    Slot found;
-    {
-      Shard& shard = shard_of(hash_key(key));
-      std::lock_guard lock{shard.mutex};
-      const auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        // Refresh recency: splice the entry to the front of the LRU list.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        saved_cost_us_.fetch_add(it->second->cost_us, std::memory_order_relaxed);
-        tag = it->second->tenant;
-        found = it->second->slot;
-      } else {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (found) {
-      note_tenant_lookup(tag, /*served=*/true);
-      return found;
+    Shard& shard = shard_of(key);
+    std::lock_guard lock{shard.mutex};
+    if (const auto it = shard.index.find(key); it != shard.index.end()) {
+      // Refresh recency: splice the entry to the front of the LRU list.
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      saved_cost_us_.fetch_add(it->second->cost_us, std::memory_order_relaxed);
+      found = it->second->value;
+    } else {
+      misses_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Memory miss: consult the persistent tier (outside the shard lock — disk
-  // I/O must never serialize the fast path). Models without a content
-  // identity never touch disk. The tenant ledger attributes the outcome by
-  // what the caller experiences: served (from either tier) or evaluated.
-  const std::uint32_t tag = tenant_of(key.model);
-  if (!tier_ || key.content == 0) {
-    note_tenant_lookup(tag, /*served=*/false);
-    return nullptr;
-  }
-  const auto entry = tier_->load(disk_key_of(key), to_string(key.kind));
-  if (!entry.has_value()) {
-    note_tenant_lookup(tag, /*served=*/false);
-    return nullptr;
-  }
-  Slot slot = decode_slot(key.kind, entry->frame);
-  if (!slot) {
+  // The tenant ledger attributes the outcome by what the caller
+  // experiences: served (from either tier) or evaluated.
+  if (!found && tier_) found = promote(key, tenant);
+  note_tenant_lookup(tenant, found != nullptr);
+  return found;
+}
+
+ResultCache::Value ResultCache::promote(const Key& key, std::uint32_t tenant) {
+  // Disk I/O happens outside every shard lock — it must never serialize
+  // the fast path.
+  const auto kind = static_cast<RequestKind>(key.kind);
+  const auto entry = tier_->load(key, to_string(kind));
+  if (!entry.has_value()) return nullptr;
+  Value value = decode_frame(entry->frame, kind);
+  if (!value) {
     // The frame passed the tier's CRC but no longer decodes (a wire-codec
     // version ahead of or behind this build): stale, compact it away and
     // fall through to live evaluation.
-    tier_->remove(disk_key_of(key),
-                  std::string{"frame no longer decodes as a "} + to_string(key.kind) +
-                      " result (wire version skew?)");
-    note_tenant_lookup(tag, /*served=*/false);
+    tier_->remove(key, std::string{"frame no longer decodes as a "} + to_string(kind) +
+                           " result (wire version skew?)");
     return nullptr;
   }
   // Promote into the memory tier *without* writing back down — the bytes
@@ -313,12 +248,11 @@ ResultCache::Slot ResultCache::lookup(const Key& key) {
   // stored eval cost rides along for eviction weighting and accounting.
   disk_promotes_.fetch_add(1, std::memory_order_relaxed);
   saved_cost_us_.fetch_add(entry->cost_us, std::memory_order_relaxed);
-  note_tenant_lookup(tag, /*served=*/true);
-  enforce_tenant_cap(tag);
-  if (const auto victim = store_memory(key, slot, entry->cost_us)) {
-    spill(*victim, /*only_if_absent=*/true);
+  enforce_tenant_cap(tenant);
+  if (auto victim = store_memory(Entry{key, value, entry->cost_us, tenant})) {
+    spill(std::move(*victim), /*only_if_absent=*/true);
   }
-  return slot;
+  return value;
 }
 
 ResultCache::Entry ResultCache::evict_one(Shard& shard) {
@@ -369,57 +303,42 @@ void ResultCache::adapt_window() {
   }
 }
 
-std::optional<ResultCache::Entry> ResultCache::store_memory(const Key& key, Slot slot,
-                                                            std::uint64_t cost_us) {
-  {
-    // Refuse entries for unloaded models: find(id) fails at the store
-    // before the cache is ever consulted for them, so such an entry could
-    // only waste capacity (e.g. an in-flight batch slot finishing after a
-    // concurrent unload).
-    std::lock_guard dead_lock{dead_mutex_};
-    if (dead_models_.contains(key.model)) return std::nullopt;
-  }
-  // Resolve the owner tag before the shard lock (tenant_mutex_ and shard
-  // mutexes are never held together).
-  const std::uint32_t tag = tenant_of(key.model);
-  Shard& shard = shard_of(hash_key(key));
+std::optional<ResultCache::Entry> ResultCache::store_memory(Entry entry) {
+  Shard& shard = shard_of(entry.key);
+  const std::uint32_t tag = entry.tenant;
   std::optional<Entry> victim;
-  bool inserted = false;
   {
     std::lock_guard lock{shard.mutex};
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
+    if (const auto it = shard.index.find(entry.key); it != shard.index.end()) {
       // Concurrent miss on the same key: both evaluations are deterministic,
-      // keep the newer slot (and its cost) and refresh recency.
-      it->second->slot = std::move(slot);
-      it->second->cost_us = cost_us;
+      // keep the newer value (and its cost) and refresh recency. The owner
+      // stays the tenant the ledger counted the entry under.
+      it->second->value = std::move(entry.value);
+      it->second->cost_us = entry.cost_us;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return std::nullopt;
     }
     if (shard.lru.size() >= per_shard_capacity_) victim = evict_one(shard);
-    shard.lru.emplace_front(Entry{key, std::move(slot), cost_us, tag});
+    const Key key = entry.key;
+    shard.lru.push_front(std::move(entry));
     shard.index.emplace(key, shard.lru.begin());
-    inserted = true;
   }
-  if (inserted && tag != 0) note_tenant_insert(tag);
-  if (victim.has_value() && victim->tenant != 0) {
-    note_tenant_removed(victim->tenant, /*evicted=*/true);
-  }
+  if (tag != 0) note_tenant_insert(tag);
+  if (victim.has_value() && victim->tenant != 0) note_tenant_evicted(victim->tenant);
   return victim;
 }
 
 void ResultCache::spill_now(const Entry& entry, bool only_if_absent) {
-  if (!tier_ || entry.key.content == 0 || !entry.slot) return;
-  const persist::DiskKey key = disk_key_of(entry.key);
-  if (only_if_absent && tier_->contains(key)) return;
+  if (only_if_absent && tier_->contains(entry.key)) return;
   // The span only records on synchronous request-path spills — the async
   // drain thread carries no current trace, so this is free there.
   obs::ScopedSpan span{obs::SpanKind::kSpill};
-  tier_->store(key, to_string(entry.key.kind), encode_slot(entry.key.kind, entry.slot),
-               entry.cost_us);
+  tier_->store(entry.key, to_string(static_cast<RequestKind>(entry.key.kind)),
+               wire::encode(*entry.value), entry.cost_us);
 }
 
 void ResultCache::spill(Entry entry, bool only_if_absent) {
-  if (!tier_ || entry.key.content == 0 || !entry.slot) return;
+  if (!tier_) return;
   if (!async_spill_) {
     spill_now(entry, only_if_absent);
     return;
@@ -465,51 +384,20 @@ void ResultCache::drain_spills() {
   spill_idle_.wait(lock, [&] { return spill_queue_.empty() && !spill_busy_; });
 }
 
-void ResultCache::store(const Key& key, Slot slot, std::uint64_t cost_us) {
+void ResultCache::insert(const Key& key, Result<AnyResponse> result, std::uint64_t cost_us,
+                         std::uint32_t tenant) {
   // Tenant cap first: a capped tenant at its limit makes room by evicting
   // its *own* least recent entry before this insert lands, so its eviction
   // storms never displace another tenant's entries.
-  enforce_tenant_cap(tenant_of(key.model));
-  Slot retained = slot;  // for the write-through below
-  const std::optional<Entry> victim = store_memory(key, std::move(slot), cost_us);
+  enforce_tenant_cap(tenant);
+  Entry entry{key, std::make_shared<const Result<AnyResponse>>(std::move(result)), cost_us,
+              tenant};
+  const std::optional<Entry> victim = store_memory(entry);
   // Disk I/O strictly after the shard lock is released: write the fresh
   // result through (a kill -9 one instruction later loses nothing), then
-  // spill the displaced entry if disk doesn't hold it yet. The write-through
-  // happens even when store_memory refused a dead-model insert — disk keys
-  // are content-based, so the entry stays reachable for a future load of
-  // the same model content.
-  spill(Entry{key, std::move(retained), cost_us}, /*only_if_absent=*/false);
+  // spill the displaced entry if disk doesn't hold it yet.
+  spill(std::move(entry), /*only_if_absent=*/false);
   if (victim.has_value()) spill(*victim, /*only_if_absent=*/true);
-}
-
-void ResultCache::invalidate_model(std::uint32_t model) {
-  {
-    // Mark dead *before* sweeping, so an insert racing the sweep is either
-    // swept or refused — never left behind.
-    std::lock_guard dead_lock{dead_mutex_};
-    dead_models_.insert(model);
-  }
-  std::size_t removed = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock{shard.mutex};
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.model == model) {
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        invalidations_.fetch_add(1, std::memory_order_relaxed);
-        ++removed;
-      } else {
-        ++it;
-      }
-    }
-  }
-  // All of a model's entries carry the model's tag, so one ledger update
-  // covers the whole sweep (invalidations are not tenant evictions).
-  if (removed > 0) {
-    if (const std::uint32_t tag = tenant_of(model); tag != 0) {
-      note_tenant_removed(tag, /*evicted=*/false, removed);
-    }
-  }
 }
 
 void ResultCache::clear(bool include_disk) {
@@ -536,18 +424,16 @@ std::size_t ResultCache::persist_all() {
   // first so the contains() checks below see the tier's real contents, then
   // write the remainder synchronously.
   drain_spills();
-  // Snapshot the shards first (slot shared_ptrs are cheap to copy), then do
-  // every disk write without any shard lock held.
+  // Snapshot the shards first (values are shared_ptrs, cheap to copy), then
+  // do every disk write without any shard lock held.
   std::vector<Entry> entries;
   for (Shard& shard : shards_) {
     std::lock_guard lock{shard.mutex};
-    for (const Entry& entry : shard.lru) {
-      if (entry.key.content != 0) entries.push_back(Entry{entry.key, entry.slot, entry.cost_us});
-    }
+    entries.insert(entries.end(), shard.lru.begin(), shard.lru.end());
   }
   std::size_t written = 0;
   for (const Entry& entry : entries) {
-    if (tier_->contains(disk_key_of(entry.key))) continue;
+    if (tier_->contains(entry.key)) continue;
     spill_now(entry, /*only_if_absent=*/true);
     ++written;
   }
@@ -556,13 +442,6 @@ std::size_t ResultCache::persist_all() {
 }
 
 // --- tenant accounting -------------------------------------------------------
-
-void ResultCache::bind_model_tenant(std::uint32_t model, std::uint32_t tag) {
-  if (tag == 0) return;  // tag 0 is the implicit default — never tracked
-  std::lock_guard lock{tenant_mutex_};
-  model_tenant_[model] = tag;
-  tenants_.try_emplace(tag);
-}
 
 void ResultCache::set_tenant_cap(std::uint32_t tag, std::size_t max_entries) {
   if (tag == 0) return;  // the default tenant is never capped
@@ -589,12 +468,6 @@ std::vector<TenantCacheStats> ResultCache::tenant_stats() const {
   return out;
 }
 
-std::uint32_t ResultCache::tenant_of(std::uint32_t model) const {
-  std::lock_guard lock{tenant_mutex_};
-  const auto it = model_tenant_.find(model);
-  return it == model_tenant_.end() ? 0 : it->second;
-}
-
 void ResultCache::note_tenant_lookup(std::uint32_t tag, bool served) {
   if (tag == 0) return;
   std::lock_guard lock{tenant_mutex_};
@@ -611,11 +484,11 @@ void ResultCache::note_tenant_insert(std::uint32_t tag) {
   ++tenants_[tag].entries;
 }
 
-void ResultCache::note_tenant_removed(std::uint32_t tag, bool evicted, std::size_t count) {
+void ResultCache::note_tenant_evicted(std::uint32_t tag) {
   std::lock_guard lock{tenant_mutex_};
   TenantAccount& account = tenants_[tag];
-  account.entries -= std::min(account.entries, count);
-  if (evicted) account.evictions += count;
+  account.entries -= std::min<std::size_t>(account.entries, 1);
+  ++account.evictions;
 }
 
 void ResultCache::enforce_tenant_cap(std::uint32_t tag) {
@@ -652,11 +525,12 @@ void ResultCache::enforce_tenant_cap(std::uint32_t tag) {
       if (victim.has_value()) break;
     }
     if (!victim.has_value()) {
-      // Ledger said at-cap but no entry was found (raced an invalidation
-      // sweep whose ledger update is still in flight) — nothing to evict.
+      // Ledger said at-cap but no entry was found (raced a clear() or
+      // another evictor whose ledger update is still in flight) — nothing
+      // to evict.
       return;
     }
-    note_tenant_removed(tag, /*evicted=*/true);
+    note_tenant_evicted(tag);
     spill(std::move(*victim), /*only_if_absent=*/true);
   }
 }
@@ -666,7 +540,6 @@ CacheStats ResultCache::stats() const {
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
   stats.capacity = capacity_;
   stats.saved_cost_us = saved_cost_us_.load(std::memory_order_relaxed);
   stats.evicted_cost_us = evicted_cost_us_.load(std::memory_order_relaxed);

@@ -1,12 +1,14 @@
-// api::ResultCache — memoized evaluation results keyed by (snapshot, request).
+// api::ResultCache — memoized evaluation results keyed by model content and
+// request.
 //
-// PR 3 made every eval path run against immutable StoreEntry snapshots; this
-// cache exploits that: a (store entry id, entry generation, request kind,
-// canonical request fingerprint) key uniquely identifies a deterministic
-// evaluation, so repeated scenario sweeps (order sweeps, seed grids, compare
-// re-runs) return the memoized result instead of re-simulating. Hits are
-// bit-identical to cold evaluations — the cache stores the full Result<T>
-// and hands back copies.
+// An evaluation is a pure function of the model's content and the request,
+// so one key identifies it in both tiers: (StoreEntry::cache_content, request
+// kind, canonical request fingerprint) — persist::DiskKey. Repeated scenario
+// sweeps (order sweeps, seed grids, compare re-runs) return the memoized
+// result instead of re-simulating, two loads of the same model content share
+// entries, and an unload leaves them in place, so a re-load re-hits. Hits
+// are bit-identical to cold evaluations: the cache holds the envelope's own
+// Result<AnyResponse> and hands back copies.
 //
 //   auto store = std::make_shared<api::ModelStore>();
 //   store->enable_cache({.capacity = 1024});
@@ -16,28 +18,26 @@
 //
 // Admission is *cost-aware*: every entry is charged its measured evaluation
 // time, and eviction drops the cheapest entry within a small window at the
-// LRU tail (CacheConfig::cost_window) instead of blindly dropping the least
-// recent — a sub-microsecond simulate hit no longer weighs the same as a
-// multi-second compare. CacheStats accounts the held/saved/evicted cost.
-// With CacheConfig::adaptive_window the window tunes itself from the
-// observed evicted-cost / saved-cost ratio.
+// LRU tail (4 entries to start) instead of blindly dropping the least recent
+// — a sub-microsecond simulate hit no longer weighs the same as a
+// multi-second compare; equal costs evict the least recent. CacheStats
+// accounts the held/saved/evicted cost. With CacheConfig::adaptive_window
+// the window tunes itself from the observed evicted-cost / saved-cost ratio.
 //
 // With CacheConfig::persist the cache grows a durable second tier
-// (persist::DiskTier): inserts write through to disk, memory misses consult
-// disk and promote on hit, evicted entries spill down. Disk entries are
-// keyed by the model's *content* fingerprint (not its store id), so a
-// restarted process loading the same models re-hits results computed by an
-// earlier life — see persist/disk_tier.hpp for the on-disk contract.
+// (persist::DiskTier) under the same key: inserts write through to disk as
+// wire frames, memory misses consult disk and promote on hit, evicted
+// entries spill down. Content keys survive restarts, so a restarted process
+// loading the same models re-hits results computed by an earlier life — see
+// persist/disk_tier.hpp for the on-disk contract.
 //
 // Concurrency contract:
-//   * find/insert/invalidate_model/stats are safe from any thread — the
-//     cache is sharded (per-shard mutex + LRU list), so concurrent batch
-//     workers do not serialize on one lock.
-//   * Stale entries are impossible by construction: store ids are never
-//     reused and each entry carries a distinct generation, so an
-//     unload/reload pair changes the key. ModelStore::unload additionally
-//     invalidates the unloaded id's entries eagerly (memory, not
-//     correctness).
+//   * find/insert/clear/stats are safe from any thread — the cache is
+//     sharded (per-shard mutex + LRU list), so concurrent batch workers do
+//     not serialize on one lock. A memory hit takes one shard mutex; the
+//     caller copies the result outside it.
+//   * Entries cannot go stale: a model's content never changes under its
+//     key, so loads and unloads need no cache action.
 //   * Two threads missing on the same key both evaluate and both insert;
 //     results are deterministic, so the duplicate insert is benign.
 #pragma once
@@ -52,14 +52,13 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "api/requests.hpp"
+#include "api/responses.hpp"
 #include "api/result.hpp"
 #include "persist/persist.hpp"
-#include "support/hash.hpp"
 
 namespace spivar::persist {
 class DiskTier;
@@ -72,16 +71,14 @@ struct CacheConfig {
   std::size_t capacity = 1024;
   /// Independent LRU shards (each with its own lock); clamped to >= 1.
   std::size_t shards = 8;
-  /// Cost-aware admission: an eviction examines up to this many entries from
-  /// the LRU tail and drops the *cheapest* (measured eval time), so a 624 ns
-  /// simulate result can never push a multi-second compare out of the cache.
-  /// 1 degrades to classic LRU (recency only); clamped to >= 1.
-  std::size_t cost_window = 4;
-  /// Adaptive cost_window tuning: every 32 evictions the cache compares the
-  /// average cost an eviction throws away against the average cost a hit
-  /// saves, widening the window (×2, up to 64) when evictions are throwing
-  /// away more than hits recover and shrinking it (÷2, down to 1) when the
-  /// workload's hits dwarf its evictions and plain recency suffices.
+  /// Adaptive cost-window tuning. An eviction examines the 4 least recent
+  /// entries and drops the *cheapest* (measured eval time), so a 624 ns
+  /// simulate result can never push a multi-second compare out of the
+  /// cache. With this set, every 32 evictions the cache compares the average
+  /// cost an eviction throws away against the average cost a hit saves,
+  /// widening the window (×2, up to 64) when evictions are throwing away
+  /// more than hits recover and shrinking it (÷2, down to 1: plain recency)
+  /// when the workload's hits dwarf its evictions.
   bool adaptive_window = false;
   /// When set, attaches a persistent second tier (persist::DiskTier) under
   /// the configured directory: in-memory misses consult disk and promote on
@@ -115,9 +112,8 @@ struct CacheConfig {
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;      ///< entries dropped by cost-weighted LRU
-  std::uint64_t invalidations = 0;  ///< entries dropped by model unload
-  std::size_t entries = 0;          ///< currently cached results
+  std::uint64_t evictions = 0;  ///< entries dropped by cost-weighted LRU
+  std::size_t entries = 0;      ///< currently cached results
   std::size_t capacity = 0;
   std::uint64_t cached_cost_us = 0;   ///< summed eval cost of current entries
   std::uint64_t saved_cost_us = 0;    ///< eval cost returned from hits (RAM + disk)
@@ -171,6 +167,12 @@ struct TenantCacheStats {
 
 class ResultCache {
  public:
+  /// The one key of both tiers: StoreEntry::cache_content, the numeric
+  /// RequestKind and the canonical request fingerprint.
+  using Key = persist::DiskKey;
+  /// A cached result; shared by the memory tier and queued spills.
+  using Value = std::shared_ptr<const Result<AnyResponse>>;
+
   /// `sink` is where the persistent tier (when configured) reports skipped
   /// entries and I/O trouble; empty uses stderr. It is unused without
   /// CacheConfig::persist.
@@ -180,45 +182,22 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Full cache key. `model`/`generation` pin the snapshot (ids are never
-  /// reused; generation distinguishes reloads), `kind` discriminates the
-  /// response type behind the type-erased slot, `fingerprint` is the
-  /// canonical request digest. `content` is StoreEntry::cache_content — the
-  /// restart-stable half of the snapshot identity that keys the persistent
-  /// tier; 0 means "no content identity" and such entries never touch disk.
-  struct Key {
-    std::uint32_t model = 0;
-    std::uint64_t generation = 0;
-    RequestKind kind = RequestKind::kSimulate;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t content = 0;
+  /// The key of `payload` evaluated over a model whose cache content is
+  /// `content`.
+  [[nodiscard]] static Key key_of(std::uint64_t content, const RequestPayload& payload);
 
-    friend bool operator==(const Key&, const Key&) noexcept = default;
-  };
+  /// The cached result for `key` — from memory, else from disk (promoted
+  /// into memory) — or nullptr on a miss. The lookup counts in tenant
+  /// `tenant`'s row of tenant_stats(); a promoted entry belongs to it.
+  [[nodiscard]] Value find(const Key& key, std::uint32_t tenant = 0);
 
-  /// The cached result for `key`, or nullptr on a miss. `Response` must be
-  /// the response type of `key.kind` — callers go through detail::with_cache,
-  /// which derives both from the same request.
-  template <typename Response>
-  [[nodiscard]] std::shared_ptr<const Result<Response>> find(const Key& key) {
-    return std::static_pointer_cast<const Result<Response>>(lookup(key));
-  }
-
-  /// Memoizes `result` (success or deterministic failure) under `key`,
-  /// charging the entry `cost_us` — its measured evaluation time, the weight
-  /// cost-aware eviction protects. Replaces any previous entry; when the
-  /// shard is full, the cheapest entry within the LRU tail's cost window is
-  /// evicted.
-  template <typename Response>
-  void insert(const Key& key, Result<Response> result, std::uint64_t cost_us = 0) {
-    store(key, std::make_shared<const Result<Response>>(std::move(result)), cost_us);
-  }
-
-  /// Drops every entry cached for `model` (any generation, any kind) — the
-  /// unload-tombstone hook. The id is also remembered as dead: an in-flight
-  /// batch slot finishing *after* the unload cannot repopulate the cache
-  /// with entries no lookup could ever reach (store ids are never reused).
-  void invalidate_model(std::uint32_t model);
+  /// Memoizes `result` (success or deterministic failure) under `key` for
+  /// tenant `tenant`, charging the entry `cost_us` — its measured evaluation
+  /// time, the weight cost-aware eviction protects. Replaces any previous
+  /// entry; when the shard is full, the cheapest entry within the LRU tail's
+  /// cost window is evicted.
+  void insert(const Key& key, Result<AnyResponse> result, std::uint64_t cost_us = 0,
+              std::uint32_t tenant = 0);
 
   /// Empties the memory tier; `include_disk` additionally deletes every
   /// entry file of the persistent tier.
@@ -227,12 +206,12 @@ class ResultCache {
   /// True when a persistent tier is attached and usable.
   [[nodiscard]] bool persistent() const noexcept { return tier_ != nullptr; }
 
-  /// Writes every memory-tier entry with a content identity that is not yet
-  /// on disk down to the persistent tier, then flushes directory metadata.
-  /// Returns the number of entries written; 0 without a persistent tier.
-  /// (Inserts already write through — this is the admin hook that catches
-  /// entries whose model had no fingerprint *at lookup time* and makes
-  /// `cache persist` an explicit durability point.)
+  /// Writes every memory-tier entry that is not yet on disk down to the
+  /// persistent tier, then flushes directory metadata. Returns the number
+  /// of entries written; 0 without a persistent tier. (Inserts already
+  /// write through — this is the admin hook that backfills spills the
+  /// bounded async queue dropped and makes `cache persist` an explicit
+  /// durability point.)
   std::size_t persist_all();
 
   /// Blocks until every queued async spill has been written (no-op with
@@ -244,16 +223,12 @@ class ResultCache {
 
   // --- tenant scoping --------------------------------------------------------
   //
-  // Multi-tenant accounting keys on a small per-tenant tag: StoreView tags
-  // every id it loads, set_tenant_cap bounds how many entries a tag's
-  // models may occupy, and tenant_stats() slices the counters per tag.
-  // Untagged models (every pre-tenancy caller) belong to tag 0, which is
-  // never capped and never attributed — the default tenant's behavior is
-  // bit-identical to a cache that has never heard of tenants.
-
-  /// Tags every entry of `model` (present and future) as belonging to
-  /// tenant `tag`. Ids are never reused, so a binding is forever.
-  void bind_model_tenant(std::uint32_t model, std::uint32_t tag);
+  // Multi-tenant accounting keys on a small per-tenant tag that callers pass
+  // with each lookup and insert (the StoreEntry's tag, set by the loading
+  // StoreView): set_tenant_cap bounds how many entries a tag may occupy, and
+  // tenant_stats() slices the counters per tag. Tag 0 (every pre-tenancy
+  // caller) is never capped and never attributed — the default tenant's
+  // behavior is bit-identical to a cache that has never heard of tenants.
 
   /// Caps tenant `tag` at `max_entries` cached results (0 = unlimited).
   /// At the cap, an insert for the tenant evicts the tenant's own least
@@ -262,56 +237,46 @@ class ResultCache {
   /// rate.
   void set_tenant_cap(std::uint32_t tag, std::size_t max_entries);
 
-  /// Per-tenant counter slices, ascending tag; tenants appear once bound
-  /// or capped. Tag 0 is omitted — the default tenant reads the global
-  /// stats().
+  /// Per-tenant counter slices, ascending tag; a tenant appears once capped
+  /// or once it has looked anything up. Tag 0 is omitted — the default
+  /// tenant reads the global stats().
   [[nodiscard]] std::vector<TenantCacheStats> tenant_stats() const;
 
  private:
-  using Slot = std::shared_ptr<const void>;
-
-  struct KeyHasher {
-    std::size_t operator()(const Key& key) const noexcept {
-      return static_cast<std::size_t>(hash_key(key));
-    }
-  };
-
   struct Entry {
     Key key;
-    Slot slot;
+    Value value;
     std::uint64_t cost_us = 0;  ///< measured eval time charged on insert
-    std::uint32_t tenant = 0;   ///< owning tenant tag, resolved at insert
+    std::uint32_t tenant = 0;   ///< owning tenant tag
   };
 
   struct Shard {
     mutable std::mutex mutex;
     /// Front = most recently used; the map indexes into this list.
     std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHasher> index;
+    std::unordered_map<Key, std::list<Entry>::iterator, persist::DiskKeyHash> index;
   };
 
-  [[nodiscard]] static std::uint64_t hash_key(const Key& key) noexcept;
-  [[nodiscard]] Shard& shard_of(std::uint64_t hash) noexcept {
-    return shards_[hash % shards_.size()];
+  [[nodiscard]] Shard& shard_of(const Key& key) noexcept {
+    return shards_[persist::DiskKeyHash{}(key) % shards_.size()];
   }
 
-  [[nodiscard]] Slot lookup(const Key& key);
-  void store(const Key& key, Slot slot, std::uint64_t cost_us);
-  /// The memory-tier half of store(): dead-model refusal, LRU insert, and
-  /// eviction. Returns the evicted entry (for the caller to spill) when the
-  /// insert displaced one.
-  std::optional<Entry> store_memory(const Key& key, Slot slot, std::uint64_t cost_us);
+  /// The disk half of find(): loads, decodes and promotes `key`, or returns
+  /// nullptr (absent, or a frame that no longer decodes — compacted away).
+  [[nodiscard]] Value promote(const Key& key, std::uint32_t tenant);
+  /// The memory-tier half of insert(): LRU insert and eviction. Returns the
+  /// evicted entry (for the caller to spill) when the insert displaced one.
+  std::optional<Entry> store_memory(Entry entry);
   /// Removes and returns the cheapest entry among the cost-window least
   /// recently used ones (ties keep the least recent) and ticks the adaptive
   /// window. Call with the shard lock held.
   [[nodiscard]] Entry evict_one(Shard& shard);
-  /// The every-32-evictions adaptive cost_window adjustment.
+  /// The every-32-evictions adaptive cost-window adjustment.
   void adapt_window();
-  /// Routes one entry toward the persistent tier (no-op without one or
-  /// without a content identity): enqueued for the background drain thread
-  /// when spills are async, written in the calling thread otherwise.
-  /// `only_if_absent` is the spill path — write-through entries always
-  /// (re)write.
+  /// Routes one entry toward the persistent tier (no-op without one):
+  /// enqueued for the background drain thread when spills are async,
+  /// written in the calling thread otherwise. `only_if_absent` is the spill
+  /// path — write-through entries always (re)write.
   void spill(Entry entry, bool only_if_absent);
   /// The synchronous tier write behind spill().
   void spill_now(const Entry& entry, bool only_if_absent);
@@ -321,10 +286,6 @@ class ResultCache {
   void drain_loop();
 
   std::vector<Shard> shards_;
-  mutable std::mutex dead_mutex_;  ///< guards dead_models_ (insert-miss path only)
-  /// Ids invalidate_model has seen; inserts for them are refused. Grows by
-  /// 4 bytes per unload — ids are never reused, so it never shrinks.
-  std::unordered_set<std::uint32_t> dead_models_;
   std::size_t capacity_;  ///< configured total, as reported by stats()
   /// ceil(capacity / shards): sharding rounds the enforced total up by at
   /// most shards-1 so every shard holds at least one entry.
@@ -338,7 +299,7 @@ class ResultCache {
   std::unique_ptr<persist::DiskTier> tier_;
 
   /// Queued spill work: one entry plus the only_if_absent flag it was
-  /// enqueued with. Slots are shared_ptrs, so a queued spill keeps its
+  /// enqueued with. Values are shared_ptrs, so a queued spill keeps its
   /// result alive (bounded by spill_queue_limit_) even if the memory tier
   /// evicts it meanwhile.
   struct SpillTask {
@@ -359,7 +320,6 @@ class ResultCache {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> invalidations_{0};
   std::atomic<std::uint64_t> saved_cost_us_{0};
   std::atomic<std::uint64_t> evicted_cost_us_{0};
   std::atomic<std::uint64_t> disk_promotes_{0};
@@ -372,7 +332,7 @@ class ResultCache {
   // after the shard lock drops; enforce_tenant_cap reads the ledger first,
   // then takes shard locks one at a time to find a victim. The ledger may
   // therefore lag a racing insert by one entry — caps are enforced to ±1
-  // under contention, never violated steadily.
+  // under contention, never violated steadily. Tag 0 never touches it.
 
   struct TenantAccount {
     std::size_t cap = 0;      ///< 0 = unlimited
@@ -382,24 +342,19 @@ class ResultCache {
     std::uint64_t evictions = 0;
   };
 
-  /// The tag `model` was bound to, 0 when unbound (default tenant).
-  [[nodiscard]] std::uint32_t tenant_of(std::uint32_t model) const;
   /// Attributes one lookup outcome (served from either tier, or evaluated).
   void note_tenant_lookup(std::uint32_t tag, bool served);
   /// Ledger delta after an insert landed (shard lock already released).
   void note_tenant_insert(std::uint32_t tag);
-  /// Ledger delta after `count` entries left the memory tier; `evicted`
-  /// distinguishes capacity evictions from unload invalidations.
-  void note_tenant_removed(std::uint32_t tag, bool evicted, std::size_t count = 1);
+  /// Ledger delta after one of the tenant's entries was evicted.
+  void note_tenant_evicted(std::uint32_t tag);
   /// While `tag` sits at its entry cap, evicts the tenant's own (oldest
   /// found, scanning shard tails) entry and spills it down — making room
   /// for one incoming insert without touching any other tenant's entries.
   void enforce_tenant_cap(std::uint32_t tag);
 
-  mutable std::mutex tenant_mutex_;  ///< guards tenants_ and model_tenant_
+  mutable std::mutex tenant_mutex_;  ///< guards tenants_
   std::unordered_map<std::uint32_t, TenantAccount> tenants_;
-  /// model id -> tenant tag; ids are never reused, so bindings are forever.
-  std::unordered_map<std::uint32_t, std::uint32_t> model_tenant_;
 };
 
 }  // namespace spivar::api

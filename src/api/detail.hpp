@@ -73,41 +73,36 @@ inline std::string empty_problem_message(const std::string& model_name) {
 
 // --- result-cache seam -------------------------------------------------------
 
-/// Fronts one eval with the store's result cache: a hit returns a copy of
-/// the memoized Result (bit-identical to a cold eval, results are
-/// deterministic per (snapshot, request)); a miss evaluates and memoizes,
-/// charging the entry its measured evaluation time — the weight the cache's
-/// cost-aware eviction protects. Null cache degrades to a plain eval. The
-/// key's kind and fingerprint both derive from `request`, so the typed find
-/// can never alias across response types.
-template <typename Response, typename Request, typename Eval>
-Result<Response> with_cache(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
-                            const Request& request, Eval&& eval) {
-  if (!cache) {
+/// Fronts one evaluation of `payload` over `entry` with the store's result
+/// cache: a hit returns a copy of the memoized Result (bit-identical to a
+/// cold eval — an evaluation is a function of the model's content and the
+/// request); a miss runs `eval` and memoizes the result under the entry's
+/// tenant tag, charging it the measured evaluation time — the weight the
+/// cache's cost-aware eviction protects. Without a cache, or for a model
+/// with no content identity (StoreEntry::cache_content() == 0), this is a
+/// plain eval.
+template <typename Eval>
+Result<AnyResponse> with_cache(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
+                               const RequestPayload& payload, Eval&& eval) {
+  const std::uint64_t content = cache ? entry.cache_content() : 0;
+  if (content == 0) {
     obs::ScopedSpan span{obs::SpanKind::kEval};
-    return eval(entry, request);
+    return eval();
   }
-  // The entry's cache content is the restart-stable half of the key: it
-  // routes the persistent tier and costs nothing here (memoized per entry,
-  // and the store already computed it to describe the model).
-  const ResultCache::Key key{.model = entry.id().value(),
-                             .generation = entry.generation(),
-                             .kind = kind_of(request),
-                             .fingerprint = fingerprint(request),
-                             .content = entry.cache_content()};
+  const ResultCache::Key key = ResultCache::key_of(content, payload);
   {
     obs::ScopedSpan probe{obs::SpanKind::kCacheProbe};
-    if (const auto hit = cache->find<Response>(key)) return *hit;
+    if (const ResultCache::Value hit = cache->find(key, entry.tenant_tag())) return *hit;
   }
   const auto started = std::chrono::steady_clock::now();
-  Result<Response> result = eval(entry, request);
+  Result<AnyResponse> result = eval();
   const auto ended = std::chrono::steady_clock::now();
   if (obs::TraceContext* trace = obs::current_trace()) {
     // Reuse the cost clock readings: the eval span costs no extra clock reads.
     trace->add_span(obs::SpanKind::kEval, started, ended);
   }
   const auto cost_us = std::chrono::duration_cast<std::chrono::microseconds>(ended - started).count();
-  cache->insert(key, result, static_cast<std::uint64_t>(cost_us));
+  cache->insert(key, result, static_cast<std::uint64_t>(cost_us), entry.tenant_tag());
   return result;
 }
 

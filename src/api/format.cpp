@@ -39,12 +39,11 @@ std::string micros_string(std::uint64_t us) {
 }  // namespace
 
 std::string render(const CacheStats& stats) {
-  support::TextTable table{{"hits", "misses", "hit rate", "evictions", "invalidations",
-                            "entries", "capacity"}};
+  support::TextTable table{{"hits", "misses", "hit rate", "evictions", "entries", "capacity"}};
   table.add_row({std::to_string(stats.hits), std::to_string(stats.misses),
                  support::format_double(stats.hit_rate() * 100.0, 1) + "%",
-                 std::to_string(stats.evictions), std::to_string(stats.invalidations),
-                 std::to_string(stats.entries), std::to_string(stats.capacity)});
+                 std::to_string(stats.evictions), std::to_string(stats.entries),
+                 std::to_string(stats.capacity)});
   // Cost accounting of the cost-aware admission policy: eval time currently
   // held, eval time hits have returned without re-running, and eval time
   // eviction threw away — plus the eviction cost window in effect and how
@@ -123,7 +122,7 @@ std::string render(const AnalyzeResponse& response) {
     os << "== " << title << " ==\n";
   };
 
-  if (response.request.deadlock) {
+  if (response.passes.deadlock) {
     section("deadlock");
     if (response.deadlock_free()) {
       os << "no structural deadlock\n";
@@ -132,7 +131,7 @@ std::string render(const AnalyzeResponse& response) {
     }
   }
 
-  if (response.request.buffers) {
+  if (response.passes.buffers) {
     section("channel flows");
     support::TextTable table{{"channel", "class", "max inflow/ms", "min drain/ms"}};
     for (const auto& flow : response.buffer_flows) {
@@ -143,7 +142,7 @@ std::string render(const AnalyzeResponse& response) {
     os << table;
   }
 
-  if (response.request.timing) {
+  if (response.passes.timing) {
     section("timing");
     if (response.latency_checks.empty()) os << "no latency constraints\n";
     for (const auto& check : response.latency_checks) {
@@ -153,7 +152,7 @@ std::string render(const AnalyzeResponse& response) {
     }
   }
 
-  if (response.request.structure) {
+  if (response.passes.structure) {
     section("structure");
     os << (response.structure.acyclic ? "acyclic" : "cyclic") << ", "
        << response.structure.components << " component(s)\n";

@@ -123,10 +123,11 @@ struct CompareRequest {
 // --- canonical request fingerprints ------------------------------------------
 //
 // 64-bit digests of every outcome-relevant field *except* the model handle
-// (the cache key carries the snapshot identity separately). Canonical where
-// semantics allow: duplicate compare strategies collapse, library elements
-// hash in name order; order stays significant where it changes the response
-// (objective chains, strategy presentation order). Implemented in cache.cpp.
+// (the cache key carries the model's content identity separately).
+// Canonical where semantics allow: duplicate compare strategies collapse,
+// library elements hash in name order; order stays significant where it
+// changes the response (objective chains, strategy presentation order).
+// Implemented in cache.cpp.
 
 [[nodiscard]] std::uint64_t fingerprint(const SimulateRequest& request);
 [[nodiscard]] std::uint64_t fingerprint(const AnalyzeRequest& request);

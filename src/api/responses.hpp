@@ -74,7 +74,17 @@ struct SimulateResponse {
 
 struct AnalyzeResponse {
   std::string model;
-  AnalyzeRequest request;  ///< which passes ran (renderers skip the others)
+  /// Which passes ran (renderers skip the others): the request's flags
+  /// without its model handle, so the reply is the same whichever handle
+  /// asked — the property the content-keyed result cache relies on.
+  struct Passes {
+    bool deadlock = true;
+    bool buffers = true;
+    bool structure = true;
+    bool timing = true;
+    bool include_reconfiguration = false;
+  };
+  Passes passes;
 
   struct Deadlock {
     std::vector<std::string> cycle;  ///< process names, in cycle order

@@ -123,7 +123,11 @@ Result<AnalyzeResponse> eval_analyze(const StoreEntry& entry, const AnalyzeReque
     const spi::Graph& graph = entry.model().graph();
     AnalyzeResponse response;
     response.model = graph.name();
-    response.request = request;
+    response.passes = {.deadlock = request.deadlock,
+                       .buffers = request.buffers,
+                       .structure = request.structure,
+                       .timing = request.timing,
+                       .include_reconfiguration = request.include_reconfiguration};
 
     if (request.deadlock) {
       for (const auto& d : analysis::find_structural_deadlocks(graph)) {
@@ -349,27 +353,25 @@ Result<AnyResponse> to_any(Result<Response> result) {
 /// nested strategy fan-out (raw pointer: see Session::submit).
 Result<AnyResponse> eval_any(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
                              const RequestPayload& payload, Executor* executor) {
-  return std::visit(
-      [&](const auto& request) -> Result<AnyResponse> {
-        using Request = std::decay_t<decltype(request)>;
-        if constexpr (std::is_same_v<Request, CompareRequest>) {
-          return to_any(detail::with_cache<CompareResponse>(
-              cache, entry, request, [executor](const StoreEntry& e, const CompareRequest& r) {
-                return detail::eval_compare(e, r, *executor);
-              }));
-        } else if constexpr (std::is_same_v<Request, SimulateRequest>) {
-          return to_any(
-              detail::with_cache<SimulateResponse>(cache, entry, request, &eval_simulate));
-        } else if constexpr (std::is_same_v<Request, AnalyzeRequest>) {
-          return to_any(detail::with_cache<AnalyzeResponse>(cache, entry, request, &eval_analyze));
-        } else if constexpr (std::is_same_v<Request, ExploreRequest>) {
-          return to_any(detail::with_cache<ExploreResponse>(cache, entry, request, &eval_explore));
-        } else {
-          static_assert(std::is_same_v<Request, ParetoRequest>);
-          return to_any(detail::with_cache<ParetoResponse>(cache, entry, request, &eval_pareto));
-        }
-      },
-      payload);
+  return detail::with_cache(cache, entry, payload, [&] {
+    return std::visit(
+        [&](const auto& request) -> Result<AnyResponse> {
+          using Request = std::decay_t<decltype(request)>;
+          if constexpr (std::is_same_v<Request, CompareRequest>) {
+            return to_any(detail::eval_compare(entry, request, *executor));
+          } else if constexpr (std::is_same_v<Request, SimulateRequest>) {
+            return to_any(eval_simulate(entry, request));
+          } else if constexpr (std::is_same_v<Request, AnalyzeRequest>) {
+            return to_any(eval_analyze(entry, request));
+          } else if constexpr (std::is_same_v<Request, ExploreRequest>) {
+            return to_any(eval_explore(entry, request));
+          } else {
+            static_assert(std::is_same_v<Request, ParetoRequest>);
+            return to_any(eval_pareto(entry, request));
+          }
+        },
+        payload);
+  });
 }
 
 }  // namespace

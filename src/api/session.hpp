@@ -150,18 +150,18 @@ class Session {
   /// before, and kNeverLoaded for ids the store never issued — the three
   /// cases are distinguishable forever because ids are never reused.
   /// In-flight batches that captured the model's snapshot finish unaffected;
-  /// results cached for the id are invalidated.
+  /// cached results stay, keyed by content, for a later load to re-hit.
   UnloadStatus unload(ModelId id);
 
   // --- result caching --------------------------------------------------------
 
-  /// Enables the store's (snapshot, request) result cache — every eval path
+  /// Enables the store's (model content, request) result cache — every eval path
   /// of every session on this store is fronted from now on. Idempotent;
   /// returns the active cache (see ModelStore::enable_cache).
   std::shared_ptr<ResultCache> enable_cache(CacheConfig config = {});
 
-  /// Hit/miss/eviction/invalidation counters of the store's cache, or
-  /// nullopt when caching is off.
+  /// Hit/miss/eviction counters of the store's cache, or nullopt when
+  /// caching is off.
   [[nodiscard]] std::optional<CacheStats> cache_stats() const;
 
   // --- introspection --------------------------------------------------------

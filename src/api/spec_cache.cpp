@@ -52,9 +52,8 @@ Result<ModelInfo> SpecCache::resolve(const std::string& spec,
     Result<ModelInfo> info = view_ ? view_->info(it->second) : store_->info(it->second);
     if (info.ok()) return info;
     // The cached handle was tombstoned (or the store never knew it): drop
-    // the mapping instead of resurrecting a dead id, and load fresh below —
-    // the reload gets a new id and generation, so stale cached results are
-    // unreachable by construction.
+    // the mapping instead of resurrecting a dead id, and load fresh below
+    // under a new id.
     loaded_.erase(it);
   }
 

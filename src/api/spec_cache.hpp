@@ -4,9 +4,8 @@
 // segments) want "load fig2 --opt variants=3" to parse/build once and reuse
 // the handle afterwards. The cache is *tombstone-aware*: a handle whose
 // model was unloaded in the meantime is dropped and the spec is loaded
-// fresh under a new id and generation — a later stage can never resurrect a
-// tombstoned id (and, transitively, never hit results the cache invalidated
-// for it).
+// fresh under a new id — a later stage can never resurrect a tombstoned id.
+// (The fresh load has the same content, so it re-hits the result cache.)
 //
 //   api::SpecCache specs{store};
 //   auto a = specs.resolve("fig2");                    // loads

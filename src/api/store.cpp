@@ -99,15 +99,14 @@ std::uint64_t rekey(std::uint64_t digest, std::uint64_t salt) {
 
 // --- StoreEntry --------------------------------------------------------------
 
-StoreEntry::StoreEntry(ModelId id, std::uint64_t generation, std::string origin,
-                       variant::VariantModel model, const BuiltinModel* builtin,
-                       std::uint64_t content_salt)
+StoreEntry::StoreEntry(ModelId id, std::string origin, variant::VariantModel model,
+                       const BuiltinModel* builtin, const TenantContext& tenant)
     : id_(id),
-      generation_(generation),
       origin_(std::move(origin)),
       model_(std::move(model)),
       builtin_(builtin),
-      content_salt_(content_salt) {}
+      content_salt_(tenant.content_salt()),
+      tenant_tag_(tenant.tag) {}
 
 std::shared_ptr<const SynthesisSetup> StoreEntry::default_setup() const {
   std::call_once(setup_once_, [this] {
@@ -146,17 +145,17 @@ std::shared_ptr<const SynthesisSetup> resolve_setup(
 // --- ModelStore --------------------------------------------------------------
 
 Result<ModelInfo> ModelStore::load_text(std::string_view text, std::string_view name,
-                                        std::uint64_t content_salt) {
+                                        const TenantContext& tenant) {
   return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
     // Variant-aware: text with a `variants v1` section reconstructs the
     // cluster/interface structure, plain graph text loads flat.
     variant::VariantModel model = variant::parse_text(text);
     if (!name.empty()) model.graph().set_name(std::string{name});
-    return adopt("text", std::move(model), nullptr, content_salt);
+    return adopt("text", std::move(model), nullptr, tenant);
   });
 }
 
-Result<ModelInfo> ModelStore::load_file(const std::string& path, std::uint64_t content_salt) {
+Result<ModelInfo> ModelStore::load_file(const std::string& path, const TenantContext& tenant) {
   return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
     std::error_code ec;
     if (!std::filesystem::is_regular_file(path, ec)) {
@@ -166,7 +165,7 @@ Result<ModelInfo> ModelStore::load_file(const std::string& path, std::uint64_t c
     if (!in) return Result<ModelInfo>::failure(diag::kIoError, "cannot open '" + path + "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return adopt(path, variant::parse_text(buffer.str()), nullptr, content_salt);
+    return adopt(path, variant::parse_text(buffer.str()), nullptr, tenant);
   });
 }
 
@@ -175,7 +174,7 @@ Result<ModelInfo> ModelStore::load_builtin(std::string_view name) {
 }
 
 Result<ModelInfo> ModelStore::load_builtin(const LoadBuiltinRequest& request,
-                                           std::uint64_t content_salt) {
+                                           const TenantContext& tenant) {
   return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
     const BuiltinModel* builtin = find_builtin(request.name);
     if (!builtin) {
@@ -190,37 +189,35 @@ Result<ModelInfo> ModelStore::load_builtin(const LoadBuiltinRequest& request,
           diag::kUnknownBuiltin,
           "no built-in model '" + request.name + "' (see Session::builtins())");
     }
-    return adopt("builtin:" + builtin->name, builtin->make(request.options), builtin,
-                 content_salt);
+    return adopt("builtin:" + builtin->name, builtin->make(request.options), builtin, tenant);
   });
 }
 
-Result<ModelInfo> ModelStore::load_model(std::string_view spec, std::uint64_t content_salt) {
+Result<ModelInfo> ModelStore::load_model(std::string_view spec, const TenantContext& tenant) {
   // Corpus names route through the builtin path even when malformed, so the
   // caller sees a grammar diagnostic rather than a missing-file error.
   if (find_builtin(spec) || corpus::is_corpus_name(spec)) {
-    return load_builtin(LoadBuiltinRequest{.name = std::string{spec}}, content_salt);
+    return load_builtin(LoadBuiltinRequest{.name = std::string{spec}}, tenant);
   }
-  return load_file(std::string{spec}, content_salt);
+  return load_file(std::string{spec}, tenant);
 }
 
 Result<ModelInfo> ModelStore::load(variant::VariantModel model, std::string_view origin,
-                                   std::uint64_t content_salt) {
+                                   const TenantContext& tenant) {
   return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
-    return adopt(std::string{origin}, std::move(model), nullptr, content_salt);
+    return adopt(std::string{origin}, std::move(model), nullptr, tenant);
   });
 }
 
 Result<ModelInfo> ModelStore::adopt(std::string origin, variant::VariantModel model,
-                                    const BuiltinModel* builtin, std::uint64_t content_salt) {
-  // Id and generation are atomic draws, so entry construction (and any
-  // model factory work) happens outside the table lock; only the insertion
-  // is serialized. A draw wasted by a throwing factory is fine — ids are
-  // never reused anyway.
+                                    const BuiltinModel* builtin, const TenantContext& tenant) {
+  // The id is an atomic draw, so entry construction (and any model factory
+  // work) happens outside the table lock; only the insertion is serialized.
+  // A draw wasted by a throwing factory is fine — ids are never reused
+  // anyway.
   const ModelId id{next_id_.fetch_add(1, std::memory_order_relaxed)};
-  const std::uint64_t generation = generation_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto entry = std::make_shared<const StoreEntry>(id, generation, std::move(origin),
-                                                  std::move(model), builtin, content_salt);
+  auto entry = std::make_shared<const StoreEntry>(id, std::move(origin), std::move(model),
+                                                  builtin, tenant);
   {
     std::lock_guard lock{mutex_};
     entries_.emplace(id.value(), entry);
@@ -229,20 +226,11 @@ Result<ModelInfo> ModelStore::adopt(std::string origin, variant::VariantModel mo
 }
 
 UnloadStatus ModelStore::unload(ModelId id) {
-  std::shared_ptr<ResultCache> cache;
-  {
-    std::lock_guard lock{mutex_};
-    const auto it = entries_.find(id.value());
-    if (it == entries_.end()) return UnloadStatus::kNeverLoaded;
-    if (it->second == nullptr) return UnloadStatus::kAlreadyUnloaded;
-    it->second = nullptr;  // tombstone: the id stays known, never reused
-    cache = cache_;
-  }
-  generation_.fetch_add(1, std::memory_order_relaxed);
-  // Eager invalidation outside the table lock: correctness already holds
-  // (the id is never reused, so no future lookup can hit these entries) —
-  // this frees the memory and feeds the invalidation counter.
-  if (cache) cache->invalidate_model(id.value());
+  std::lock_guard lock{mutex_};
+  const auto it = entries_.find(id.value());
+  if (it == entries_.end()) return UnloadStatus::kNeverLoaded;
+  if (it->second == nullptr) return UnloadStatus::kAlreadyUnloaded;
+  it->second = nullptr;  // tombstone: the id stays known, never reused
   return UnloadStatus::kUnloaded;
 }
 

@@ -15,7 +15,9 @@
 //   * Snapshots are immutable; an in-flight batch that captured a snapshot
 //     keeps evaluating it even if the model is unloaded concurrently.
 //   * unload is tombstone-only: the id is never reused, so a store can tell
-//     "was unloaded" apart from "never existed" (see UnloadStatus).
+//     "was unloaded" apart from "never existed" (see UnloadStatus). Results
+//     cached for the model stay: the cache keys on content, not the id, so
+//     a re-load of the same content re-hits them.
 #pragma once
 
 #include <atomic>
@@ -33,6 +35,7 @@
 #include "api/registry.hpp"
 #include "api/responses.hpp"
 #include "api/result.hpp"
+#include "api/tenant.hpp"
 #include "variant/model.hpp"
 
 namespace spivar::api {
@@ -72,20 +75,16 @@ struct SynthesisSetup {
 /// batch tasks capture — never a Session or the store itself.
 class StoreEntry {
  public:
-  StoreEntry(ModelId id, std::uint64_t generation, std::string origin,
-             variant::VariantModel model, const BuiltinModel* builtin,
-             std::uint64_t content_salt = 0);
+  /// `tenant` is the loading tenant: its content salt scopes the entry's
+  /// restart-stable identity and its tag attributes the entry's cache use.
+  StoreEntry(ModelId id, std::string origin, variant::VariantModel model,
+             const BuiltinModel* builtin, const TenantContext& tenant = {});
 
   StoreEntry(const StoreEntry&) = delete;
   StoreEntry& operator=(const StoreEntry&) = delete;
 
   /// The handle the store issued for this entry (never reused).
   [[nodiscard]] ModelId id() const noexcept { return id_; }
-  /// Store mutation epoch at load time. Belt and braces on top of the
-  /// never-reused ids: an unload/reload pair always changes (id, generation),
-  /// so a result cached for an earlier life of a spec can never be served
-  /// for a later one.
-  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
   [[nodiscard]] const std::string& origin() const noexcept { return origin_; }
   [[nodiscard]] const variant::VariantModel& model() const noexcept { return model_; }
   /// Registry entry the model was instantiated from, nullptr otherwise.
@@ -97,33 +96,37 @@ class StoreEntry {
 
   /// Canonical content fingerprint of the model
   /// (variant::content_fingerprint of its spit text), memoized on first use.
-  /// Unlike id/generation it survives restarts — it keys the persistent
-  /// result-cache tier. 0 for the rare model whose text cannot round-trip.
+  /// Unlike the id it survives restarts. 0 for the rare model whose text
+  /// cannot round-trip.
   /// A nonzero content salt (a tenant's namespace key) is mixed in, so the
   /// same model text loaded by two tenants carries two distinct restart-
-  /// stable identities and their persistent-tier entries never cross;
+  /// stable identities and their cache entries never cross;
   /// salt 0 (the default tenant) keeps the pre-tenancy fingerprint exactly.
   [[nodiscard]] std::uint64_t content_fingerprint() const;
 
-  /// The restart-stable half of this entry's result-cache key: the content
-  /// fingerprint, with the registry name mixed in when the builtin supplies
-  /// a curated library. The synthesis setup then depends on more than the
-  /// text — builtin `fig2` explores its curated library, a parsed copy of
-  /// its text a derived one — so the two must never share persistent-tier
-  /// entries. Memoized together with content_fingerprint(); 0 exactly when
-  /// that is 0.
+  /// The model half of this entry's result-cache key, in both tiers: the
+  /// content fingerprint, with the registry name mixed in when the builtin
+  /// supplies a curated library. The synthesis setup then depends on more
+  /// than the text — builtin `fig2` explores its curated library, a parsed
+  /// copy of its text a derived one — so the two must never share entries.
+  /// Memoized together with content_fingerprint(); 0 exactly when that is 0,
+  /// and then the entry evaluates uncached.
   [[nodiscard]] std::uint64_t cache_content() const;
 
   /// The namespace salt this entry was loaded under (0 = unsalted).
   [[nodiscard]] std::uint64_t content_salt() const noexcept { return content_salt_; }
+  /// The tag of the tenant that loaded this entry (0 = default tenant):
+  /// the row its cache lookups count in and whose entry cap its results
+  /// occupy.
+  [[nodiscard]] std::uint32_t tenant_tag() const noexcept { return tenant_tag_; }
 
  private:
   ModelId id_;
-  std::uint64_t generation_ = 0;
   std::string origin_;
   variant::VariantModel model_;
   const BuiltinModel* builtin_ = nullptr;
   std::uint64_t content_salt_ = 0;
+  std::uint32_t tenant_tag_ = 0;
 
   mutable std::once_flag setup_once_;
   mutable std::shared_ptr<const SynthesisSetup> setup_;
@@ -149,44 +152,44 @@ class ModelStore {
 
   // --- loading (all thread-safe) -------------------------------------------
   //
-  // Every load takes an optional `content_salt` — the namespace key a
-  // tenant's StoreView passes through so the entry's restart-stable content
-  // identity is scoped to that tenant. The default 0 is the unsalted
-  // pre-tenancy identity; direct callers never need to think about it.
+  // Every load takes the loading tenant — what a tenant's StoreView passes
+  // through so the entry's restart-stable content identity is salted for
+  // that tenant and its cache use is attributed to it. The default tenant
+  // is the unsalted, unattributed pre-tenancy identity; direct callers
+  // never need to think about it.
 
   /// Parses a model from "spit" text. `name` overrides the model name for
   /// presentation (empty keeps the parsed one).
   Result<ModelInfo> load_text(std::string_view text, std::string_view name = {},
-                              std::uint64_t content_salt = 0);
+                              const TenantContext& tenant = {});
 
   /// Reads and parses a .spit file.
-  Result<ModelInfo> load_file(const std::string& path, std::uint64_t content_salt = 0);
+  Result<ModelInfo> load_file(const std::string& path, const TenantContext& tenant = {});
 
   /// Instantiates a registry model with its default options.
   Result<ModelInfo> load_builtin(std::string_view name);
 
   /// Instantiates a registry model with a typed option struct.
   Result<ModelInfo> load_builtin(const LoadBuiltinRequest& request,
-                                 std::uint64_t content_salt = 0);
+                                 const TenantContext& tenant = {});
 
   /// Builtin name when it matches one, file path otherwise.
-  Result<ModelInfo> load_model(std::string_view spec, std::uint64_t content_salt = 0);
+  Result<ModelInfo> load_model(std::string_view spec, const TenantContext& tenant = {});
 
   /// Adopts an already-built model (programmatic construction).
   Result<ModelInfo> load(variant::VariantModel model, std::string_view origin = "adopted",
-                         std::uint64_t content_salt = 0);
+                         const TenantContext& tenant = {});
 
   /// Tombstones the model: the snapshot is dropped from the table but the id
   /// stays known, so later calls can distinguish the three UnloadStatus
   /// cases. Snapshots already captured (e.g. by an in-flight batch) stay
-  /// valid and immutable. When a result cache is attached, every result
-  /// cached for the id is invalidated.
+  /// valid and immutable.
   UnloadStatus unload(ModelId id);
 
   // --- result caching --------------------------------------------------------
 
-  /// Attaches a (snapshot, request)-keyed result cache fronting every eval
-  /// path of every session on this store. Idempotent: a second call keeps
+  /// Attaches a (model content, request)-keyed result cache fronting every
+  /// eval path of every session on this store. Idempotent: a second call keeps
   /// the existing cache (and its statistics). Returns the active cache.
   std::shared_ptr<ResultCache> enable_cache(CacheConfig config = {});
 
@@ -211,14 +214,11 @@ class ModelStore {
 
  private:
   Result<ModelInfo> adopt(std::string origin, variant::VariantModel model,
-                          const BuiltinModel* builtin, std::uint64_t content_salt);
+                          const BuiltinModel* builtin, const TenantContext& tenant);
 
   mutable std::mutex mutex_;  ///< guards entries_ and cache_
   std::map<std::uint32_t, Snapshot> entries_;  ///< tombstone = null snapshot
   std::atomic<std::uint32_t> next_id_{0};
-  /// Mutation epoch: bumped on every load and unload; entries record the
-  /// epoch they were created in (part of the result-cache key).
-  std::atomic<std::uint64_t> generation_{0};
   std::shared_ptr<ResultCache> cache_;  ///< null until enable_cache
 };
 

@@ -24,28 +24,18 @@ Result<ModelInfo> StoreView::admitted(Loader&& loader) {
     ++pending_;
   }
   Result<ModelInfo> loaded = loader();
-  {
-    std::lock_guard lock{mutex_};
-    --pending_;
-    if (loaded.ok()) owned_.insert(loaded.value().id.value());
-  }
-  if (loaded.ok()) record(loaded.value().id);
+  std::lock_guard lock{mutex_};
+  --pending_;
+  if (loaded.ok()) owned_.insert(loaded.value().id.value());
   return loaded;
 }
 
-void StoreView::record(ModelId id) {
-  // Tag the id for per-tenant cache accounting (entry caps, hit/miss
-  // breakdowns). The cache may be enabled after a load — the service
-  // enables it at startup, so in practice every tenant load finds it.
-  if (const auto cache = store_->cache()) cache->bind_model_tenant(id.value(), tenant_.tag);
-}
-
 Result<ModelInfo> StoreView::load_text(std::string_view text, std::string_view name) {
-  return admitted([&] { return store_->load_text(text, name, tenant_.content_salt()); });
+  return admitted([&] { return store_->load_text(text, name, tenant_); });
 }
 
 Result<ModelInfo> StoreView::load_file(const std::string& path) {
-  return admitted([&] { return store_->load_file(path, tenant_.content_salt()); });
+  return admitted([&] { return store_->load_file(path, tenant_); });
 }
 
 Result<ModelInfo> StoreView::load_builtin(std::string_view name) {
@@ -53,16 +43,16 @@ Result<ModelInfo> StoreView::load_builtin(std::string_view name) {
 }
 
 Result<ModelInfo> StoreView::load_builtin(const LoadBuiltinRequest& request) {
-  return admitted([&] { return store_->load_builtin(request, tenant_.content_salt()); });
+  return admitted([&] { return store_->load_builtin(request, tenant_); });
 }
 
 Result<ModelInfo> StoreView::load_model(std::string_view spec) {
-  return admitted([&] { return store_->load_model(spec, tenant_.content_salt()); });
+  return admitted([&] { return store_->load_model(spec, tenant_); });
 }
 
 Result<ModelInfo> StoreView::load(variant::VariantModel model, std::string_view origin) {
   return admitted(
-      [&] { return store_->load(std::move(model), origin, tenant_.content_salt()); });
+      [&] { return store_->load(std::move(model), origin, tenant_); });
 }
 
 bool StoreView::owns(ModelId id) const {

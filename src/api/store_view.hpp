@@ -1,13 +1,13 @@
 // api::StoreView — one tenant's namespace over one shared ModelStore.
 //
-// Every tenant of the service shares one ModelStore (one parse, one memoized
-// synthesis setup, one result cache per distinct model *per tenant*), but
-// each sees only its own models: a view records the ids its loads issued and
-// refuses to describe, enumerate or unload anything else. Builtin and corpus
-// *names* stay globally readable — any tenant may instantiate `fig2` or a
-// `sweep/` spec — while the instantiated models are tenant-scoped, so two
-// tenants loading the same name hold distinct ids, distinct generations and
-// (through the tenant content salt) distinct restart-stable identities.
+// Every tenant of the service shares one ModelStore (one result cache, whose
+// entries are keyed per distinct model content *per tenant*), but each sees
+// only its own models: a view records the ids its loads issued and refuses
+// to describe, enumerate or unload anything else. Builtin and corpus *names*
+// stay globally readable — any tenant may instantiate `fig2` or a `sweep/`
+// spec — while the instantiated models are tenant-scoped, so two tenants
+// loading the same name hold distinct ids and (through the tenant content
+// salt) distinct restart-stable identities, hence distinct cache keys.
 //
 //   auto store = std::make_shared<api::ModelStore>();
 //   api::StoreView a{store, {.name = "alpha", .tag = 1}, {.max_models = 8}};
@@ -17,13 +17,13 @@
 //   b.unload(X-id);           // kNeverLoaded: b cannot tombstone a's model
 //
 // Isolation invariants the view enforces (tests/test_tenant.cpp):
-//   * unload of an un-owned id is kNeverLoaded — no cross-tenant tombstones,
-//     so no cross-tenant cache invalidation either (ModelStore::unload is
-//     only ever reached for owned ids).
+//   * unload of an un-owned id is kNeverLoaded — no cross-tenant tombstones
+//     (ModelStore::unload is only ever reached for owned ids).
 //   * the model-count quota bounds *live* owned models; tombstones free
 //     their slot.
-//   * loads register their id's tenant tag with the store's result cache,
-//     which is what per-tenant cache caps and stats key on.
+//   * loads pass the view's TenantContext to the store, so every entry
+//     carries the tenant's tag — what per-tenant cache caps and stats key
+//     on, whether or not the cache was enabled before the load.
 //
 // Thread-safe like the store itself: loads, unloads and lookups may race
 // from any number of connection threads.
@@ -71,8 +71,7 @@ class StoreView {
 
   /// The three-way unload contract *per tenant*: an id another tenant (or
   /// nobody) loaded is kNeverLoaded here even though the store knows it —
-  /// a tenant can never tombstone (or cache-invalidate) someone else's
-  /// model.
+  /// a tenant can never tombstone someone else's model.
   UnloadStatus unload(ModelId id);
 
   /// Info for an owned id; un-owned ids fail exactly like unknown ones.
@@ -85,14 +84,12 @@ class StoreView {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  /// Quota gate + ownership/cache-tag bookkeeping around one store load.
-  /// `loader` runs outside the view lock (parses and model factories can be
-  /// slow); a pending-load reservation keeps a racing pair of loads from
-  /// overshooting max_models.
+  /// Quota gate + ownership bookkeeping around one store load. `loader`
+  /// runs outside the view lock (parses and model factories can be slow); a
+  /// pending-load reservation keeps a racing pair of loads from overshooting
+  /// max_models.
   template <typename Loader>
   Result<ModelInfo> admitted(Loader&& loader);
-
-  void record(ModelId id);
 
   std::shared_ptr<ModelStore> store_;
   TenantContext tenant_;

@@ -400,25 +400,37 @@ bool decode_payload(const std::string& key, Args& args, SimulateRequest& request
   return true;
 }
 
-void encode_payload(std::string& out, const AnalyzeRequest& request) {
-  out += std::string{"passes "} + fmt_bool(request.deadlock) + " " + fmt_bool(request.buffers) +
-         " " + fmt_bool(request.structure) + " " + fmt_bool(request.timing) + "\n";
-  out += std::string{"include-reconfiguration "} + fmt_bool(request.include_reconfiguration) +
+/// The analysis pass flags: AnalyzeRequest and AnalyzeResponse::Passes name
+/// them alike and both travel as the same two lines.
+template <typename Passes>
+void encode_passes(std::string& out, const Passes& passes) {
+  out += std::string{"passes "} + fmt_bool(passes.deadlock) + " " + fmt_bool(passes.buffers) +
+         " " + fmt_bool(passes.structure) + " " + fmt_bool(passes.timing) + "\n";
+  out += std::string{"include-reconfiguration "} + fmt_bool(passes.include_reconfiguration) +
          "\n";
 }
 
-bool decode_payload(const std::string& key, Args& args, AnalyzeRequest& request) {
+template <typename Passes>
+bool decode_passes(const std::string& key, Args& args, Passes& passes) {
   if (key == "passes") {
-    request.deadlock = args.boolean("deadlock");
-    request.buffers = args.boolean("buffers");
-    request.structure = args.boolean("structure");
-    request.timing = args.boolean("timing");
+    passes.deadlock = args.boolean("deadlock");
+    passes.buffers = args.boolean("buffers");
+    passes.structure = args.boolean("structure");
+    passes.timing = args.boolean("timing");
   } else if (key == "include-reconfiguration") {
-    request.include_reconfiguration = args.boolean("include-reconfiguration");
+    passes.include_reconfiguration = args.boolean("include-reconfiguration");
   } else {
     return false;
   }
   return true;
+}
+
+void encode_payload(std::string& out, const AnalyzeRequest& request) {
+  encode_passes(out, request);
+}
+
+bool decode_payload(const std::string& key, Args& args, AnalyzeRequest& request) {
+  return decode_passes(key, args, request);
 }
 
 void encode_payload(std::string& out, const ExploreRequest& request) {
@@ -655,10 +667,7 @@ bool decode_payload(const std::string& key, Args& args, SimulateResponse& respon
 
 void encode_payload(std::string& out, const AnalyzeResponse& response) {
   out += "model " + quote(response.model) + "\n";
-  out += "request " + fmt_u64(response.request.model.value()) + " " +
-         fmt_bool(response.request.deadlock) + " " + fmt_bool(response.request.buffers) + " " +
-         fmt_bool(response.request.structure) + " " + fmt_bool(response.request.timing) + " " +
-         fmt_bool(response.request.include_reconfiguration) + "\n";
+  encode_passes(out, response.passes);
   for (const AnalyzeResponse::Deadlock& d : response.deadlocks) {
     out += "deadlock " + fmt_i64(d.initial_tokens) + " " + fmt_i64(d.required_tokens) + " " +
            quote(d.description);
@@ -687,13 +696,6 @@ void encode_payload(std::string& out, const AnalyzeResponse& response) {
 bool decode_payload(const std::string& key, Args& args, AnalyzeResponse& response) {
   if (key == "model") {
     response.model = args.str("model");
-  } else if (key == "request") {
-    response.request.model = ModelId{args.u32("model handle")};
-    response.request.deadlock = args.boolean("deadlock");
-    response.request.buffers = args.boolean("buffers");
-    response.request.structure = args.boolean("structure");
-    response.request.timing = args.boolean("timing");
-    response.request.include_reconfiguration = args.boolean("include-reconfiguration");
   } else if (key == "deadlock") {
     AnalyzeResponse::Deadlock d;
     d.initial_tokens = args.i64("initial tokens");
@@ -730,7 +732,7 @@ bool decode_payload(const std::string& key, Args& args, AnalyzeResponse& respons
   } else if (key == "dead") {
     response.structure.dead = decode_names(args, "dead process");
   } else {
-    return false;
+    return decode_passes(key, args, response.passes);
   }
   return true;
 }

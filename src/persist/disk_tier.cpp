@@ -104,7 +104,7 @@ bool fsync_path(const std::string& path) {
 
 }  // namespace
 
-std::size_t DiskTier::KeyHasher::operator()(const DiskKey& key) const noexcept {
+std::size_t DiskKeyHash::operator()(const DiskKey& key) const noexcept {
   support::Fnv1aHasher hasher;
   hasher.u64(key.content);
   hasher.u64(key.kind);

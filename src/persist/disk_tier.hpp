@@ -115,10 +115,6 @@ class DiskTier {
     std::list<DiskKey>::iterator lru;  ///< position in lru_ (front = MRU)
   };
 
-  struct KeyHasher {
-    std::size_t operator()(const DiskKey& key) const noexcept;
-  };
-
   [[nodiscard]] std::string path_of(const DiskKey& key) const;
   void diagnose(const std::string& message) const;
   /// Removes `key` from index and disk. Lock held by caller. By value on
@@ -134,7 +130,7 @@ class DiskTier {
   bool ready_ = false;
 
   mutable std::mutex mutex_;
-  std::unordered_map<DiskKey, IndexEntry, KeyHasher> index_;
+  std::unordered_map<DiskKey, IndexEntry, DiskKeyHash> index_;
   std::list<DiskKey> lru_;  ///< front = most recently used
   std::uint64_t bytes_ = 0;
   std::uint64_t hits_ = 0;

@@ -32,17 +32,23 @@ struct PersistConfig {
   FsyncPolicy fsync_policy = FsyncPolicy::kNever;
 };
 
-/// Key of one on-disk entry. `content` is the model's canonical content
-/// fingerprint (variant::content_fingerprint) — *not* a store id — so a
-/// restarted process with fresh ids re-derives the same keys for the same
-/// models. `kind` is the numeric api::RequestKind, `fingerprint` the
-/// canonical request digest.
+/// Key of one cached result, in memory and on disk (api::ResultCache::Key
+/// is this type). `content` is the model's restart-stable content identity
+/// (api::StoreEntry::cache_content) — *not* a store id — so a restarted
+/// process with fresh ids re-derives the same keys for the same models.
+/// `kind` is the numeric api::RequestKind, `fingerprint` the canonical
+/// request digest.
 struct DiskKey {
   std::uint64_t content = 0;
   std::uint8_t kind = 0;
   std::uint64_t fingerprint = 0;
 
   friend bool operator==(const DiskKey&, const DiskKey&) noexcept = default;
+};
+
+/// Hash of a DiskKey, for the in-memory indexes of both cache tiers.
+struct DiskKeyHash {
+  std::size_t operator()(const DiskKey& key) const noexcept;
 };
 
 /// Monotonic counters plus the current fill of one disk tier.

@@ -132,8 +132,6 @@ void Service::register_collector() {
       registry_.counter("spivar_cache_misses_total", "lookups that evaluated").set(cs.misses);
       registry_.counter("spivar_cache_evictions_total", "entries dropped by cost-weighted LRU")
           .set(cs.evictions);
-      registry_.counter("spivar_cache_invalidations_total", "entries dropped by model unload")
-          .set(cs.invalidations);
       registry_.gauge("spivar_cache_entries", "results currently cached")
           .set(static_cast<std::int64_t>(cs.entries));
       registry_.gauge("spivar_cache_capacity", "memory-tier entry capacity")

@@ -1,8 +1,8 @@
 // Result-cache correctness: hits bit-identical to cold evaluations per
 // builtin, exact hit/miss accounting, LRU eviction under a tiny capacity,
-// invalidation on unload, and the generation contract (an unload/reload
-// pair can never serve a stale entry). Also covers the canonical request
-// fingerprints the keys are built from.
+// and the content key (two loads of one model share entries, and an
+// unload/reload pair re-hits byte-identical results). Also covers the
+// canonical request fingerprints the keys are built from.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +21,24 @@ template <typename T>
 std::string render_result(const api::Result<T>& result) {
   return result.ok() ? api::render(result.value())
                      : api::render_diagnostics(result.diagnostics());
+}
+
+/// The wire frame of a typed result — the byte-level comparison oracle.
+template <typename Response>
+std::string frame_of(const api::Result<Response>& result) {
+  return api::wire::encode(
+      result.ok() ? api::Result<api::AnyResponse>::success(result.value(), result.diagnostics())
+                  : api::Result<api::AnyResponse>::failure(result.diagnostics()));
+}
+
+/// A key over one fixed model content, for direct ResultCache tests.
+api::ResultCache::Key key_of(std::uint64_t fingerprint,
+                             api::RequestKind kind = api::RequestKind::kSimulate) {
+  return {.content = 1, .kind = static_cast<std::uint8_t>(kind), .fingerprint = fingerprint};
+}
+
+api::Result<api::AnyResponse> empty_simulate() {
+  return api::Result<api::AnyResponse>::success(api::SimulateResponse{});
 }
 
 // --- hits are bit-identical to cold evals, per builtin -----------------------
@@ -151,114 +169,89 @@ TEST(ResultCache, BatchesAreFrontedToo) {
   EXPECT_EQ(stats->hits, 2 * sweep.size());     // warm + streamed repeat
 }
 
-// --- invalidation and the generation contract --------------------------------
+// --- the content key ---------------------------------------------------------
 
-TEST(ResultCache, UnloadInvalidatesAndReloadNeverServesStaleEntries) {
+TEST(ResultCache, TwoLoadsOfOneModelShareEntries) {
+  Session session;
+  session.enable_cache();
+  const auto first = session.load_builtin("fig2");
+  const auto second = session.load_builtin("fig2");
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_NE(first.value().id.value(), second.value().id.value());
+
+  ASSERT_TRUE(session.simulate({.model = first.value().id}).ok());  // miss
+  const auto shared = session.simulate({.model = second.value().id});  // hit
+  const auto stats = session.cache_stats();
+  EXPECT_EQ(stats->misses, 1u);
+  EXPECT_EQ(stats->hits, 1u);
+  EXPECT_EQ(stats->entries, 1u);
+
+  Session uncached;
+  const auto reference = uncached.load_builtin("fig2");
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(frame_of(shared), frame_of(uncached.simulate({.model = reference.value().id})));
+}
+
+TEST(ResultCache, UnloadThenReloadReHitsByteIdentical) {
   Session session;
   session.enable_cache();
   const auto first = session.load_builtin("fig1");
   ASSERT_TRUE(first.ok());
-  const auto first_snapshot = session.store()->find(first.value().id);
-  ASSERT_NE(first_snapshot, nullptr);
+  const auto cold = session.simulate({.model = first.value().id});  // miss
+  ASSERT_TRUE(cold.ok());
 
-  ASSERT_TRUE(session.simulate({.model = first.value().id}).ok());  // miss
+  // The unload tombstones the id but leaves the content-keyed entry.
+  EXPECT_EQ(session.unload(first.value().id), api::UnloadStatus::kUnloaded);
   EXPECT_EQ(session.cache_stats()->entries, 1u);
 
-  EXPECT_EQ(session.unload(first.value().id), api::UnloadStatus::kUnloaded);
-  const auto after_unload = session.cache_stats();
-  EXPECT_EQ(after_unload->invalidations, 1u);
-  EXPECT_EQ(after_unload->entries, 0u);
-
-  // Reload: a fresh id *and* a fresh generation — the old key is
-  // unreachable even without the eager invalidation.
   const auto second = session.load_builtin("fig1");
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second.value().id.value(), first.value().id.value());
-  const auto second_snapshot = session.store()->find(second.value().id);
-  ASSERT_NE(second_snapshot, nullptr);
-  EXPECT_GT(second_snapshot->generation(), first_snapshot->generation());
-
-  ASSERT_TRUE(session.simulate({.model = second.value().id}).ok());
+  const auto warm = session.simulate({.model = second.value().id});
+  EXPECT_EQ(frame_of(warm), frame_of(cold));
   const auto stats = session.cache_stats();
-  EXPECT_EQ(stats->misses, 2u);  // the reload evaluated cold — zero stale hits
-  EXPECT_EQ(stats->hits, 0u);
-}
-
-TEST(ResultCache, InsertsAfterInvalidationAreRefused) {
-  // An in-flight batch slot finishing after a concurrent unload must not
-  // repopulate the cache: entries for an unloaded id are unreachable (the
-  // store's find fails first), so they could only waste capacity.
-  api::ResultCache cache{{.capacity = 8, .shards = 1}};
-  const api::ResultCache::Key key{
-      .model = 7, .generation = 1, .kind = api::RequestKind::kSimulate, .fingerprint = 42};
-  cache.invalidate_model(7);
-  cache.insert(key, api::Result<api::SimulateResponse>::success({}));
-  EXPECT_EQ(cache.find<api::SimulateResponse>(key), nullptr);
-  EXPECT_EQ(cache.stats().entries, 0u);
-
-  // Other models are unaffected.
-  const api::ResultCache::Key live{
-      .model = 8, .generation = 2, .kind = api::RequestKind::kSimulate, .fingerprint = 42};
-  cache.insert(live, api::Result<api::SimulateResponse>::success({}));
-  EXPECT_NE(cache.find<api::SimulateResponse>(live), nullptr);
+  EXPECT_EQ(stats->misses, 1u);
+  EXPECT_EQ(stats->hits, 1u);  // the reload re-hit
 }
 
 TEST(ResultCache, EvictionUnderTinyCapacity) {
-  Session session;
-  // cost_window = 1 pins classic LRU: this test asserts pure recency order,
-  // which cost-aware admission would perturb (measured eval times are
-  // noisy). Cost-weighted eviction has its own deterministic tests below.
-  session.enable_cache({.capacity = 2, .shards = 1, .cost_window = 1});
-  const auto loaded = session.load_builtin("fig1");
-  ASSERT_TRUE(loaded.ok());
-
-  api::SimulateRequest request{.model = loaded.value().id};
+  // Equal costs: the cost window has no cheaper victim to prefer, so
+  // eviction follows pure recency.
+  api::ResultCache cache{{.capacity = 2, .shards = 1}};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {  // 3 entries, capacity 2
-    request.options.resolution = sim::Resolution::kRandom;
-    request.options.seed = seed;
-    ASSERT_TRUE(session.simulate(request).ok());
+    cache.insert(key_of(seed), empty_simulate(), 10);
   }
-  auto stats = session.cache_stats();
-  EXPECT_EQ(stats->evictions, 1u);  // seed 1 (least recently used) dropped
-  EXPECT_EQ(stats->entries, 2u);
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);  // seed 1 (least recently used) dropped
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(cache.find(key_of(1)), nullptr);  // evicted: misses
 
-  request.options.seed = 1;
-  ASSERT_TRUE(session.simulate(request).ok());  // evicted: must miss again
-  stats = session.cache_stats();
-  EXPECT_EQ(stats->misses, 4u);
-  EXPECT_EQ(stats->hits, 0u);
-
-  // LRU order, not insertion order: touching seed 3 makes seed 1 the
+  // LRU order, not insertion order: touching seed 2 makes seed 3 the
   // eviction victim of the next insert.
-  request.options.seed = 3;
-  ASSERT_TRUE(session.simulate(request).ok());  // hit, refreshes recency
-  request.options.seed = 4;
-  ASSERT_TRUE(session.simulate(request).ok());  // evicts seed 1
-  request.options.seed = 3;
-  ASSERT_TRUE(session.simulate(request).ok());  // still cached
-  stats = session.cache_stats();
-  EXPECT_EQ(stats->hits, 2u);
+  EXPECT_NE(cache.find(key_of(2)), nullptr);  // hit, refreshes recency
+  cache.insert(key_of(4), empty_simulate(), 10);  // evicts seed 3
+  EXPECT_NE(cache.find(key_of(2)), nullptr);      // still cached
+  EXPECT_EQ(cache.find(key_of(3)), nullptr);
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.evictions, 2u);
 }
 
 // --- cost-aware admission ----------------------------------------------------
 
 TEST(ResultCache, CostWeightedEvictionProtectsExpensiveEntries) {
-  // Capacity 2, window 2: when the third entry arrives, the two least
-  // recent are examined and the *cheaper* one is dropped even though the
-  // expensive one is older.
-  api::ResultCache cache{{.capacity = 2, .shards = 1, .cost_window = 2}};
-  const auto key = [](std::uint64_t fingerprint) {
-    return api::ResultCache::Key{
-        .model = 1, .generation = 1, .kind = api::RequestKind::kSimulate,
-        .fingerprint = fingerprint};
-  };
-  cache.insert(key(1), api::Result<api::SimulateResponse>::success({}), 5'000'000);  // expensive
-  cache.insert(key(2), api::Result<api::SimulateResponse>::success({}), 1);          // cheap
-  cache.insert(key(3), api::Result<api::SimulateResponse>::success({}), 10);
+  // Capacity 2: when the third entry arrives, the two least recent are
+  // examined and the *cheaper* one is dropped even though the expensive one
+  // is older.
+  api::ResultCache cache{{.capacity = 2, .shards = 1}};
+  cache.insert(key_of(1), empty_simulate(), 5'000'000);  // expensive
+  cache.insert(key_of(2), empty_simulate(), 1);          // cheap
+  cache.insert(key_of(3), empty_simulate(), 10);
 
-  EXPECT_NE(cache.find<api::SimulateResponse>(key(1)), nullptr);  // survived despite LRU tail
-  EXPECT_EQ(cache.find<api::SimulateResponse>(key(2)), nullptr);  // the cheap one was evicted
-  EXPECT_NE(cache.find<api::SimulateResponse>(key(3)), nullptr);
+  EXPECT_NE(cache.find(key_of(1)), nullptr);  // survived despite LRU tail
+  EXPECT_EQ(cache.find(key_of(2)), nullptr);  // the cheap one was evicted
+  EXPECT_NE(cache.find(key_of(3)), nullptr);
 
   const api::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -266,28 +259,12 @@ TEST(ResultCache, CostWeightedEvictionProtectsExpensiveEntries) {
   EXPECT_EQ(stats.cached_cost_us, 5'000'010u);
 }
 
-TEST(ResultCache, CostWindowOneIsClassicLru) {
-  api::ResultCache cache{{.capacity = 2, .shards = 1, .cost_window = 1}};
-  const auto key = [](std::uint64_t fingerprint) {
-    return api::ResultCache::Key{
-        .model = 1, .generation = 1, .kind = api::RequestKind::kSimulate,
-        .fingerprint = fingerprint};
-  };
-  cache.insert(key(1), api::Result<api::SimulateResponse>::success({}), 5'000'000);
-  cache.insert(key(2), api::Result<api::SimulateResponse>::success({}), 1);
-  cache.insert(key(3), api::Result<api::SimulateResponse>::success({}), 10);
-  // Pure recency: the expensive-but-oldest entry is the victim.
-  EXPECT_EQ(cache.find<api::SimulateResponse>(key(1)), nullptr);
-  EXPECT_NE(cache.find<api::SimulateResponse>(key(2)), nullptr);
-}
-
 TEST(ResultCache, HitsAccumulateSavedCost) {
   api::ResultCache cache{{.capacity = 8, .shards = 1}};
-  const api::ResultCache::Key key{
-      .model = 1, .generation = 1, .kind = api::RequestKind::kCompare, .fingerprint = 42};
-  cache.insert(key, api::Result<api::CompareResponse>::success({}), 250);
-  EXPECT_NE(cache.find<api::CompareResponse>(key), nullptr);
-  EXPECT_NE(cache.find<api::CompareResponse>(key), nullptr);
+  const auto key = key_of(42, api::RequestKind::kCompare);
+  cache.insert(key, api::Result<api::AnyResponse>::success(api::CompareResponse{}), 250);
+  EXPECT_NE(cache.find(key), nullptr);
+  EXPECT_NE(cache.find(key), nullptr);
   const api::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.saved_cost_us, 500u);
@@ -366,7 +343,7 @@ TEST(RequestFingerprint, OutcomeRelevantFieldsChangeTheDigest) {
   EXPECT_NE(api::fingerprint(base), api::fingerprint(timeline));
 
   // The model handle is deliberately *not* part of the fingerprint — the
-  // cache key pins the snapshot separately.
+  // cache key names the model by its content.
   api::SimulateRequest other_model = base;
   other_model.model = api::ModelId{42};
   EXPECT_EQ(api::fingerprint(base), api::fingerprint(other_model));
@@ -453,10 +430,10 @@ TEST(SpecCache, OptionAssignmentsKeySeparatelyAndRequireABuiltin) {
   EXPECT_TRUE(bad.diagnostics().has_code(api::diag::kBadOption));
 }
 
-TEST(SpecCache, UnloadInvalidatesCachedResultsAcrossStages) {
+TEST(SpecCache, UnloadThenReResolveReHitsAcrossStages) {
   // The full `--then` interaction: stage 1 evaluates (cached), stage 2
-  // unloads, stage 3 re-resolves and re-evaluates — fresh id, fresh
-  // generation, zero stale hits.
+  // unloads, stage 3 re-resolves (a fresh id) and re-evaluates — a hit on
+  // the content-keyed entry, byte-identical to stage 1.
   auto store = std::make_shared<ModelStore>();
   store->enable_cache();
   api::SpecCache specs{store};
@@ -464,17 +441,18 @@ TEST(SpecCache, UnloadInvalidatesCachedResultsAcrossStages) {
 
   const auto first = specs.resolve("fig1");
   ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(session.simulate({.model = first.value().id}).ok());
+  const auto cold = session.simulate({.model = first.value().id});
+  ASSERT_TRUE(cold.ok());
   ASSERT_EQ(store->unload(first.value().id), api::UnloadStatus::kUnloaded);
 
   const auto second = specs.resolve("fig1");
   ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(session.simulate({.model = second.value().id}).ok());
+  EXPECT_NE(second.value().id.value(), first.value().id.value());
+  EXPECT_EQ(frame_of(session.simulate({.model = second.value().id})), frame_of(cold));
   const auto stats = store->cache_stats();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->hits, 0u);
-  EXPECT_EQ(stats->misses, 2u);
-  EXPECT_EQ(stats->invalidations, 1u);
+  EXPECT_EQ(stats->hits, 1u);
+  EXPECT_EQ(stats->misses, 1u);
 }
 
 }  // namespace

@@ -311,7 +311,8 @@ TEST_F(WireResponseRoundTrip, Simulate) {
 }
 
 TEST_F(WireResponseRoundTrip, Analyze) {
-  const auto result = session_.analyze({.model = model_});
+  const auto result =
+      session_.analyze({.model = model_, .buffers = false, .include_reconfiguration = true});
   ASSERT_TRUE(result.ok());
   const std::string frame =
       api::wire::encode(api::Result<AnyResponse>::success(AnyResponse{result.value()}));
@@ -322,7 +323,13 @@ TEST_F(WireResponseRoundTrip, Analyze) {
   const auto& typed = std::get<api::AnalyzeResponse>(decoded.value());
   EXPECT_EQ(typed.buffer_flows.size(), result.value().buffer_flows.size());
   EXPECT_EQ(typed.structure.sources, result.value().structure.sources);
-  EXPECT_EQ(typed.request.model, model_);
+  // The pass flags round-trip (the renderer reads them); no handle rides along.
+  EXPECT_TRUE(typed.passes.deadlock);
+  EXPECT_FALSE(typed.passes.buffers);
+  EXPECT_TRUE(typed.passes.structure);
+  EXPECT_TRUE(typed.passes.timing);
+  EXPECT_TRUE(typed.passes.include_reconfiguration);
+  EXPECT_EQ(api::render(typed), api::render(result.value()));
 }
 
 TEST_F(WireResponseRoundTrip, Explore) {

@@ -1,7 +1,7 @@
 // The sweep/ corpus: name grammar round-trips, sweep expansion, registry
 // loading (including `--opt` on corpus names), generator determinism down to
-// byte-identical .spit text, and the modes / predicate_depth knobs of the
-// synthetic generator.
+// byte-identical .spit text, the modes / predicate_depth knobs of the
+// synthetic generator, and the content identity the result cache keys on.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -244,6 +244,53 @@ TEST(SyntheticKnobs, ModesRejectsZero) {
   models::SyntheticSpec spec;
   spec.modes = 0;
   EXPECT_THROW((void)models::make_synthetic(spec), support::ModelError);
+}
+
+// --- content identity --------------------------------------------------------
+//
+// Both result-cache tiers key an evaluation on the model's content, which is
+// sound only if a model's text determines its answers: a copy parsed back
+// from write_text must fingerprint like the original and answer like it.
+// A mismatch here is a defect in the text writer.
+
+TEST(ContentIdentity, TextCopiesFingerprintAndAnswerLikeTheirOriginals) {
+  std::vector<std::string> names = api::builtin_names();
+  for (const corpus::CorpusEntry& entry : corpus::default_corpus()) names.push_back(entry.name);
+  ASSERT_EQ(names.size(), 66u);
+
+  api::Session session;  // uncached: every reply is a fresh evaluation
+  const auto reply = [&session](api::ModelId id, api::RequestPayload payload) {
+    api::set_model(payload, id);
+    return api::wire::encode(session.call({.payload = std::move(payload)}));
+  };
+  api::ExploreRequest greedy;
+  greedy.options.engine = synth::ExploreEngine::kGreedy;
+  std::size_t compared = 0;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const auto original = session.load_builtin(name);
+    ASSERT_TRUE(original.ok());
+    const auto text = session.write_text(original.value().id);
+    ASSERT_TRUE(text.ok());
+    const auto copy = session.load_text(text.value());
+    ASSERT_TRUE(copy.ok());
+    ASSERT_NE(original.value().content_fingerprint, 0u);
+    EXPECT_EQ(copy.value().content_fingerprint, original.value().content_fingerprint);
+
+    // Synthesis answers depend on the library too; they share a key (and
+    // must agree) only where the cache content is equal as well — the
+    // builtins without a curated library.
+    std::vector<api::RequestPayload> payloads{api::SimulateRequest{}, api::AnalyzeRequest{}};
+    if (session.store()->find(original.value().id)->cache_content() ==
+        session.store()->find(copy.value().id)->cache_content()) {
+      payloads.insert(payloads.end(), {greedy, api::CompareRequest{}});
+    }
+    for (const api::RequestPayload& payload : payloads) {
+      EXPECT_EQ(reply(copy.value().id, payload), reply(original.value().id, payload));
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 136u);
 }
 
 }  // namespace

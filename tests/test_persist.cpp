@@ -38,6 +38,19 @@ std::string render_result(const api::Result<T>& result) {
                      : api::render_diagnostics(result.diagnostics());
 }
 
+/// A cache key of request kind `kind` over model content `content`.
+api::ResultCache::Key key_of(std::uint64_t fingerprint, std::uint64_t content = 1,
+                             api::RequestKind kind = api::RequestKind::kSimulate) {
+  return {.content = content, .kind = static_cast<std::uint8_t>(kind),
+          .fingerprint = fingerprint};
+}
+
+/// An empty successful result of response type `Response`.
+template <typename Response = api::SimulateResponse>
+api::Result<api::AnyResponse> empty_result() {
+  return api::Result<api::AnyResponse>::success(Response{});
+}
+
 /// A per-test scratch directory, removed on destruction.
 class TempDir {
  public:
@@ -316,64 +329,71 @@ TEST(DiskTier, UnusableDirectoryDegradesToANoOpMiss) {
 
 // --- tiered ResultCache: write-through, spill, promote -----------------------
 
-TEST(TieredCache, InsertsWriteThroughAndContentlessEntriesStayOffDisk) {
+TEST(TieredCache, InsertsWriteThroughAndContentlessModelsEvaluateUncached) {
   TempDir dir;
   api::ResultCache cache{{.capacity = 8, .shards = 1, .persist = PersistConfig{.dir = dir.str()}}};
   ASSERT_TRUE(cache.persistent());
-
-  const auto key = [](std::uint64_t fingerprint, std::uint64_t content) {
-    return api::ResultCache::Key{.model = 1, .generation = 1,
-                                 .kind = api::RequestKind::kSimulate,
-                                 .fingerprint = fingerprint, .content = content};
-  };
-  cache.insert(key(1, 0xc1), api::Result<api::SimulateResponse>::success({}), 10);
-  cache.insert(key(2, 0xc1), api::Result<api::SimulateResponse>::success({}), 10);
-  cache.insert(key(3, 0), api::Result<api::SimulateResponse>::success({}), 10);  // no identity
+  cache.insert(key_of(1, 0xc1), empty_result(), 10);
+  cache.insert(key_of(2, 0xc1), empty_result(), 10);
 
   cache.drain_spills();  // write-through is async by default; settle before counting
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.disk_spills, 2u);   // the content-less entry never touches disk
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.disk_spills, 2u);
   EXPECT_EQ(stats.disk_entries, 2u);
   // Write-through already covered everything persistable.
   EXPECT_EQ(cache.persist_all(), 0u);
+
+  // A model whose name cannot be written as text has no content identity:
+  // its evaluations never reach either tier.
+  Session session;
+  session.enable_cache({.capacity = 8});
+  const auto text = session.write_text(session.load_builtin("fig1").value().id);
+  ASSERT_TRUE(text.ok());
+  const auto loaded = session.load_text(text.value(), "no identity");
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded.value().content_fingerprint, 0u);
+  const auto first = session.simulate({.model = loaded.value().id});
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(render_result(session.simulate({.model = loaded.value().id})), render_result(first));
+  const auto uncached = *session.cache_stats();
+  EXPECT_EQ(uncached.hits + uncached.misses, 0u);
+  EXPECT_EQ(uncached.entries, 0u);
 }
 
 TEST(TieredCache, EvictedEntriesPromoteBackFromDiskBitIdentical) {
   TempDir dir;
   Session reference;  // no cache: the ground truth
-  Session session;
-  // Single shard, capacity 2, classic LRU: seed 1 is deterministically the
-  // eviction victim of seed 3's insert.
-  // Synchronous spills: the test counts disk writes at exact points.
-  session.enable_cache({.capacity = 2, .shards = 1, .cost_window = 1,
-                        .persist = PersistConfig{.dir = dir.str()}, .async_spill = false});
-
-  const auto cold = reference.load_builtin("fig1");
-  const auto warm = session.load_builtin("fig1");
-  ASSERT_TRUE(cold.ok() && warm.ok());
-
-  const auto request = [](api::ModelId model, std::uint64_t seed) {
-    api::SimulateRequest request{.model = model};
+  const auto model = reference.load_builtin("fig1");
+  ASSERT_TRUE(model.ok());
+  // Single shard, capacity 2, equal costs: seed 1 is deterministically the
+  // eviction victim of seed 3's insert. Synchronous spills: the test counts
+  // disk writes at exact points.
+  api::ResultCache cache{{.capacity = 2, .shards = 1,
+                          .persist = PersistConfig{.dir = dir.str()}, .async_spill = false}};
+  std::vector<std::string> truth;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    api::SimulateRequest request{.model = model.value().id};
     request.options.resolution = sim::Resolution::kRandom;
     request.options.seed = seed;
-    return request;
-  };
-  const std::string truth = render_result(reference.simulate(request(cold.value().id, 1)));
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ASSERT_TRUE(session.simulate(request(warm.value().id, seed)).ok());
+    api::Result<api::AnyResponse> result = reference.call({.payload = request});
+    ASSERT_TRUE(result.ok());
+    truth.push_back(api::wire::encode(result));
+    cache.insert(key_of(seed), std::move(result), 100);
   }
-  auto stats = *session.cache_stats();
+  auto stats = cache.stats();
   ASSERT_EQ(stats.evictions, 1u);     // seed 1 left the memory tier...
   ASSERT_EQ(stats.disk_entries, 3u);  // ...but write-through has it on disk
 
   // Memory miss -> disk hit -> promoted, and the bytes match a cold eval.
-  EXPECT_EQ(render_result(session.simulate(request(warm.value().id, 1))), truth);
-  stats = *session.cache_stats();
+  const auto promoted = cache.find(key_of(1));
+  ASSERT_NE(promoted, nullptr);
+  EXPECT_EQ(api::wire::encode(*promoted), truth.front());
+  stats = cache.stats();
   EXPECT_EQ(stats.hits, 0u);  // never served from memory
   EXPECT_EQ(stats.disk_hits, 1u);
   EXPECT_EQ(stats.disk_promotes, 1u);
-  EXPECT_GT(stats.saved_cost_us, 0u);  // the disk hit repaid its stored cost
+  EXPECT_EQ(stats.saved_cost_us, 100u);  // the disk hit repaid its stored cost
 }
 
 // --- tiered ResultCache: the restart contract --------------------------------
@@ -434,6 +454,33 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
   EXPECT_EQ(stats.disk_spills, 0u);
 }
 
+TEST(TieredCache, AnalyzeFromDiskMatchesTheAskingLifesUncachedFrame) {
+  TempDir dir;
+  const api::CacheConfig config{.capacity = 64,
+                                .persist = PersistConfig{.dir = dir.str()},
+                                .async_spill = false};
+  const auto analyze_fig2 = [](Session& session) {
+    return api::wire::encode(
+        session.call({.payload = api::AnalyzeRequest{}, .target = "fig2"}));
+  };
+  {
+    Session first;
+    first.enable_cache(config);
+    ASSERT_EQ(analyze_fig2(first).rfind("response v1 ok", 0), 0u);
+  }
+  // Life 2 loads fig1 first, so fig2 gets another handle than in life 1;
+  // the reply served from disk must not carry life 1's handle.
+  Session second;
+  second.enable_cache(config);
+  ASSERT_TRUE(second.load_builtin("fig1").ok());
+  const std::string from_disk = analyze_fig2(second);
+  EXPECT_EQ(second.cache_stats()->disk_hits, 1u);
+
+  Session uncached;
+  ASSERT_TRUE(uncached.load_builtin("fig1").ok());
+  EXPECT_EQ(from_disk, analyze_fig2(uncached));
+}
+
 TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
   TempDir dir;
   // Synchronous spills: the builtin's entry is on disk before the copy asks.
@@ -472,12 +519,10 @@ TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
 
 TEST(TieredCache, CorruptEntryFallsThroughToLiveEvaluation) {
   TempDir dir;
-  const api::ResultCache::Key key{.model = 1, .generation = 1,
-                                  .kind = api::RequestKind::kSimulate,
-                                  .fingerprint = 42, .content = 0xbeef};
+  const auto key = key_of(42, 0xbeef);
   {
     api::ResultCache cache{{.capacity = 8, .persist = PersistConfig{.dir = dir.str()}}};
-    cache.insert(key, api::Result<api::SimulateResponse>::success({}), 10);
+    cache.insert(key, empty_result(), 10);
   }
   auto files = dir.entry_files();
   ASSERT_EQ(files.size(), 1u);
@@ -488,14 +533,14 @@ TEST(TieredCache, CorruptEntryFallsThroughToLiveEvaluation) {
   api::ResultCache cache{{.capacity = 8, .persist = PersistConfig{.dir = dir.str()}},
                          log.sink()};
   // Same key, fresh life: the poisoned entry must not surface...
-  EXPECT_EQ(cache.find<api::SimulateResponse>(key), nullptr);
+  EXPECT_EQ(cache.find(key), nullptr);
   EXPECT_TRUE(log.mentions("skipping stale/corrupt entry"));
   auto stats = cache.stats();
   EXPECT_EQ(stats.disk_skipped, 1u);
   EXPECT_EQ(stats.disk_entries, 0u);  // compacted
   // ...and the slot heals through a live (re)insert like any cold miss.
-  cache.insert(key, api::Result<api::SimulateResponse>::success({}), 10);
-  EXPECT_NE(cache.find<api::SimulateResponse>(key), nullptr);
+  cache.insert(key, empty_result(), 10);
+  EXPECT_NE(cache.find(key), nullptr);
   cache.drain_spills();  // let the healing write-through land
   EXPECT_EQ(cache.stats().disk_entries, 1u);
 }
@@ -503,21 +548,19 @@ TEST(TieredCache, CorruptEntryFallsThroughToLiveEvaluation) {
 TEST(TieredCache, ClearKeepsDiskUnlessAskedAndFlushWipesBothTiers) {
   TempDir dir;
   api::ResultCache cache{{.capacity = 8, .persist = PersistConfig{.dir = dir.str()}}};
-  const api::ResultCache::Key key{.model = 1, .generation = 1,
-                                  .kind = api::RequestKind::kCompare,
-                                  .fingerprint = 1, .content = 2};
-  cache.insert(key, api::Result<api::CompareResponse>::success({}), 10);
+  const auto key = key_of(1, 2, api::RequestKind::kCompare);
+  cache.insert(key, empty_result<api::CompareResponse>(), 10);
   cache.drain_spills();  // let the async write-through land before clearing
 
   cache.clear(/*include_disk=*/false);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().disk_entries, 1u);
-  EXPECT_NE(cache.find<api::CompareResponse>(key), nullptr);  // promoted back
+  EXPECT_NE(cache.find(key), nullptr);  // promoted back
 
   cache.clear(/*include_disk=*/true);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().disk_entries, 0u);
-  EXPECT_EQ(cache.find<api::CompareResponse>(key), nullptr);
+  EXPECT_EQ(cache.find(key), nullptr);
   EXPECT_TRUE(dir.entry_files().empty());
 }
 
@@ -526,14 +569,7 @@ TEST(TieredCache, ClearKeepsDiskUnlessAskedAndFlushWipesBothTiers) {
 TEST(AsyncSpill, QueuedWriteThroughLandsOnDiskAfterDrain) {
   TempDir dir;
   api::ResultCache cache{{.capacity = 8, .persist = PersistConfig{.dir = dir.str()}}};
-  const auto key = [](std::uint64_t fingerprint) {
-    return api::ResultCache::Key{.model = 1, .generation = 1,
-                                 .kind = api::RequestKind::kSimulate,
-                                 .fingerprint = fingerprint, .content = 0xabc};
-  };
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    cache.insert(key(i), api::Result<api::SimulateResponse>::success({}), 10);
-  }
+  for (std::uint64_t i = 1; i <= 4; ++i) cache.insert(key_of(i, 0xabc), empty_result(), 10);
   cache.drain_spills();
   const auto stats = cache.stats();
   EXPECT_TRUE(stats.disk_async);
@@ -553,12 +589,7 @@ TEST(AsyncSpill, OverflowDropsSpillsInsteadOfBlockingAndCountsThem) {
                           .persist = PersistConfig{.dir = dir.str()},
                           .spill_queue = 1}};
   constexpr std::uint64_t kInserts = 64;
-  for (std::uint64_t i = 1; i <= kInserts; ++i) {
-    const api::ResultCache::Key key{.model = 1, .generation = 1,
-                                    .kind = api::RequestKind::kSimulate,
-                                    .fingerprint = i, .content = 0xbeef};
-    cache.insert(key, api::Result<api::SimulateResponse>::success({}), 10);
-  }
+  for (std::uint64_t i = 1; i <= kInserts; ++i) cache.insert(key_of(i, 0xbeef), empty_result(), 10);
   cache.drain_spills();
   const auto stats = cache.stats();
   EXPECT_EQ(stats.disk_queue_capacity, 1u);
@@ -576,10 +607,7 @@ TEST(AsyncSpill, FsyncAlwaysForcesSynchronousSpills) {
                           .persist = PersistConfig{
                               .dir = dir.str(),
                               .fsync_policy = PersistConfig::FsyncPolicy::kAlways}}};
-  const api::ResultCache::Key key{.model = 1, .generation = 1,
-                                  .kind = api::RequestKind::kSimulate,
-                                  .fingerprint = 1, .content = 0xf00d};
-  cache.insert(key, api::Result<api::SimulateResponse>::success({}), 10);
+  cache.insert(key_of(1, 0xf00d), empty_result(), 10);
   const auto stats = cache.stats();  // no drain: the write already happened
   EXPECT_FALSE(stats.disk_async);
   EXPECT_EQ(stats.disk_entries, 1u);
@@ -589,18 +617,12 @@ TEST(AsyncSpill, FsyncAlwaysForcesSynchronousSpills) {
 // --- adaptive cost window ----------------------------------------------------
 
 TEST(AdaptiveWindow, WidensWhenEvictionsThrowAwayMoreThanHitsSave) {
-  api::ResultCache cache{
-      {.capacity = 2, .shards = 1, .cost_window = 4, .adaptive_window = true}};
-  const auto key = [](std::uint64_t fingerprint) {
-    return api::ResultCache::Key{.model = 1, .generation = 1,
-                                 .kind = api::RequestKind::kSimulate,
-                                 .fingerprint = fingerprint};
-  };
+  api::ResultCache cache{{.capacity = 2, .shards = 1, .adaptive_window = true}};
   // 34 inserts into capacity 2 = 32 evictions, each discarding 1000 us of
   // never-hit work: at the 32nd eviction avg_evicted (1000) > avg_saved (0),
   // so the window doubles.
   for (std::uint64_t i = 1; i <= 34; ++i) {
-    cache.insert(key(i), api::Result<api::SimulateResponse>::success({}), 1000);
+    cache.insert(key_of(i), empty_result(), 1000);
   }
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 32u);
@@ -609,22 +631,16 @@ TEST(AdaptiveWindow, WidensWhenEvictionsThrowAwayMoreThanHitsSave) {
 }
 
 TEST(AdaptiveWindow, ShrinksTowardPlainRecencyWhenHitsDwarfEvictions) {
-  api::ResultCache cache{
-      {.capacity = 2, .shards = 1, .cost_window = 4, .adaptive_window = true}};
-  const auto key = [](std::uint64_t fingerprint) {
-    return api::ResultCache::Key{.model = 1, .generation = 1,
-                                 .kind = api::RequestKind::kSimulate,
-                                 .fingerprint = fingerprint};
-  };
+  api::ResultCache cache{{.capacity = 2, .shards = 1, .adaptive_window = true}};
   // One expensive entry hit often (avg_saved = 1s) while cheap churn drives
   // the evictions (avg_evicted = 1 us): 1 * 4 < 1'000'000, so the window
   // halves at the 32nd eviction.
-  cache.insert(key(1000), api::Result<api::SimulateResponse>::success({}), 1'000'000);
+  cache.insert(key_of(1000), empty_result(), 1'000'000);
   for (int hit = 0; hit < 8; ++hit) {
-    ASSERT_NE(cache.find<api::SimulateResponse>(key(1000)), nullptr);
+    ASSERT_NE(cache.find(key_of(1000)), nullptr);
   }
   for (std::uint64_t i = 1; i <= 33; ++i) {  // churn: 32 evictions of cost 1
-    cache.insert(key(i), api::Result<api::SimulateResponse>::success({}), 1);
+    cache.insert(key_of(i), empty_result(), 1);
   }
   const auto stats = cache.stats();
   EXPECT_GE(stats.evictions, 32u);
@@ -633,15 +649,8 @@ TEST(AdaptiveWindow, ShrinksTowardPlainRecencyWhenHitsDwarfEvictions) {
 }
 
 TEST(AdaptiveWindow, StaysFixedWhenDisabled) {
-  api::ResultCache cache{{.capacity = 2, .shards = 1, .cost_window = 4}};
-  const auto key = [](std::uint64_t fingerprint) {
-    return api::ResultCache::Key{.model = 1, .generation = 1,
-                                 .kind = api::RequestKind::kSimulate,
-                                 .fingerprint = fingerprint};
-  };
-  for (std::uint64_t i = 1; i <= 40; ++i) {
-    cache.insert(key(i), api::Result<api::SimulateResponse>::success({}), 1000);
-  }
+  api::ResultCache cache{{.capacity = 2, .shards = 1}};
+  for (std::uint64_t i = 1; i <= 40; ++i) cache.insert(key_of(i), empty_result(), 1000);
   EXPECT_EQ(cache.stats().cost_window, 4u);
   EXPECT_EQ(cache.stats().window_adaptations, 0u);
 }
@@ -691,14 +700,9 @@ TEST(TieredCache, ConcurrentInsertFindAndAdminAreRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&cache, t] {
       for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
-        const api::ResultCache::Key key{
-            .model = static_cast<std::uint32_t>(i % 3 + 1),
-            .generation = 1,
-            .kind = api::RequestKind::kSimulate,
-            .fingerprint = (static_cast<std::uint64_t>(t) << 32) | (i % 48),
-            .content = i % 5 == 0 ? 0 : 0xfeed + i % 7};
-        cache.insert(key, api::Result<api::SimulateResponse>::success({}), i);
-        (void)cache.find<api::SimulateResponse>(key);
+        const auto key = key_of((static_cast<std::uint64_t>(t) << 32) | (i % 48), 0xfeed + i % 7);
+        cache.insert(key, empty_result(), i);
+        (void)cache.find(key);
       }
     });
   }
@@ -707,7 +711,6 @@ TEST(TieredCache, ConcurrentInsertFindAndAdminAreRaceFree) {
       (void)cache.stats();
       (void)cache.persist_all();
       if (i % 10 == 9) cache.clear(/*include_disk=*/false);
-      cache.invalidate_model(99);  // never inserted: exercises the dead set
     }
   });
   for (auto& worker : workers) worker.join();

@@ -66,7 +66,7 @@ TEST(TenantViews, SameNameLoadsAreDistinctModelsWithDistinctIdentity) {
   const auto b = beta->load_builtin("fig2");
   ASSERT_TRUE(a.ok() && b.ok());
 
-  // Distinct ids (distinct cache generations) in the shared store...
+  // Distinct ids in the shared store...
   EXPECT_NE(a.value().id.value(), b.value().id.value());
   EXPECT_EQ(store->size(), 2u);
   // ...and distinct *content* identity: the tenant salt keeps two tenants'
@@ -231,6 +231,29 @@ TEST(TenantCache, EntryCapEvictsOnlyTheOwnersEntries) {
     ASSERT_TRUE(beta.call(simulate_envelope("fig2", seed)).ok());
   }
   EXPECT_EQ(cache->tenant_stats()[1].hits, 3u);
+}
+
+TEST(TenantCache, TagDoesNotDependOnWhenTheCacheWasEnabled) {
+  // The view's load happens before any cache exists; the entry still
+  // carries its tenant's tag, so the cap and the stats apply to it.
+  auto store = std::make_shared<ModelStore>();
+  api::Session session{store};
+  session.bind_tenant(view_of(store, "alpha", 1));
+  const auto loaded = session.load_builtin("fig1");
+  ASSERT_TRUE(loaded.ok());
+
+  const auto cache = session.enable_cache();
+  cache->set_tenant_cap(1, 1);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    api::SimulateRequest simulate{.model = loaded.value().id};
+    simulate.options.seed = seed;
+    ASSERT_TRUE(session.simulate(simulate).ok());
+  }
+  const auto stats = cache->tenant_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].misses, 2u);
+  EXPECT_EQ(stats[0].entries, 1u);
+  EXPECT_EQ(cache->stats().entries, 1u);
 }
 
 TEST(TenantCache, ConcurrentTenantsKeepLedgerConsistent) {

@@ -181,7 +181,6 @@ TEST(CacheStatsRender, TableCarriesCountersAndHitRate) {
   EXPECT_NE(text.find("hits"), std::string::npos);
   EXPECT_NE(text.find("misses"), std::string::npos);
   EXPECT_NE(text.find("evictions"), std::string::npos);
-  EXPECT_NE(text.find("invalidations"), std::string::npos);
   EXPECT_NE(text.find("50.0%"), std::string::npos);
 }
 
