@@ -7,15 +7,16 @@ changes shape on purpose — or runner hardware drifts — the baseline is
 re-derived from a representative green run's BENCH_serve.json instead of
 hand-editing numbers:
 
-    python3 ci/rebaseline_bench.py BENCH_serve.json
-    python3 ci/rebaseline_bench.py BENCH_serve.json --tolerance 8 \
-        --quantiles p50,p99 --output ci/bench_serve_baseline.json
+    python3 ci/rebaseline_bench.py BENCH_serve.json run-2.json run-3.json
+    python3 ci/rebaseline_bench.py BENCH_serve.json --tolerance 4 \
+        --quantiles p50,p99,p999 --output ci/bench_serve_baseline.json
 
-Multiple artifacts can be given (e.g. several runs downloaded from CI); the
-per-quantile *maximum* across them becomes the reference, so the baseline
-reflects the noisiest green run rather than a lucky one. The run's metadata
-block (git sha, timestamp — present when loadgen wrote it) is carried into
-the baseline's comment for provenance.
+Multiple artifacts can be given (at least three local runs of the CI
+command, or several runs downloaded from CI); the per-quantile *maximum*
+across them becomes the reference, so the baseline reflects the noisiest
+green run rather than a lucky one. The run's metadata block (git sha,
+timestamp — present when loadgen wrote it) is carried into the baseline's
+comment for provenance.
 """
 
 import argparse
@@ -23,17 +24,22 @@ import json
 import sys
 
 DEFAULT_OUTPUT = "ci/bench_serve_baseline.json"
-DEFAULT_QUANTILES = "p50,p99"
-DEFAULT_TOLERANCE = 8.0
+DEFAULT_QUANTILES = "p50,p99,p999"
+DEFAULT_TOLERANCE = 4.0
 
 COMMENT = (
     "Committed latency baseline for the closed-loop loadgen run in the `loadgen` CI "
-    "job. `latency_us` holds reference quantiles; a run fails when any gated quantile "
-    "exceeds baseline * tolerance. The band is deliberately wide: hosted runners are "
-    "noisy and 2-4x slower than a dev box, so this gate catches order-of-magnitude "
-    "serve-path regressions (a lost fast path, an accidental global lock), not "
-    "microsecond drift. Regenerate with ci/rebaseline_bench.py from a representative "
-    "green run's BENCH_serve.json artifact."
+    "job. `latency_us` holds reference quantiles, each the maximum over the source "
+    "runs; a run fails when any gated quantile exceeds baseline * tolerance. The "
+    "tolerance is set against the regression this gate must catch: the ~44 ms "
+    "delayed-ACK stall replies took before both ends set TCP_NODELAY (p99 44-47 ms, "
+    "p999 45-48 ms over five local runs of this command). With p99 and p999 "
+    "references near 10 ms, 4x puts their limits just under that stall, so its "
+    "return fails the gate, while leaving 4x headroom over the noisiest local run "
+    "for hosted runners, which are slower and noisier than the 4-vCPU box the "
+    "references come from. Regenerate with ci/rebaseline_bench.py from at least "
+    "three local runs of the CI command; if the references move far from 10 ms, "
+    "re-derive the tolerance the same way."
 )
 
 

@@ -451,7 +451,7 @@ void Service::submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, 
   (void)session.submit(
       std::move(one), [this, &writer, &inflight, frame_id, kind, trace = std::move(trace),
                        tenant = std::move(tenant)](
-                          std::size_t, const api::Result<api::AnyResponse>& result) {
+                          std::size_t, const api::Result<api::AnyResponse>& result) mutable {
         // Trace completion before the reply streams: by the time the client
         // reads the frame (or serve_stream returns), the record is in the
         // ring and every counter reflects this request.
@@ -460,6 +460,10 @@ void Service::submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, 
         if (tenant && tenant->quota.max_inflight > 0) {
           tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
         }
+        // Let go of the tenant before serve_stream can return: its session
+        // co-owns the executor, and this worker must never hold the pool's
+        // last reference once the Service is gone (it would join itself).
+        tenant.reset();
         std::lock_guard lock{inflight.mutex};
         --inflight.count;
         inflight.drained.notify_all();

@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -149,12 +150,25 @@ inline std::uint16_t bound_port(const Socket& sock) {
   return ntohs(addr.sin_port);
 }
 
-inline Socket accept_client(const Socket& listener) {
-  return Socket{::accept(listener.fd(), nullptr, nullptr)};
+/// Turns off Nagle's algorithm. Frames are flushed whole, so batching small
+/// segments buys nothing, while a reply written in more than one piece (one
+/// over the 4096-byte put area, or a pipelined reply behind an unacknowledged
+/// one) would wait out the peer's delayed ACK: ~40 ms per round trip.
+inline void set_no_delay(const Socket& sock) {
+  const int on = 1;
+  ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
 }
 
-/// Connects to host:port (names resolve through getaddrinfo). Invalid
-/// socket on failure.
+/// Accepts one connection with TCP_NODELAY set. Invalid socket (errno
+/// intact) on failure.
+inline Socket accept_client(const Socket& listener) {
+  Socket client{::accept(listener.fd(), nullptr, nullptr)};
+  if (client.valid()) set_no_delay(client);
+  return client;
+}
+
+/// Connects to host:port (names resolve through getaddrinfo) with
+/// TCP_NODELAY set. Invalid socket on failure.
 inline Socket connect_to(const Endpoint& endpoint) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -169,6 +183,7 @@ inline Socket connect_to(const Endpoint& endpoint) {
     Socket candidate{::socket(it->ai_family, it->ai_socktype, it->ai_protocol)};
     if (!candidate.valid()) continue;
     if (::connect(candidate.fd(), it->ai_addr, it->ai_addrlen) == 0) {
+      set_no_delay(candidate);
       sock = std::move(candidate);
       break;
     }

@@ -2,248 +2,230 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "support/rng.hpp"
+#include "synth/dense.hpp"
 
 namespace spivar::synth {
 
 namespace {
 
-/// Initial mapping: everything software when possible (the cheap default the
-/// greedy repair starts from), hardware where software is impossible.
-Mapping initial_mapping(const ImplLibrary& library, const std::vector<std::string>& elements,
-                        const Mapping& fixed) {
-  Mapping m;
-  for (const std::string& e : elements) {
-    if (fixed.contains(e)) {
-      m.set(e, fixed.at(e));
-    } else {
-      m.set(e, library.at(e).can_sw ? Target::kSoftware : Target::kHardware);
-    }
-  }
-  return m;
+using Id = DenseProblem::Id;
+
+[[nodiscard]] Target flip(Target t) noexcept {
+  return t == Target::kSoftware ? Target::kHardware : Target::kSoftware;
 }
 
-double penalized_cost(const ImplLibrary& library, const CostBreakdown& cost,
-                      double penalty_weight) {
+double penalized_cost(double budget, const DenseCost& cost, double penalty_weight) {
   if (cost.feasible) return cost.total;
-  const double overload =
-      std::max(0.0, cost.worst_utilization - library.processor_budget);
+  const double overload = std::max(0.0, cost.worst_utilization - budget);
   return cost.total + penalty_weight * (1.0 + overload);
 }
 
-ExploreResult run_exhaustive(const ImplLibrary& library, const std::vector<Application>& apps,
-                             const std::vector<std::string>& free_elements,
-                             const Mapping& fixed) {
-  ExploreResult result;
-  result.engine = "exhaustive";
-  const std::size_t n = free_elements.size();
+/// One engine's walk over the dense state: where it ended and what it spent.
+struct Search {
+  DenseState state;
+  DenseCost cost;
+  std::int64_t decisions = 0;
+  std::int64_t evaluations = 0;
+};
 
-  std::optional<double> best_total;
-  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << n); ++bits) {
-    Mapping candidate = fixed;
+/// The edge back to names: the final state as a `Mapping` (every fixed entry
+/// plus the free elements), priced once by the name-based reference.
+ExploreResult finish(const ImplLibrary& library, const std::vector<Application>& apps,
+                     const DenseProblem& problem, const Search& search, const char* engine) {
+  ExploreResult result;
+  result.engine = engine;
+  result.mapping = problem.to_mapping(search.state);
+  result.cost = evaluate(library, apps, result.mapping);
+  result.found_feasible = search.cost.feasible;
+  result.decisions = search.decisions;
+  result.evaluations = search.evaluations;
+  return result;
+}
+
+ExploreResult run_exhaustive(const ImplLibrary& library, const std::vector<Application>& apps,
+                             const DenseProblem& problem) {
+  const std::vector<Id>& free = problem.free();
+  const std::size_t n = free.size();
+  Search search{problem.initial_state(), {}, 0, 0};
+  // Bit i of `bits` is the target of free element i.
+  const auto assign = [&](std::uint64_t bits) {
     for (std::size_t i = 0; i < n; ++i) {
-      candidate.set(free_elements[i],
-                    (bits >> i) & 1 ? Target::kHardware : Target::kSoftware);
+      search.state[free[i]] = (bits >> i) & 1 ? Target::kHardware : Target::kSoftware;
     }
-    const CostBreakdown cost = evaluate(library, apps, candidate);
-    result.decisions += static_cast<std::int64_t>(n);
-    result.evaluations += 1;
+  };
+
+  std::optional<DenseCost> best;
+  std::uint64_t best_bits = 0;
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << n); ++bits) {
+    assign(bits);
+    const DenseCost cost = problem.evaluate(search.state);
+    search.decisions += static_cast<std::int64_t>(n);
+    search.evaluations += 1;
     if (!cost.feasible) continue;
-    if (!best_total || cost.total < *best_total - 1e-12) {
-      best_total = cost.total;
-      result.mapping = candidate;
-      result.cost = cost;
-      result.found_feasible = true;
+    if (!best || cost.total < best->total - 1e-12) {
+      best = cost;
+      best_bits = bits;
     }
   }
-  if (!result.found_feasible && !free_elements.empty()) {
-    // Keep a defined (infeasible) outcome for reporting.
-    result.mapping = initial_mapping(library, free_elements, fixed);
+  if (best) {
+    assign(best_bits);
+    search.cost = *best;
+    return finish(library, apps, problem, search, "exhaustive");
+  }
+
+  ExploreResult result;
+  result.engine = "exhaustive";
+  result.decisions = search.decisions;
+  result.evaluations = search.evaluations;
+  if (n > 0) {
+    // Keep a defined (infeasible) outcome for reporting: the free elements'
+    // start targets, without the fixed entries.
+    for (const Id id : free) result.mapping.set(problem.name(id), problem.initial_state()[id]);
     result.cost = evaluate(library, apps, result.mapping);
   }
   return result;
 }
 
-ExploreResult run_greedy(const ImplLibrary& library, const std::vector<Application>& apps,
-                         const std::vector<std::string>& free_elements, const Mapping& fixed,
-                         const ExploreOptions& options) {
-  ExploreResult result;
-  result.engine = "greedy";
-
-  std::vector<std::string> all_elements = free_elements;
-  for (const auto& [name, target] : fixed.assignments()) {
-    if (std::find(all_elements.begin(), all_elements.end(), name) == all_elements.end()) {
-      all_elements.push_back(name);
-    }
-  }
-  Mapping current = initial_mapping(library, all_elements, fixed);
-  CostBreakdown cost = evaluate(library, apps, current);
-  result.evaluations += 1;
+Search greedy_search(const DenseProblem& problem) {
+  const std::vector<Id>& free = problem.free();
+  const double budget = problem.processor_budget();
+  Search search{problem.initial_state(), {}, 0, 0};
+  DenseState& current = search.state;
+  search.cost = problem.evaluate(current);
+  search.evaluations += 1;
 
   // --- repair phase: move software elements to hardware until feasible -----
-  // Score = hw_cost per unit of overload relief; smaller is better.
-  const std::size_t max_moves = all_elements.size() + 1;
-  for (std::size_t moves = 0; !cost.feasible && moves < max_moves; ++moves) {
-    std::optional<double> best_score;
-    std::string best_element;
-
+  // Score = hw_cost per unit of overload relief; smaller is better. Every
+  // move puts one more free element in hardware, so at most |free| happen.
+  std::vector<double> overload(problem.slot_count());
+  while (!search.cost.feasible) {
     // Per-app overload under the current mapping.
-    std::map<std::string, double> overload;
-    for (const Application& app : apps) {
+    for (std::size_t a = 0; a < problem.app_count(); ++a) {
       double load = 0.0;
-      for (const std::string& e : app.elements) {
-        if (current.at(e) == Target::kSoftware) load += library.at(e).sw_load;
+      for (const Id id : problem.app_elements(a)) {
+        if (current[id] == Target::kSoftware) load += problem.element(id).sw_load;
       }
-      overload[app.name] = std::max(0.0, load - library.processor_budget);
+      overload[problem.app_slot(a)] = std::max(0.0, load - budget);
     }
 
-    for (const std::string& e : free_elements) {
-      if (current.at(e) != Target::kSoftware) continue;
-      const ElementImpl& impl = library.at(e);
-      if (!impl.can_hw) continue;
-      result.decisions += 1;
+    std::optional<double> best_score;
+    Id best = 0;
+    for (const Id id : free) {
+      if (current[id] != Target::kSoftware) continue;
+      const ElementImpl& element = problem.element(id);
+      if (!element.can_hw) continue;
+      search.decisions += 1;
 
       double relief = 0.0;
-      for (const Application& app : apps) {
-        if (overload[app.name] <= 1e-12) continue;
-        if (std::find(app.elements.begin(), app.elements.end(), e) == app.elements.end()) {
-          continue;
-        }
-        relief += std::min(impl.sw_load, overload[app.name]);
+      for (const std::uint32_t a : problem.apps_of(id)) {
+        const double over = overload[problem.app_slot(a)];
+        if (over <= 1e-12) continue;
+        relief += std::min(element.sw_load, over);
       }
       if (relief <= 1e-12) {
         // No utilization relief; moving may still fix deadline misses.
         relief = 1e-6;
       }
-      const double score = impl.hw_cost / relief;
+      const double score = element.hw_cost / relief;
       if (!best_score || score < *best_score - 1e-12) {
         best_score = score;
-        best_element = e;
+        best = id;
       }
     }
 
     if (!best_score) break;  // nothing movable
-    current.set(best_element, Target::kHardware);
-    cost = evaluate(library, apps, current);
-    result.evaluations += 1;
+    current[best] = Target::kHardware;
+    search.cost = problem.evaluate(current);
+    search.evaluations += 1;
   }
 
   // --- improvement phase: single moves that keep feasibility, to fixpoint --
-  bool improved = cost.feasible;
+  bool improved = search.cost.feasible;
   while (improved) {
     improved = false;
-    for (const std::string& e : free_elements) {
-      const Target t = current.at(e);
-      const ElementImpl& impl = library.at(e);
-      const Target flipped = t == Target::kSoftware ? Target::kHardware : Target::kSoftware;
-      if (flipped == Target::kSoftware && !impl.can_sw) continue;
-      if (flipped == Target::kHardware && !impl.can_hw) continue;
+    for (const Id id : free) {
+      const Target flipped = flip(current[id]);
+      if (!problem.allows(id, flipped)) continue;
 
-      Mapping candidate = current;
-      candidate.set(e, flipped);
-      const CostBreakdown candidate_cost = evaluate(library, apps, candidate);
-      result.decisions += 1;
-      result.evaluations += 1;
-      if (candidate_cost.feasible && candidate_cost.total < cost.total - 1e-12) {
-        current = std::move(candidate);
-        cost = candidate_cost;
+      current[id] = flipped;
+      const DenseCost candidate = problem.evaluate(current);
+      search.decisions += 1;
+      search.evaluations += 1;
+      if (candidate.feasible && candidate.total < search.cost.total - 1e-12) {
+        search.cost = candidate;
         improved = true;
+      } else {
+        current[id] = flip(flipped);
       }
     }
   }
-
-  (void)options;
-  result.mapping = std::move(current);
-  result.cost = cost;
-  result.found_feasible = cost.feasible;
-  return result;
+  return search;
 }
 
-ExploreResult run_annealing(const ImplLibrary& library, const std::vector<Application>& apps,
-                            const std::vector<std::string>& free_elements, const Mapping& fixed,
-                            const ExploreOptions& options) {
+Search annealing_search(const DenseProblem& problem, const ExploreOptions& options) {
   // Start from the greedy solution and try to escape its local optimum.
-  ExploreResult result = run_greedy(library, apps, free_elements, fixed, options);
-  result.engine = "annealing";
-  if (free_elements.empty()) return result;
+  Search search = greedy_search(problem);
+  const std::vector<Id>& free = problem.free();
+  if (free.empty()) return search;
 
+  const double budget = problem.processor_budget();
   support::SplitMix64 rng{options.seed};
-  Mapping current = result.mapping;
-  CostBreakdown current_cost = result.cost;
-  double current_penalized = penalized_cost(library, current_cost, options.infeasibility_penalty);
+  DenseState current = search.state;
+  DenseCost current_cost = search.cost;
+  double current_penalized = penalized_cost(budget, current_cost, options.infeasibility_penalty);
 
-  Mapping best = current;
-  CostBreakdown best_cost = current_cost;
-  bool best_feasible = current_cost.feasible;
+  // `search` keeps the best state; with no feasible one it stays greedy's.
+  DenseCost& best_cost = search.cost;
 
-  const std::size_t trials = options.annealing_trials_per_element * free_elements.size();
+  const std::size_t trials = options.annealing_trials_per_element * free.size();
   double temperature = options.annealing_initial_temperature;
   const double cooling = std::pow(0.01 / temperature, 1.0 / static_cast<double>(trials));
 
   for (std::size_t trial = 0; trial < trials; ++trial, temperature *= cooling) {
-    const std::string& e = free_elements[rng.next_below(free_elements.size())];
-    const ElementImpl& impl = library.at(e);
-    const Target flipped =
-        current.at(e) == Target::kSoftware ? Target::kHardware : Target::kSoftware;
-    if (flipped == Target::kSoftware && !impl.can_sw) continue;
-    if (flipped == Target::kHardware && !impl.can_hw) continue;
+    const Id id = free[rng.next_below(free.size())];
+    const Target flipped = flip(current[id]);
+    if (!problem.allows(id, flipped)) continue;
 
-    Mapping candidate = current;
-    candidate.set(e, flipped);
-    const CostBreakdown candidate_cost = evaluate(library, apps, candidate);
-    result.decisions += 1;
-    result.evaluations += 1;
+    current[id] = flipped;
+    const DenseCost candidate = problem.evaluate(current);
+    search.decisions += 1;
+    search.evaluations += 1;
     const double candidate_penalized =
-        penalized_cost(library, candidate_cost, options.infeasibility_penalty);
+        penalized_cost(budget, candidate, options.infeasibility_penalty);
 
     const double delta = candidate_penalized - current_penalized;
     if (delta <= 0.0 || rng.next_double() < std::exp(-delta / std::max(temperature, 1e-9))) {
-      current = std::move(candidate);
-      current_cost = candidate_cost;
+      current_cost = candidate;
       current_penalized = candidate_penalized;
       if (current_cost.feasible &&
-          (!best_feasible || current_cost.total < best_cost.total - 1e-12)) {
-        best = current;
+          (!best_cost.feasible || current_cost.total < best_cost.total - 1e-12)) {
+        search.state = current;
         best_cost = current_cost;
-        best_feasible = true;
       }
+    } else {
+      current[id] = flip(flipped);
     }
   }
-
-  if (best_feasible) {
-    result.mapping = std::move(best);
-    result.cost = best_cost;
-    result.found_feasible = true;
-  }
-  return result;
+  return search;
 }
 
 ExploreResult dispatch(const ImplLibrary& library, const std::vector<Application>& apps,
                        const Mapping& fixed, const ExploreOptions& options) {
-  // Free elements: union minus fixed.
-  std::vector<std::string> free_elements;
-  {
-    SynthesisProblem tmp;
-    tmp.apps = apps;
-    for (const std::string& e : tmp.element_union()) {
-      if (!fixed.contains(e)) free_elements.push_back(e);
-    }
-  }
+  const DenseProblem problem{library, apps, fixed};
+  // Exhaustive counts 2^n states in 64 bits: n >= 64 goes to greedy like
+  // any n above the limit.
+  const std::size_t n = problem.free().size();
+  const bool exhaustive =
+      options.engine == ExploreEngine::kExhaustive && n <= options.exhaustive_limit && n < 64;
+  problem.require_library(library, /*free_first=*/!exhaustive);
 
-  switch (options.engine) {
-    case ExploreEngine::kExhaustive:
-      if (free_elements.size() <= options.exhaustive_limit) {
-        return run_exhaustive(library, apps, free_elements, fixed);
-      }
-      return run_greedy(library, apps, free_elements, fixed, options);
-    case ExploreEngine::kGreedy:
-      return run_greedy(library, apps, free_elements, fixed, options);
-    case ExploreEngine::kAnnealing:
-      return run_annealing(library, apps, free_elements, fixed, options);
+  if (exhaustive) return run_exhaustive(library, apps, problem);
+  if (options.engine == ExploreEngine::kAnnealing) {
+    return finish(library, apps, problem, annealing_search(problem, options), "annealing");
   }
-  return run_greedy(library, apps, free_elements, fixed, options);
+  return finish(library, apps, problem, greedy_search(problem), "greedy");
 }
 
 }  // namespace

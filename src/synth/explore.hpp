@@ -5,7 +5,9 @@
 // repair + improvement), simulated annealing (seeded, for the ablation
 // study). Every engine counts the elementary *synthesis decisions* it
 // examines; strategy-level design time (the paper's Table 1 "Time" column)
-// is derived from these counters.
+// is derived from these counters. The engines search the dense kernel
+// (synth/dense.hpp); names come back only in the result, whose cost is one
+// call of the name-based `evaluate`.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +36,8 @@ struct ExploreOptions {
   ExploreEngine engine = ExploreEngine::kGreedy;
   std::uint64_t seed = 1;
 
-  /// Exhaustive search refuses problems with more free elements than this
-  /// (falls back to greedy).
+  /// Exhaustive search refuses problems with more free elements than this,
+  /// or with 64 or more (falls back to greedy).
   std::size_t exhaustive_limit = 20;
 
   /// Annealing: trials per free element.

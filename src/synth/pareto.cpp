@@ -70,7 +70,9 @@ std::vector<ParetoPoint> pareto_front(const ImplLibrary& library,
     insert_if_nondominated(front, std::move(point));
   };
 
-  if (elements.size() <= options.exhaustive_limit) {
+  // Enumeration counts 2^n mappings in 64 bits: n >= 64 samples like any n
+  // above the limit.
+  if (elements.size() <= options.exhaustive_limit && elements.size() < 64) {
     for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << elements.size()); ++bits) {
       Mapping mapping;
       for (std::size_t i = 0; i < elements.size(); ++i) {

@@ -27,7 +27,7 @@ struct ParetoPoint {
 };
 
 struct ParetoOptions {
-  std::size_t exhaustive_limit = 16;  ///< elements; above: random sampling
+  std::size_t exhaustive_limit = 16;  ///< elements; above (or at 64+): random sampling
   std::size_t samples = 4096;         ///< sampled mappings above the limit
   std::uint64_t seed = 1;
 };

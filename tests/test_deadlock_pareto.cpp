@@ -4,8 +4,10 @@
 #include "analysis/deadlock.hpp"
 #include "models/fig1.hpp"
 #include "models/fig2.hpp"
+#include "models/synthetic.hpp"
 #include "sim/engine.hpp"
 #include "spi/builder.hpp"
+#include "synth/from_model.hpp"
 #include "synth/pareto.hpp"
 
 namespace spivar {
@@ -186,6 +188,27 @@ TEST(Pareto, Table1FrontContainsTheOptimum) {
   const auto front = synth::pareto_front(lib, apps);
   ASSERT_FALSE(front.empty());
   EXPECT_DOUBLE_EQ(front.front().cost, 41.0);  // the Table 1 joint optimum is the cheapest point
+}
+
+TEST(Pareto, SixtyFourElementsOrMoreSampleEvenUnderAHigherLimit) {
+  // 72 elements: enumeration counts 2^n in 64 bits, so a limit above 63
+  // must fall back to sampling instead of shifting past the word.
+  const variant::VariantModel model = models::make_synthetic(
+      {.shared_processes = 40, .variants = 8, .cluster_size = 4});
+  const synth::ImplLibrary lib = models::make_synthetic_library(model);
+  const synth::SynthesisProblem problem =
+      synth::problem_from_model(model, {.granularity = synth::ElementGranularity::kProcess});
+  ASSERT_EQ(problem.element_union().size(), 72u);
+
+  synth::ParetoOptions options;
+  options.exhaustive_limit = 100;
+  options.samples = 512;
+  const auto front = synth::pareto_front(lib, problem.apps, options);
+  EXPECT_FALSE(front.empty());
+
+  synth::ParetoOptions sampled = options;
+  sampled.exhaustive_limit = 16;
+  EXPECT_EQ(front, synth::pareto_front(lib, problem.apps, sampled));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -230,6 +231,12 @@ TEST(ObsServe, PipelinedBurstSurfacesSpansAndMetrics) {
     std::ostringstream out;
     const service::StreamStats stats = svc.serve_stream(in, out);
     EXPECT_EQ(stats.pipelined, 4u);
+  }
+  // The executor counts a task complete only after its slot callback (the
+  // one that let serve_stream return) is done: wait for all four, so the
+  // scrape below and the stats read after it see the same count.
+  for (int wait = 0; wait < 2000 && svc.session().executor_stats().completed < 4; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
   }
 
   // Controls on a second stream: serve_stream returns only after every slot

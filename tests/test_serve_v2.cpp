@@ -2,25 +2,32 @@
 // (a slow compare ahead of K fast simulates must not delay their replies),
 // per-connection backpressure at --max-inflight, strict v1 compatibility on
 // the same server, malformed v2 frames answered without killing the stream,
-// and --record/--replay fidelity for pipelined traffic (ids preserved,
-// replay deterministic and byte-identical).
+// --record/--replay fidelity for pipelined traffic (ids preserved, replay
+// deterministic and byte-identical), and the loop over a real loopback
+// socket (TCP_NODELAY on both ends, no delayed-ACK stall on large replies).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "api/api.hpp"
 #include "api/wire.hpp"
 #include "service/service.hpp"
+#include "service/tcp.hpp"
 
 namespace spivar {
 namespace {
@@ -59,7 +66,7 @@ api::AnyRequest simulate_envelope(const std::string& target, std::uint64_t seed 
 }
 
 /// A deterministically slow request: all-orders strategy comparison on a
-/// corpus-minted model whose decision space takes ~250 ms — two orders of
+/// corpus-minted model whose decision space takes ~40 ms — two orders of
 /// magnitude above a fig1 simulate, so completion-order assertions cannot
 /// flake on scheduler jitter.
 api::AnyRequest slow_compare_envelope() {
@@ -274,6 +281,79 @@ TEST(PipelinedServe, RecordedV2TrafficReplaysInSubmissionOrderWithIds) {
     EXPECT_TRUE(api::wire::decode_response(replies[i].second).ok());
   }
   EXPECT_EQ(replay(), first);
+}
+
+// --- real sockets ------------------------------------------------------------
+
+bool no_delay(const service::Socket& sock) {
+  int flag = 0;
+  socklen_t len = sizeof(flag);
+  return ::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &flag, &len) == 0 && flag != 0;
+}
+
+TEST(PipelinedServe, LoopbackRepliesOverThePutAreaDoNotWaitForDelayedAcks) {
+  // The cache answers every timed round trip, so what is timed is the
+  // socket path and not the evaluation (slow under a sanitizer).
+  service::Service svc{{.jobs = 2, .cache = 64}};
+  service::Socket listener = service::listen_loopback(0);
+  ASSERT_TRUE(listener.valid());
+  const std::uint16_t port = service::bound_port(listener);
+
+  // The server side exactly as spivar_serve runs a connection: accept, one
+  // FdStreamBuf under separate istream/ostream, serve_stream to EOF.
+  std::atomic<bool> server_no_delay{false};
+  std::thread server{[&] {
+    service::Socket connection = service::accept_client(listener);
+    if (!connection.valid()) return;
+    server_no_delay = no_delay(connection);
+    service::FdStreamBuf buffer{connection.fd()};
+    std::istream in{&buffer};
+    std::ostream out{&buffer};
+    svc.serve_stream(in, out);
+  }};
+
+  service::Socket client = service::connect_to({"127.0.0.1", port});
+  if (!client.valid()) {
+    ::shutdown(listener.fd(), SHUT_RDWR);  // unblocks the pending accept
+    server.join();
+    FAIL() << "cannot connect to 127.0.0.1:" << port;
+  }
+  EXPECT_TRUE(no_delay(client));
+  service::FdStreamBuf buffer{client.fd()};
+  std::istream in{&buffer};
+  std::ostream out{&buffer};
+
+  // Depth-1 round trips of a compare whose reply (~5.6 KB) is larger than
+  // the 4096-byte put area, so the server writes it in two pieces. With
+  // Nagle on, the second piece waits for the client's delayed ACK (~40 ms)
+  // on every round trip after the first, which evaluates and is untimed.
+  api::AnyRequest compare;
+  compare.payload = api::CompareRequest{};
+  compare.target = "sweep/i2v2c2-s7";
+  std::vector<double> round_trip_ms;
+  for (std::uint64_t id = 1; id <= 11; ++id) {
+    const auto start = std::chrono::steady_clock::now();
+    out << api::wire::encode(compare, id) << std::flush;
+    const auto reply = api::wire::read_frame(in);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!reply) {
+      ADD_FAILURE() << "connection closed before reply " << id;
+      break;
+    }
+    EXPECT_EQ(api::wire::response_frame_id(*reply), id);
+    EXPECT_GT(reply->size(), 4096u) << "the reply must span more than one put area";
+    if (id > 1) {
+      round_trip_ms.push_back(std::chrono::duration<double, std::milli>(stop - start).count());
+    }
+  }
+  ::shutdown(client.fd(), SHUT_WR);  // EOF: serve_stream drains and returns
+  server.join();
+
+  EXPECT_TRUE(server_no_delay.load());
+  ASSERT_EQ(round_trip_ms.size(), 10u);
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  const double median = (round_trip_ms[4] + round_trip_ms[5]) / 2.0;
+  EXPECT_LT(median, 20.0) << "median depth-1 round trip " << median << " ms";
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "models/fig2.hpp"
+#include "models/synthetic.hpp"
 #include "synth/explore.hpp"
+#include "synth/from_model.hpp"
 
 namespace spivar::synth {
 namespace {
@@ -28,6 +30,24 @@ TEST(ExploreExhaustive, FindsTable1JointOptimum) {
   EXPECT_EQ(r.mapping.at("cluster2"), Target::kSoftware);
   EXPECT_GT(r.decisions, 0);
   EXPECT_EQ(r.engine, "exhaustive");
+}
+
+TEST(ExploreExhaustive, KeepsTheFirstOptimumInEnumerationOrder) {
+  // Moving either of a and b to hardware is optimal (cost 6). Bit i of the
+  // enumeration is free element i in first-seen order, so the first optimum
+  // found, and the one kept, puts b in hardware.
+  ImplLibrary lib;
+  lib.processor_cost = 1.0;
+  lib.processor_budget = 1.0;
+  lib.add("a", {.sw_load = 0.6, .hw_cost = 5.0});
+  lib.add("b", {.sw_load = 0.6, .hw_cost = 5.0});
+  ExploreOptions options;
+  options.engine = ExploreEngine::kExhaustive;
+  const ExploreResult r = explore(lib, {{.name = "x", .elements = {"b", "a"}}}, options);
+  ASSERT_TRUE(r.found_feasible);
+  EXPECT_DOUBLE_EQ(r.cost.total, 6.0);
+  EXPECT_EQ(r.mapping.at("b"), Target::kHardware);
+  EXPECT_EQ(r.mapping.at("a"), Target::kSoftware);
 }
 
 TEST(ExploreGreedy, MatchesExhaustiveOnTable1) {
@@ -170,6 +190,30 @@ TEST(Explore, ExhaustiveFallsBackToGreedyAboveLimit) {
   const ExploreResult r = explore(lib, {app}, options);
   EXPECT_EQ(r.engine, "greedy");
   EXPECT_TRUE(r.found_feasible);
+}
+
+TEST(Explore, ExhaustiveAtSixtyFourFreeElementsOrMoreFallsBackToGreedy) {
+  // 40 shared processes + 8 variants x 4 = 72 elements. The exhaustive
+  // counter is 64 bits wide, so a request limit above 63 must not reach it.
+  const variant::VariantModel model = models::make_synthetic(
+      {.shared_processes = 40, .variants = 8, .cluster_size = 4});
+  const ImplLibrary lib = models::make_synthetic_library(model);
+  const SynthesisProblem problem =
+      problem_from_model(model, {.granularity = ElementGranularity::kProcess});
+  ASSERT_EQ(problem.element_union().size(), 72u);
+
+  ExploreOptions options;
+  options.engine = ExploreEngine::kExhaustive;
+  options.exhaustive_limit = 100;
+  const ExploreResult r = explore(lib, problem.apps, options);
+  EXPECT_EQ(r.engine, "greedy");
+  EXPECT_TRUE(r.found_feasible);
+
+  ExploreOptions greedy;
+  greedy.engine = ExploreEngine::kGreedy;
+  const ExploreResult g = explore(lib, problem.apps, greedy);
+  EXPECT_EQ(r.mapping, g.mapping);
+  EXPECT_EQ(r.evaluations, g.evaluations);
 }
 
 TEST(ExploreAnnealing, DeterministicForSeed) {

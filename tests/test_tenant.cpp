@@ -43,7 +43,7 @@ api::AnyRequest simulate_envelope(const std::string& target, std::uint64_t seed 
   return envelope;
 }
 
-/// ~250 ms of deterministic work (all-orders strategy comparison on a
+/// ~40 ms of deterministic work (all-orders strategy comparison on a
 /// corpus-minted model) — long enough that scheduler jitter cannot flip
 /// any assertion built on "this is still running".
 api::AnyRequest slow_compare_envelope() {
@@ -448,7 +448,7 @@ TEST(ServiceTenancy, TenantInflightCapRejectsWithTypedOverload) {
   options.tenants.push_back({"alpha", {.max_inflight = 1}});
   service::Service svc{options};
 
-  // Frame 1 (slow, ~250 ms) occupies alpha's single in-flight slot; frame 2
+  // Frame 1 (slow, ~40 ms) occupies alpha's single in-flight slot; frame 2
   // arrives while it is still evaluating and must be *rejected* — not
   // queued — with a typed api-overload reply carrying a retry hint.
   service::StreamStats stats;
