@@ -8,6 +8,7 @@
 // scenario reports the moment it lands, then the table is assembled from
 // the per-slot futures in slot order.
 #include <iostream>
+#include <string_view>
 
 #include "api/api.hpp"
 #include "models/video_system.hpp"
@@ -58,7 +59,8 @@ int main() {
   };
   auto handle = session.submit(
       std::move(batch),
-      [&labels, &simulated](std::size_t slot, const api::Result<api::AnyResponse>& run) {
+      [&labels, &simulated](std::size_t slot, const api::Result<api::AnyResponse>& run,
+                            std::string_view) {
         std::cout << "scenario '" << labels[slot] << "' landed ("
                   << (run.ok() ? std::to_string(simulated(run).total_firings) + " firings"
                                : run.error_summary())

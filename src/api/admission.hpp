@@ -9,7 +9,11 @@
 //
 // Shedding early is the whole point: a request admitted into an overloaded
 // queue still burns a worker and still misses its deadline, so the tail only
-// recovers when excess work is refused *before* submission. The controller
+// recovers when excess work is refused *before* submission. The telemetry is
+// the executor's own, so it covers only work the executor runs: submit
+// answers memory-tier cache hits on the submitting thread, and those never
+// enter the projection (they are still shed under overload — the gate runs
+// before the cache probe). The controller
 // is deliberately cheap (one mutex, a handful of integers) — it sits on
 // every call/submit path.
 //

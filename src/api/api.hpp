@@ -60,12 +60,14 @@
 //     builtins with a curated library), request kind, canonical request
 //     fingerprint. Two loads of the same content share entries and a
 //     re-load re-hits; a model with no content identity evaluates
-//     uncached. The memory tier holds the envelope's Result<AnyResponse>;
-//     every entry is charged its measured eval time and eviction drops the
-//     cheapest entry in the LRU tail's cost window (self-tuning with
-//     CacheConfig::adaptive_window). With CacheConfig::persist, inserts
-//     write through to a persist::DiskTier as wire frames, memory misses
-//     consult disk and promote on hit, and evicted entries spill down;
+//     uncached. Each entry is one immutable CachedReply: the envelope's
+//     Result<AnyResponse> plus its `response v1` frame, encoded once on
+//     insert; hits hand out the shared record. Every entry is charged its
+//     measured eval time and eviction drops the cheapest entry in the LRU
+//     tail's cost window (self-tuning with CacheConfig::adaptive_window).
+//     With CacheConfig::persist, inserts write the stored frame through to
+//     a persist::DiskTier, memory misses consult disk and promote on hit,
+//     and evicted entries spill down;
 //     persist_all()/clear(include_disk) are the admin hooks. CacheStats
 //     accounts hit/miss/eviction counters, cached/saved/evicted cost, the
 //     live cost window, and the disk tier's hits/spills/promotes/skipped/fill.
@@ -90,8 +92,10 @@
 //   * SpecCache (spec_cache.hpp) — tombstone-aware spec → handle
 //     memoization for front ends chaining commands over one store.
 //   * BatchHandle (batch.hpp) — per-slot shared_futures, on_slot streaming
-//     callback, wait(), cooperative cancel() (diag::kCancelled); slot tasks
-//     capture store snapshots, so handles survive unloads and session moves.
+//     callback (with the cached reply's stored frame; memory-tier hits land
+//     inside submit, on the submitting thread), wait(), cooperative
+//     cancel() (diag::kCancelled); slot tasks capture store snapshots, so
+//     handles survive unloads and session moves.
 //   * BuiltinOptions (options.hpp) — std::variant of per-model option
 //     structs plus parse_builtin_options() for "key=value" assignments.
 //   * Result<T> (result.hpp) — value-or-diagnostics; no exception crosses

@@ -8,17 +8,19 @@
 // session moves, model unloads, and even the session's destruction.
 //
 //   auto handle = session.submit(std::move(envelopes),
-//       [](std::size_t slot, const api::Result<api::AnyResponse>& r) {
+//       [](std::size_t slot, const api::Result<api::AnyResponse>& r, std::string_view) {
 //         std::cout << "slot " << slot << (r.ok() ? " ok" : " failed") << "\n";
 //       });
 //   handle.slot(0).wait();             // first result, before the batch ends
 //   auto results = handle.wait();      // everything, in slot order
 //   auto& run = std::get<api::SimulateResponse>(results[0].value());
 //
-// Ordering contract per slot: the result is computed, on_slot fires on the
-// evaluating thread, then the slot's future becomes ready. Slot results are
-// bit-identical to Session::call_batch (and therefore to serial evaluation)
-// regardless of executor or cancellation-free interleaving.
+// Ordering contract per slot: the result is computed, on_slot fires, then
+// the slot's future becomes ready. A slot the memory tier answers lands
+// inside submit, on the submitting thread; every other slot lands on the
+// thread that evaluated it. Slot results are bit-identical to
+// Session::call_batch (and therefore to serial evaluation) regardless of
+// executor or cancellation-free interleaving.
 #pragma once
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,10 +37,19 @@
 
 namespace spivar::api {
 
-/// Streamed per-slot delivery: `on_slot(index, result)` runs on the thread
-/// that evaluated the slot, exactly once per slot, including cancelled ones.
+/// Streamed per-slot delivery: `on_slot(index, result, frame)` runs exactly
+/// once per slot, cancelled ones included. A slot answered from the result
+/// cache's memory tier is delivered on the thread that called submit, before
+/// submit returns — and before the caller holds the BatchHandle — so the
+/// callback must not wait on the submitting thread or take a lock the
+/// caller holds across submit. Any other slot lands on the thread that
+/// evaluated it. `frame`
+/// is the cache record's stored `response v1` frame — wire::encode(result),
+/// see CachedReply — valid only during the call, and empty when the result
+/// was not cached.
 template <typename Response>
-using SlotCallback = std::function<void(std::size_t, const Result<Response>&)>;
+using SlotCallback =
+    std::function<void(std::size_t, const Result<Response>&, std::string_view)>;
 
 namespace detail {
 
@@ -80,14 +92,14 @@ struct BatchState {
 
   /// Per-slot delivery pipeline: callback, landed counter, then the future
   /// last — a caller woken by a ready future can rely on its on_slot having
-  /// fired, and a wait() over every future implies done(). A throwing
-  /// callback is contained here: the slot must still land (its promise set,
-  /// the counter bumped) or waiters hang, and nothing may escape into an
-  /// executor worker.
-  void deliver(std::size_t slot, Result<Response> result) {
+  /// fired, and a wait() over every future implies done(). `frame` is handed
+  /// to on_slot as is (see SlotCallback). A throwing callback is contained
+  /// here: the slot must still land (its promise set, the counter bumped) or
+  /// waiters hang, and nothing may escape into an executor worker.
+  void deliver(std::size_t slot, Result<Response> result, std::string_view frame = {}) {
     if (on_slot) {
       try {
-        on_slot(slot, result);
+        on_slot(slot, result, frame);
       } catch (...) {
         // Swallowed by contract: on_slot is a progress stream, not a place
         // for control flow — the slot's result is what wait() reports.

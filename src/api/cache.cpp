@@ -142,7 +142,16 @@ namespace {
 /// LRU-tail entries an eviction examines until adaptive tuning moves it.
 constexpr std::size_t kInitialCostWindow = 4;
 
-/// Decodes a disk-tier frame into a cached result, or nullptr when the frame
+/// The immutable record of one result: the result plus its v1 frame,
+/// encoded here once. The frame lives as long as the entry, so it drops the
+/// slack the encoder's appends left (about a third of its allocation).
+ResultCache::Value make_record(Result<AnyResponse> result) {
+  std::string frame = wire::encode(result);
+  frame.shrink_to_fit();
+  return std::make_shared<const CachedReply>(CachedReply{std::move(result), std::move(frame)});
+}
+
+/// Decodes a disk-tier frame into a cached reply, or nullptr when the frame
 /// is not a `kind` result. A failed decode is either a transported *cached
 /// failure* (results memoize deterministic failures too) or an undecodable
 /// frame; the codec marks the latter with diag::kWireError — a code no eval
@@ -152,7 +161,7 @@ ResultCache::Value decode_frame(std::string_view frame, RequestKind kind) {
   const bool usable = result.ok() ? kind_of(result.value()) == kind
                                   : !result.diagnostics().has_code(diag::kWireError);
   if (!usable) return nullptr;
-  return std::make_shared<const Result<AnyResponse>>(std::move(result));
+  return make_record(std::move(result));
 }
 
 }  // namespace
@@ -206,24 +215,29 @@ ResultCache::Key ResultCache::key_of(std::uint64_t content, const RequestPayload
 }
 
 ResultCache::Value ResultCache::find(const Key& key, std::uint32_t tenant) {
+  if (Value hit = find_hit(key, tenant)) return hit;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  // The tenant ledger attributes the outcome by what the caller
+  // experiences: served (from either tier) or evaluated.
+  Value found = tier_ ? promote(key, tenant) : nullptr;
+  note_tenant_lookup(tenant, found != nullptr);
+  return found;
+}
+
+ResultCache::Value ResultCache::find_hit(const Key& key, std::uint32_t tenant) {
   Value found;
   {
     Shard& shard = shard_of(key);
     std::lock_guard lock{shard.mutex};
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
-      // Refresh recency: splice the entry to the front of the LRU list.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      saved_cost_us_.fetch_add(it->second->cost_us, std::memory_order_relaxed);
-      found = it->second->value;
-    } else {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) return nullptr;
+    // Refresh recency: splice the entry to the front of the LRU list.
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    saved_cost_us_.fetch_add(it->second->cost_us, std::memory_order_relaxed);
+    found = it->second->value;
   }
-  // The tenant ledger attributes the outcome by what the caller
-  // experiences: served (from either tier) or evaluated.
-  if (!found && tier_) found = promote(key, tenant);
-  note_tenant_lookup(tenant, found != nullptr);
+  note_tenant_lookup(tenant, /*served=*/true);
   return found;
 }
 
@@ -242,8 +256,8 @@ ResultCache::Value ResultCache::promote(const Key& key, std::uint32_t tenant) {
                            " result (wire version skew?)");
     return nullptr;
   }
-  // Promote into the memory tier *without* writing back down — the bytes
-  // are already on disk, so a restarted server serving purely from disk
+  // Promote into the memory tier *without* writing back down — the entry
+  // is already on disk, so a restarted server serving purely from disk
   // shows zero spills (the proof that nothing was re-evaluated). The
   // stored eval cost rides along for eviction weighting and accounting.
   disk_promotes_.fetch_add(1, std::memory_order_relaxed);
@@ -334,7 +348,7 @@ void ResultCache::spill_now(const Entry& entry, bool only_if_absent) {
   // drain thread carries no current trace, so this is free there.
   obs::ScopedSpan span{obs::SpanKind::kSpill};
   tier_->store(entry.key, to_string(static_cast<RequestKind>(entry.key.kind)),
-               wire::encode(*entry.value), entry.cost_us);
+               entry.value->frame, entry.cost_us);
 }
 
 void ResultCache::spill(Entry entry, bool only_if_absent) {
@@ -384,20 +398,22 @@ void ResultCache::drain_spills() {
   spill_idle_.wait(lock, [&] { return spill_queue_.empty() && !spill_busy_; });
 }
 
-void ResultCache::insert(const Key& key, Result<AnyResponse> result, std::uint64_t cost_us,
-                         std::uint32_t tenant) {
+ResultCache::Value ResultCache::insert(const Key& key, Result<AnyResponse> result,
+                                       std::uint64_t cost_us, std::uint32_t tenant) {
+  // The one encode of this reply, outside every lock.
+  Value record = make_record(std::move(result));
   // Tenant cap first: a capped tenant at its limit makes room by evicting
   // its *own* least recent entry before this insert lands, so its eviction
   // storms never displace another tenant's entries.
   enforce_tenant_cap(tenant);
-  Entry entry{key, std::make_shared<const Result<AnyResponse>>(std::move(result)), cost_us,
-              tenant};
+  Entry entry{key, record, cost_us, tenant};
   const std::optional<Entry> victim = store_memory(entry);
   // Disk I/O strictly after the shard lock is released: write the fresh
   // result through (a kill -9 one instruction later loses nothing), then
   // spill the displaced entry if disk doesn't hold it yet.
   spill(std::move(entry), /*only_if_absent=*/false);
   if (victim.has_value()) spill(*victim, /*only_if_absent=*/true);
+  return record;
 }
 
 void ResultCache::clear(bool include_disk) {

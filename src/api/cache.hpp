@@ -6,9 +6,24 @@
 // kind, canonical request fingerprint) — persist::DiskKey. Repeated scenario
 // sweeps (order sweeps, seed grids, compare re-runs) return the memoized
 // result instead of re-simulating, two loads of the same model content share
-// entries, and an unload leaves them in place, so a re-load re-hits. Hits
-// are bit-identical to cold evaluations: the cache holds the envelope's own
-// Result<AnyResponse> and hands back copies.
+// entries, and an unload leaves them in place, so a re-load re-hits.
+//
+// Each entry is one immutable CachedReply: the envelope's own
+// Result<AnyResponse> plus its `response v1` frame, wire::encode(result),
+// encoded once when the entry is created. Hits are bit-identical to cold
+// evaluations and hand out the shared record, with no copy inside the
+// cache; a pipelined server answers a hit by retagging the stored bytes
+// (wire::retag) instead of encoding the reply again. The disk tier stores
+// the same bytes. The price is memory and one encode per miss. Filled with
+// 4096 cold-style simulate replies (fig1, fig2 and sweep/i2v2c2-s7, random
+// resolution), the cache holds 15.9 MB, of which the frames are 4.4 MB
+// (1039 bytes each on average). An in-process session pays the encode on
+// every miss even if nothing reads the frame. Against the same cache
+// without stored frames (Release build, 4-vCPU VM, medians of five
+// alternating runs): BM_CacheHitSimulate 759 -> 800 ns (a Session::call
+// hit still copies the result out of the record), BM_ColdVsWarmSweep/0
+// 3.54 -> 3.28 ms and /1 17.8 -> 19.9 µs, all within the host's run-to-run
+// spread (722-1248 ns, 3.40-4.77 ms and 17.2-23.7 µs without frames).
 //
 //   auto store = std::make_shared<api::ModelStore>();
 //   store->enable_cache({.capacity = 1024});
@@ -25,8 +40,8 @@
 // the window tunes itself from the observed evicted-cost / saved-cost ratio.
 //
 // With CacheConfig::persist the cache grows a durable second tier
-// (persist::DiskTier) under the same key: inserts write through to disk as
-// wire frames, memory misses consult disk and promote on hit, evicted
+// (persist::DiskTier) under the same key: inserts write the stored frame
+// through to disk, memory misses consult disk and promote on hit, evicted
 // entries spill down. Content keys survive restarts, so a restarted process
 // loading the same models re-hits results computed by an earlier life — see
 // persist/disk_tier.hpp for the on-disk contract.
@@ -34,8 +49,9 @@
 // Concurrency contract:
 //   * find/insert/clear/stats are safe from any thread — the cache is
 //     sharded (per-shard mutex + LRU list), so concurrent batch workers do
-//     not serialize on one lock. A memory hit takes one shard mutex; the
-//     caller copies the result outside it.
+//     not serialize on one lock. A memory hit takes one shard mutex and one
+//     reference count. find_hit never touches the disk, so it is safe on a
+//     latency-critical thread (Session::submit probes with it inline).
 //   * Entries cannot go stale: a model's content never changes under its
 //     key, so loads and unloads need no cache action.
 //   * Two threads missing on the same key both evaluate and both insert;
@@ -50,6 +66,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -110,9 +127,9 @@ struct CacheConfig {
 /// entry was charged on insert: how much compute the cache currently holds,
 /// how much hits have saved, and how much evictions threw away.
 struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;  ///< entries dropped by cost-weighted LRU
+  std::uint64_t hits = 0;       ///< lookups the memory tier served
+  std::uint64_t misses = 0;     ///< memory-tier misses, disk hits included
+  std::uint64_t evictions = 0;  ///< memory entries dropped for capacity (LRU or tenant cap)
   std::size_t entries = 0;      ///< currently cached results
   std::size_t capacity = 0;
   std::uint64_t cached_cost_us = 0;   ///< summed eval cost of current entries
@@ -165,13 +182,22 @@ struct TenantCacheStats {
   }
 };
 
+/// One memoized evaluation, immutable once built: the Result itself plus
+/// `frame`, its `response v1` frame (wire::encode of the result), encoded
+/// once when the entry is created. Both tiers hold these bytes. A reply
+/// that never went through the cache (no cache, or a model without content
+/// identity) carries an empty frame.
+struct CachedReply : Result<AnyResponse> {
+  std::string frame;
+};
+
 class ResultCache {
  public:
   /// The one key of both tiers: StoreEntry::cache_content, the numeric
   /// RequestKind and the canonical request fingerprint.
   using Key = persist::DiskKey;
-  /// A cached result; shared by the memory tier and queued spills.
-  using Value = std::shared_ptr<const Result<AnyResponse>>;
+  /// A cached reply; shared by the memory tier, queued spills and hits.
+  using Value = std::shared_ptr<const CachedReply>;
 
   /// `sink` is where the persistent tier (when configured) reports skipped
   /// entries and I/O trouble; empty uses stderr. It is unused without
@@ -186,18 +212,25 @@ class ResultCache {
   /// `content`.
   [[nodiscard]] static Key key_of(std::uint64_t content, const RequestPayload& payload);
 
-  /// The cached result for `key` — from memory, else from disk (promoted
+  /// The cached reply for `key` — from memory, else from disk (promoted
   /// into memory) — or nullptr on a miss. The lookup counts in tenant
   /// `tenant`'s row of tenant_stats(); a promoted entry belongs to it.
   [[nodiscard]] Value find(const Key& key, std::uint32_t tenant = 0);
 
+  /// The memory-tier entry for `key`, counted as a hit (globally and in
+  /// tenant `tenant`'s row) — or nullptr, counting nothing. It never touches
+  /// the disk. A miss is no lookup yet: the caller settles it with find(),
+  /// which counts the miss once. Session::submit probes with it inline.
+  [[nodiscard]] Value find_hit(const Key& key, std::uint32_t tenant = 0);
+
   /// Memoizes `result` (success or deterministic failure) under `key` for
   /// tenant `tenant`, charging the entry `cost_us` — its measured evaluation
-  /// time, the weight cost-aware eviction protects. Replaces any previous
-  /// entry; when the shard is full, the cheapest entry within the LRU tail's
-  /// cost window is evicted.
-  void insert(const Key& key, Result<AnyResponse> result, std::uint64_t cost_us = 0,
-              std::uint32_t tenant = 0);
+  /// time, the weight cost-aware eviction protects — and returns the new
+  /// record, its frame encoded once here. Replaces any previous entry; when
+  /// the shard is full, the cheapest entry within the LRU tail's cost window
+  /// is evicted.
+  Value insert(const Key& key, Result<AnyResponse> result, std::uint64_t cost_us = 0,
+               std::uint32_t tenant = 0);
 
   /// Empties the memory tier; `include_disk` additionally deletes every
   /// entry file of the persistent tier.
@@ -261,8 +294,10 @@ class ResultCache {
     return shards_[persist::DiskKeyHash{}(key) % shards_.size()];
   }
 
-  /// The disk half of find(): loads, decodes and promotes `key`, or returns
-  /// nullptr (absent, or a frame that no longer decodes — compacted away).
+  /// The disk half of find(): loads, decodes and promotes `key`
+  /// with its frame re-encoded, so bytes an older build wrote never reach
+  /// the wire unnormalised; or returns nullptr (absent, or a frame that no
+  /// longer decodes — compacted away).
   [[nodiscard]] Value promote(const Key& key, std::uint32_t tenant);
   /// The memory-tier half of insert(): LRU insert and eviction. Returns the
   /// evicted entry (for the caller to spill) when the insert displaced one.
@@ -300,7 +335,7 @@ class ResultCache {
 
   /// Queued spill work: one entry plus the only_if_absent flag it was
   /// enqueued with. Values are shared_ptrs, so a queued spill keeps its
-  /// result alive (bounded by spill_queue_limit_) even if the memory tier
+  /// reply alive (bounded by spill_queue_limit_) even if the memory tier
   /// evicts it meanwhile.
   struct SpillTask {
     Entry entry;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -73,26 +74,41 @@ inline std::string empty_problem_message(const std::string& model_name) {
 
 // --- result-cache seam -------------------------------------------------------
 
-/// Fronts one evaluation of `payload` over `entry` with the store's result
-/// cache: a hit returns a copy of the memoized Result (bit-identical to a
-/// cold eval — an evaluation is a function of the model's content and the
-/// request); a miss runs `eval` and memoizes the result under the entry's
-/// tenant tag, charging it the measured evaluation time — the weight the
-/// cache's cost-aware eviction protects. Without a cache, or for a model
-/// with no content identity (StoreEntry::cache_content() == 0), this is a
-/// plain eval.
-template <typename Eval>
-Result<AnyResponse> with_cache(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
-                               const RequestPayload& payload, Eval&& eval) {
+/// The result-cache key of `payload` over `entry`; nullopt when the
+/// evaluation is not cached (no cache, or a model with no content identity:
+/// StoreEntry::cache_content() == 0).
+inline std::optional<ResultCache::Key> cache_key(const std::shared_ptr<ResultCache>& cache,
+                                                 const StoreEntry& entry,
+                                                 const RequestPayload& payload) {
   const std::uint64_t content = cache ? entry.cache_content() : 0;
-  if (content == 0) {
+  if (content == 0) return std::nullopt;
+  return ResultCache::key_of(content, payload);
+}
+
+/// A reply that never went through the cache: the result, no frame.
+inline ResultCache::Value uncached(Result<AnyResponse> result) {
+  return std::make_shared<const CachedReply>(CachedReply{std::move(result), {}});
+}
+
+/// Fronts one evaluation of `payload` over `entry` with the store's result
+/// cache and hands out the shared record: a hit returns the memoized
+/// CachedReply itself (bit-identical to a cold eval — an evaluation is a
+/// function of the model's content and the request); a miss runs `eval`,
+/// memoizes the result under the entry's tenant tag, charging it the
+/// measured evaluation time — the weight the cache's cost-aware eviction
+/// protects — and returns the new record with its frame. Without a cache key
+/// (see cache_key) this is a plain eval, handed out uncached().
+template <typename Eval>
+ResultCache::Value with_cache(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
+                              const RequestPayload& payload, Eval&& eval) {
+  const std::optional<ResultCache::Key> key = cache_key(cache, entry, payload);
+  if (!key) {
     obs::ScopedSpan span{obs::SpanKind::kEval};
-    return eval();
+    return uncached(eval());
   }
-  const ResultCache::Key key = ResultCache::key_of(content, payload);
   {
     obs::ScopedSpan probe{obs::SpanKind::kCacheProbe};
-    if (const ResultCache::Value hit = cache->find(key, entry.tenant_tag())) return *hit;
+    if (ResultCache::Value hit = cache->find(*key, entry.tenant_tag())) return hit;
   }
   const auto started = std::chrono::steady_clock::now();
   Result<AnyResponse> result = eval();
@@ -102,8 +118,8 @@ Result<AnyResponse> with_cache(const std::shared_ptr<ResultCache>& cache, const 
     trace->add_span(obs::SpanKind::kEval, started, ended);
   }
   const auto cost_us = std::chrono::duration_cast<std::chrono::microseconds>(ended - started).count();
-  cache->insert(key, result, static_cast<std::uint64_t>(cost_us), entry.tenant_tag());
-  return result;
+  return cache->insert(*key, std::move(result), static_cast<std::uint64_t>(cost_us),
+                       entry.tenant_tag());
 }
 
 }  // namespace spivar::api::detail

@@ -1,6 +1,7 @@
 #include "api/session.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <optional>
@@ -28,6 +29,7 @@ namespace spivar::api {
 using detail::empty_problem_message;
 using detail::guarded;
 using detail::problem_has_elements;
+using detail::uncached;
 using detail::unknown_model;
 
 namespace {
@@ -351,8 +353,8 @@ Result<AnyResponse> to_any(Result<Response> result) {
 /// result-cache seam — where every entry point ends, which is what makes
 /// their results (and cache keys) identical. `executor` powers compare's
 /// nested strategy fan-out (raw pointer: see Session::submit).
-Result<AnyResponse> eval_any(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
-                             const RequestPayload& payload, Executor* executor) {
+ResultCache::Value eval_any(const std::shared_ptr<ResultCache>& cache, const StoreEntry& entry,
+                            const RequestPayload& payload, Executor* executor) {
   return detail::with_cache(cache, entry, payload, [&] {
     return std::visit(
         [&](const auto& request) -> Result<AnyResponse> {
@@ -426,11 +428,11 @@ Result<AnyResponse> Session::call(const AnyRequest& request) const {
   // carries one) installs here; no queue-wait span on this path.
   obs::TraceScope scope{request.trace.get()};
   if (request.target.empty()) {
-    return eval_any(store_->cache(), *snapshot, request.payload, executor_.get());
+    return *eval_any(store_->cache(), *snapshot, request.payload, executor_.get());
   }
   RequestPayload payload = request.payload;  // point it at the resolved target
   set_model(payload, target.value());
-  return eval_any(store_->cache(), *snapshot, payload, executor_.get());
+  return *eval_any(store_->cache(), *snapshot, payload, executor_.get());
 }
 
 // --- batches: call_batch and submit ------------------------------------------
@@ -465,7 +467,6 @@ std::vector<PreparedSlot> prepare(const ModelStore& store, std::vector<AnyReques
     const Result<ModelId> target = resolve(request);  // reads the request: resolve before moving
     PreparedSlot slot{.payload = std::move(request.payload), .options = request.options,
                       .trace = std::move(request.trace)};
-    if (slot.trace) slot.trace->mark_queued();  // queue-wait starts at submission
     if (!target.ok()) {
       slot.failure = target.diagnostics();
     } else {
@@ -477,20 +478,39 @@ std::vector<PreparedSlot> prepare(const ModelStore& store, std::vector<AnyReques
   return slots;
 }
 
-/// The one slot body behind call_batch and submit: cancel check (streaming
-/// batches only — call_batch passes no core), then the resolution failure,
-/// then unknown model, then the evaluation.
-Result<AnyResponse> run_slot(const PreparedSlot& slot, std::size_t index,
-                             const detail::BatchCore* core,
-                             const std::shared_ptr<ResultCache>& cache, Executor* executor) {
+/// The one slot body behind call_batch and submit's executor tasks: cancel
+/// check (streaming batches only — call_batch passes no core), then the
+/// resolution failure, then unknown model, then the evaluation.
+ResultCache::Value run_slot(const PreparedSlot& slot, std::size_t index,
+                            const detail::BatchCore* core,
+                            const std::shared_ptr<ResultCache>& cache, Executor* executor) {
   if (slot.trace) slot.trace->end_queue_wait();
   obs::TraceScope scope{slot.trace.get()};
   if (core != nullptr && core->cancel_requested()) {
-    return Result<AnyResponse>::failure(detail::cancelled_diagnostics(index));
+    return uncached(Result<AnyResponse>::failure(detail::cancelled_diagnostics(index)));
   }
-  if (slot.failure) return Result<AnyResponse>::failure(*slot.failure);
-  if (!slot.snapshot) return unknown_model<AnyResponse>(model_of(slot.payload));
+  if (slot.failure) return uncached(Result<AnyResponse>::failure(*slot.failure));
+  if (!slot.snapshot) return uncached(unknown_model<AnyResponse>(model_of(slot.payload)));
   return eval_any(cache, *slot.snapshot, slot.payload, executor);
+}
+
+/// submit's inline probe of the memory tier, on the submitting thread (no
+/// disk I/O): the cached reply on a hit, recorded as the slot's lookup and
+/// its cache-probe span. A miss records nothing; the slot's executor task
+/// looks up through with_cache as any evaluation does, which counts the miss
+/// once and hits an entry a duplicate slot queued ahead of it inserted
+/// meanwhile. Slots that failed resolution or are not cached are not probed.
+ResultCache::Value probe_memory(const PreparedSlot& slot,
+                                const std::shared_ptr<ResultCache>& cache) {
+  if (!slot.snapshot) return nullptr;
+  const std::optional<ResultCache::Key> key = detail::cache_key(cache, *slot.snapshot, slot.payload);
+  if (!key) return nullptr;
+  const auto started = std::chrono::steady_clock::now();
+  ResultCache::Value hit = cache->find_hit(*key, slot.snapshot->tenant_tag());
+  if (hit && slot.trace) {
+    slot.trace->add_span(obs::SpanKind::kCacheProbe, started, std::chrono::steady_clock::now());
+  }
+  return hit;
 }
 
 }  // namespace
@@ -525,6 +545,13 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
   std::vector<PreparedSlot> slots = prepare(*store_, std::move(requests),
                                             [this](const AnyRequest& r) { return resolve_target(r); });
   for (std::size_t i = 0; i < slots.size(); ++i) {
+    // A memory-tier hit lands here, before submit returns: no executor task,
+    // no queue wait, and the record's frame rides along to on_slot.
+    if (const ResultCache::Value hit = probe_memory(slots[i], cache)) {
+      state->deliver(i, *hit, hit->frame);
+      continue;
+    }
+    if (slots[i].trace) slots[i].trace->mark_queued();  // queue-wait starts at submission
     const SubmitOptions options = slots[i].options;
     auto group = std::find_if(groups.begin(), groups.end(),
                               [&](const auto& g) { return g.first == options; });
@@ -533,7 +560,8 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
       group = std::prev(groups.end());
     }
     group->second.push_back([state, cache, executor, i, slot = std::move(slots[i])] {
-      state->deliver(i, run_slot(slot, i, &state->core, cache, executor));
+      const ResultCache::Value reply = run_slot(slot, i, &state->core, cache, executor);
+      state->deliver(i, *reply, reply->frame);
     });
   }
   for (auto& [options, group] : groups) executor_->submit(std::move(group), options);
@@ -566,8 +594,9 @@ std::vector<Result<AnyResponse>> Session::call_batch(
   std::vector<std::function<void()>> tasks;
   tasks.reserve(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].trace) slots[i].trace->mark_queued();  // queue-wait starts at submission
     tasks.push_back([&results, &slots, &cache, executor, i] {
-      results[i] = run_slot(slots[i], i, nullptr, cache, executor);
+      results[i].emplace(*run_slot(slots[i], i, nullptr, cache, executor));
     });
   }
   if (!tasks.empty()) executor_->run(std::move(tasks), requests.front().options);

@@ -237,6 +237,21 @@ class Session {
   /// compare from the same batch. Slots with identical options share one
   /// executor submission; each slot's strategy jobs (compare) fan out
   /// across the same executor.
+  ///
+  /// While it prepares the slots, submit probes the result cache's memory
+  /// tier (never the disk) on the calling thread. A hit lands right there:
+  /// on_slot fires with the record's stored frame before submit returns,
+  /// and the slot's trace gets a cache-probe span but no queue-wait. So
+  /// on_slot may run on the caller's thread before the handle exists: it
+  /// must not wait on the submitting thread, nor take a lock the caller
+  /// holds across submit. The probe records only hits. A miss becomes an
+  /// executor task that looks the key up as any evaluation does (memory,
+  /// then disk), so it counts its miss once, and a duplicate queued behind
+  /// an identical slot hits that slot's insert. Hits never reach the
+  /// executor's deadline telemetry, so the admission projection covers only
+  /// work the executor runs. shed() still gates first: under overload every
+  /// slot, cached or not, gets the typed overload failure, so shed replies
+  /// never depend on cache state.
   [[nodiscard]] BatchHandle<AnyResponse> submit(std::vector<AnyRequest> requests,
                                                 SlotCallback<AnyResponse> on_slot = {}) const;
 
@@ -258,8 +273,9 @@ class Session {
   /// — for a bound session — the tenant view never issued it.
   [[nodiscard]] ModelStore::Snapshot owned_snapshot(ModelId id) const;
 
-  /// The overload gate at the head of call/call_batch/submit: nullopt
-  /// admits, a decision sheds (the caller turns it into per-slot failures).
+  /// The overload gate at the head of call/call_batch/submit, ahead of any
+  /// cache probe: nullopt admits, a decision sheds (the caller turns it into
+  /// per-slot failures).
   [[nodiscard]] std::optional<AdmissionDecision> shed() const;
 
   std::shared_ptr<ModelStore> store_;

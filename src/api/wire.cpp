@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <istream>
 #include <limits>
+#include <streambuf>
 #include <utility>
 #include <variant>
 
@@ -1129,8 +1130,15 @@ Result<AnyRequest> decode_request(std::string_view frame) {
 
 namespace {
 
+/// The versioned header prefixes of a response frame: strictly ordered
+/// ("response v1") and pipelined ("response v2 <id>").
+std::string response_head() { return "response v" + std::to_string(kVersion); }
+std::string response_head(std::uint64_t frame_id) {
+  return "response v" + std::to_string(kVersionPipelined) + " " + fmt_u64(frame_id);
+}
+
 /// Status, kind and body shared by both response headers; `head` is the
-/// already-versioned header prefix ("response v1" / "response v2 <id>").
+/// already-versioned header prefix (see response_head).
 std::string encode_response_frame(std::string head, const Result<AnyResponse>& result) {
   std::string out = std::move(head);
   if (!result.ok()) {
@@ -1149,12 +1157,17 @@ std::string encode_response_frame(std::string head, const Result<AnyResponse>& r
 }  // namespace
 
 std::string encode(const Result<AnyResponse>& result) {
-  return encode_response_frame("response v" + std::to_string(kVersion), result);
+  return encode_response_frame(response_head(), result);
 }
 
 std::string encode(const Result<AnyResponse>& result, std::uint64_t frame_id) {
-  return encode_response_frame(
-      "response v" + std::to_string(kVersionPipelined) + " " + fmt_u64(frame_id), result);
+  return encode_response_frame(response_head(frame_id), result);
+}
+
+std::string retag(std::string_view frame, std::uint64_t frame_id) {
+  std::string out = response_head(frame_id);
+  out.append(frame.substr(response_head().size()));
+  return out;
 }
 
 Result<AnyResponse> decode_response(std::string_view frame) {
@@ -1236,42 +1249,56 @@ Result<AnyResponse> decode_response(std::string_view frame) {
 
 namespace {
 
-/// Shared peek machinery: the u64 at token `position` of the first line,
-/// provided the line starts `<tag> v2`. Never throws past this function —
-/// a peek that cannot produce an id reports nullopt and leaves the full
-/// decoder to produce the line-numbered error.
-std::optional<std::uint64_t> peek_frame_id(std::string_view frame, const char* tag,
-                                           std::size_t position) {
+/// The first line of `frame`, tokenized; nullopt when it does not tokenize.
+/// Never throws: a peek that cannot read the header leaves the full decoder
+/// to produce the line-numbered error.
+std::optional<std::vector<Token>> head_tokens(std::string_view frame) {
   try {
     const std::size_t nl = frame.find('\n');
-    const std::vector<Token> tokens =
-        tokenize(nl == std::string_view::npos ? frame : frame.substr(0, nl), 1);
-    if (tokens.size() <= position) return std::nullopt;
-    if (tokens[0].quoted || tokens[0].text != tag) return std::nullopt;
-    if (tokens[1].quoted || tokens[1].text != "v" + std::to_string(kVersionPipelined)) {
-      return std::nullopt;
-    }
-    const Token& id = tokens[position];
-    if (id.quoted) return std::nullopt;
-    std::uint64_t value = 0;
-    const auto [end, ec] = std::from_chars(id.text.data(), id.text.data() + id.text.size(), value);
-    if (ec != std::errc{} || end != id.text.data() + id.text.size()) return std::nullopt;
-    return value;
+    return tokenize(nl == std::string_view::npos ? frame : frame.substr(0, nl), 1);
   } catch (const FrameError&) {
     return std::nullopt;
   }
+}
+
+/// The u64 at token `position` of a header line, provided the line starts
+/// `<tag> v2`.
+std::optional<std::uint64_t> frame_id_at(const std::vector<Token>& tokens, const char* tag,
+                                         std::size_t position) {
+  if (tokens.size() <= position) return std::nullopt;
+  if (tokens[0].quoted || tokens[0].text != tag) return std::nullopt;
+  if (tokens[1].quoted || tokens[1].text != "v" + std::to_string(kVersionPipelined)) {
+    return std::nullopt;
+  }
+  const Token& id = tokens[position];
+  if (id.quoted) return std::nullopt;
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(id.text.data(), id.text.data() + id.text.size(), value);
+  if (ec != std::errc{} || end != id.text.data() + id.text.size()) return std::nullopt;
+  return value;
 }
 
 }  // namespace
 
 std::optional<std::uint64_t> request_frame_id(std::string_view frame) {
   // `request v2 <kind> <id>`
-  return peek_frame_id(frame, "request", 3);
+  const auto tokens = head_tokens(frame);
+  return tokens ? frame_id_at(*tokens, "request", 3) : std::nullopt;
 }
 
 std::optional<std::uint64_t> response_frame_id(std::string_view frame) {
   // `response v2 <id> <status> ...`
-  return peek_frame_id(frame, "response", 2);
+  const auto tokens = head_tokens(frame);
+  return tokens ? frame_id_at(*tokens, "response", 2) : std::nullopt;
+}
+
+FrameHead peek_head(std::string_view frame) {
+  FrameHead head;
+  const auto tokens = head_tokens(frame);
+  if (!tokens || tokens->empty() || tokens->front().quoted) return head;
+  head.tag = tokens->front().text;
+  head.request_id = frame_id_at(*tokens, "request", 3);
+  return head;
 }
 
 // --- service frames ----------------------------------------------------------
@@ -1388,7 +1415,33 @@ Result<std::string> decode_info(std::string_view frame) {
 
 // --- stream utilities --------------------------------------------------------
 
-std::optional<std::string> read_frame(std::istream& in) {
+namespace {
+
+/// std::getline(in, line), except that a set `before_wait` runs whenever the
+/// next byte is not buffered yet — before each read that could block.
+bool next_line(std::istream& in, std::string& line, const std::function<void()>& before_wait) {
+  if (!before_wait) return static_cast<bool>(std::getline(in, line));
+  using Traits = std::istream::traits_type;
+  line.clear();
+  const std::istream::sentry ok{in, /*noskipws=*/true};
+  if (!ok) return false;
+  std::streambuf& buffer = *in.rdbuf();
+  while (true) {
+    if (buffer.in_avail() <= 0) before_wait();
+    const Traits::int_type c = buffer.sbumpc();
+    if (Traits::eq_int_type(c, Traits::eof())) {
+      // As getline: end of input after some characters is a last line.
+      in.setstate(line.empty() ? std::ios::eofbit | std::ios::failbit : std::ios::eofbit);
+      return !line.empty();
+    }
+    if (Traits::to_char_type(c) == '\n') return true;
+    line.push_back(Traits::to_char_type(c));
+  }
+}
+
+}  // namespace
+
+std::optional<std::string> read_frame(std::istream& in, const std::function<void()>& before_wait) {
   // Every frame — envelope, info, batch header, control, or a typo'd tag —
   // is `end`-terminated, so the reader needs no per-tag knowledge and a
   // malformed frame consumes exactly one frame's worth of lines (one error
@@ -1396,7 +1449,7 @@ std::optional<std::string> read_frame(std::istream& in) {
   std::string frame;
   std::string line;
   bool started = false;
-  while (std::getline(in, line)) {
+  while (next_line(in, line, before_wait)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (!started) {
       if (line.empty()) continue;  // skip blank separators between frames

@@ -49,6 +49,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -110,6 +111,23 @@ inline constexpr int kVersionPipelined = 2;
 /// for v1 responses or unreadable headers.
 [[nodiscard]] std::optional<std::uint64_t> response_frame_id(std::string_view frame);
 
+/// The pipelined reply `response v2 <frame_id> ...` made from `frame`, which
+/// must be what encode(result) returned: byte-identical to
+/// encode(result, frame_id), because only the header prefix differs between
+/// the versions. This is how a server answers from a stored frame without
+/// encoding the result again.
+[[nodiscard]] std::string retag(std::string_view frame, std::uint64_t frame_id);
+
+/// A frame's header line, tokenized once so a server can dispatch on it:
+/// the frame tag (the first token; empty when the line does not tokenize or
+/// starts with a quoted string) and, for a `request v2 <kind> <id>` header,
+/// the id request_frame_id() would return.
+struct FrameHead {
+  std::string tag;
+  std::optional<std::uint64_t> request_id;
+};
+[[nodiscard]] FrameHead peek_head(std::string_view frame);
+
 // --- service frames ----------------------------------------------------------
 
 /// Frame announcing `slots` request frames evaluated as one heterogeneous
@@ -158,8 +176,12 @@ struct HelloCommand {
 /// lines through the terminating `end` (every frame kind is
 /// `end`-terminated, so one malformed frame consumes exactly one frame).
 /// nullopt at EOF. The result includes the trailing newline and feeds
-/// straight into the decoders.
-[[nodiscard]] std::optional<std::string> read_frame(std::istream& in);
+/// straight into the decoders. When `before_wait` is set, it runs every
+/// time the next byte is not yet buffered in the stream, that is, before
+/// each read that could block: a server uses it to send the replies it has
+/// held back.
+[[nodiscard]] std::optional<std::string> read_frame(
+    std::istream& in, const std::function<void()>& before_wait = {});
 
 /// Quotes `text` for a frame line: wraps in double quotes, escaping
 /// backslash, quote, newline, carriage return and tab.

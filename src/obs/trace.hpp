@@ -5,8 +5,10 @@
 // Session::call/submit onto the executor task that evaluates it. Span
 // timings are recorded at the seams the request actually crosses:
 //
-//   queue-wait    submission → the executor task starting (submit paths)
-//   cache-probe   the result-cache lookup, both tiers (detail::with_cache)
+//   queue-wait    submission → the executor task starting (submit paths;
+//                 a memory-tier hit answered inside submit has none)
+//   cache-probe   the result-cache lookup (detail::with_cache), or for a
+//                 memory-tier hit answered inside submit, that probe
 //   eval          the evaluation itself, cache misses only
 //   spill         a synchronous persistent-tier write on the request path
 //

@@ -8,9 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <istream>
 #include <ostream>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -129,8 +132,13 @@ void Service::register_collector() {
     if (const auto cache = store_->cache()) {
       const api::CacheStats cs = cache->stats();
       registry_.counter("spivar_cache_hits_total", "lookups served from cache").set(cs.hits);
-      registry_.counter("spivar_cache_misses_total", "lookups that evaluated").set(cs.misses);
-      registry_.counter("spivar_cache_evictions_total", "entries dropped by cost-weighted LRU")
+      registry_
+          .counter("spivar_cache_misses_total",
+                   "memory-tier misses, including lookups the disk tier then served")
+          .set(cs.misses);
+      registry_
+          .counter("spivar_cache_evictions_total",
+                   "memory-tier entries evicted, by cost-weighted LRU or a tenant cap")
           .set(cs.evictions);
       registry_.gauge("spivar_cache_entries", "results currently cached")
           .set(static_cast<std::int64_t>(cs.entries));
@@ -262,9 +270,18 @@ Service::~Service() {
   if (record_fd_ >= 0) ::close(record_fd_);
 }
 
-void Service::Writer::write(const std::string& frame) {
+void Service::Writer::write(std::string_view frame) {
   std::lock_guard lock{mutex};
-  out << frame << std::flush;
+  out << frame;
+  held = std::this_thread::get_id() == reader;
+  if (!held) out.flush();
+}
+
+void Service::Writer::flush() {
+  std::lock_guard lock{mutex};
+  if (!held) return;
+  out.flush();
+  held = false;
 }
 
 void Service::warm(std::istream& in) {
@@ -310,36 +327,48 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
   // the raw session pointer stays valid for the loop's lifetime.
   std::shared_ptr<Tenant> tenant;
   api::Session* session = &session_;
+  const std::function<void()> flush = [&writer] { writer.flush(); };
   while (!shutdown_requested()) {
-    const auto frame = api::wire::read_frame(in);
+    // Held replies go out before any read that could block, including the
+    // rest of a frame that is only partly buffered.
+    const auto frame = api::wire::read_frame(in, flush);
     if (!frame) break;
     ++stats.frames;
     try {
       record_frame(*frame);
-      if (const auto hello = api::wire::parse_hello(*frame)) {
-        std::string error;
-        std::shared_ptr<Tenant> bound = authenticate(hello->tenant, hello->token, &error);
-        if (!error.empty()) {
-          reply_error(writer, error);
+      // One tokenization of the header line picks the handler: a request
+      // frame never runs the service-frame parsers, and any other tag
+      // (malformed frames included) tries them in turn, then falls through
+      // to the request path's error reply.
+      const api::wire::FrameHead head = api::wire::peek_head(*frame);
+      if (head.tag != "request") {
+        if (const auto hello = api::wire::parse_hello(*frame)) {
+          std::string error;
+          std::shared_ptr<Tenant> bound = authenticate(hello->tenant, hello->token, &error);
+          if (!error.empty()) {
+            reply_error(writer, error);
+            continue;
+          }
+          tenant = std::move(bound);
+          session = tenant ? tenant->session.get() : &session_;
+          const std::uint32_t tag = tenant ? tenant->context.tag : 0;
+          reply_info(writer,
+                     "hello tenant " + hello->tenant + " tag " + std::to_string(tag));
           continue;
         }
-        tenant = std::move(bound);
-        session = tenant ? tenant->session.get() : &session_;
-        const std::uint32_t tag = tenant ? tenant->context.tag : 0;
-        reply_info(writer,
-                   "hello tenant " + hello->tenant + " tag " + std::to_string(tag));
-        continue;
-      }
-      if (const auto slots = api::wire::parse_batch_header(*frame)) {
-        handle_batch(*slots, in, writer, *session, tenant.get());
-        continue;
-      }
-      if (const auto control = api::wire::parse_control(*frame)) {
-        handle_control(*control, writer, *session);
-        continue;
+        if (const auto slots = api::wire::parse_batch_header(*frame)) {
+          writer.flush();
+          handle_batch(*slots, in, writer, *session, tenant.get());
+          continue;
+        }
+        if (const auto control = api::wire::parse_control(*frame)) {
+          writer.flush();
+          handle_control(*control, writer, *session);
+          continue;
+        }
       }
       const std::string& tenant_name = tenant ? tenant->context.name : kDefaultTenantName;
-      const std::optional<std::uint64_t> frame_id = api::wire::request_frame_id(*frame);
+      const std::optional<std::uint64_t> frame_id = head.request_id;
       if (!frame_id.has_value()) {
         // v1 (or a header too rotten to carry an id): strict arrival order,
         // evaluated inline — a v1-only client sees exactly the v1 service.
@@ -353,6 +382,7 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
         const api::RequestKind kind = api::kind_of(req);
         req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
         const std::shared_ptr<obs::TraceContext> trace = req.trace;
+        writer.flush();
         const api::Result<api::AnyResponse> result = session->call(req);
         observe_done(trace, kind, tenant.get(), result.ok());
         writer.write(api::wire::encode(result));
@@ -367,6 +397,9 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
         std::unique_lock lock{inflight.mutex};
         if (inflight.count >= max_inflight_) {
           ++stats.backpressure_waits;
+          lock.unlock();
+          writer.flush();
+          lock.lock();
           inflight.drained.wait(lock, [&] { return inflight.count < max_inflight_; });
         }
         ++inflight.count;
@@ -390,6 +423,7 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
         const api::RequestKind kind = api::kind_of(req);
         req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
         const std::shared_ptr<obs::TraceContext> trace = req.trace;
+        writer.flush();
         const api::Result<api::AnyResponse> result = session->call(req);
         observe_done(trace, kind, tenant.get(), result.ok());
         writer.write(api::wire::encode(result, *frame_id));
@@ -425,6 +459,9 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
       reply_error(writer, std::string{"internal error handling frame: "} + e.what());
     }
   }
+  // EOF or shutdown: nothing stays held while the in-flight slots drain
+  // (their replies flush as they land).
+  writer.flush();
   // The writer, the inflight counter and the stream live on this stack
   // frame: every slot callback must have fired before returning (shutdown
   // included — the executor keeps draining submitted work).
@@ -449,14 +486,19 @@ void Service::submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, 
   // drains the inflight count before its stack (writer, inflight) unwinds.
   // The tenant's in-flight token (acquired by the caller) releases here too.
   (void)session.submit(
-      std::move(one), [this, &writer, &inflight, frame_id, kind, trace = std::move(trace),
-                       tenant = std::move(tenant)](
-                          std::size_t, const api::Result<api::AnyResponse>& result) mutable {
+      std::move(one),
+      [this, &writer, &inflight, frame_id, kind, trace = std::move(trace),
+       tenant = std::move(tenant)](std::size_t, const api::Result<api::AnyResponse>& result,
+                                   std::string_view frame) mutable {
         // Trace completion before the reply streams: by the time the client
         // reads the frame (or serve_stream returns), the record is in the
         // ring and every counter reflects this request.
         observe_done(trace, kind, tenant.get(), result.ok());
-        writer.write(api::wire::encode(result, frame_id));
+        // A cached result's stored frame, retagged, is the reply: a hit
+        // (delivered on this stream's reading thread, where the write is
+        // held) is never encoded again.
+        writer.write(frame.empty() ? api::wire::encode(result, frame_id)
+                                   : api::wire::retag(frame, frame_id));
         if (tenant && tenant->quota.max_inflight > 0) {
           tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
         }
@@ -660,6 +702,7 @@ void Service::handle_control(const api::wire::ControlCommand& control, Writer& w
     // nothing even if the process is killed right after the frame flushes.
     finish();
     reply_info(writer, "shutting down");
+    writer.flush();  // on_shutdown may close this very socket
     if (on_shutdown) on_shutdown();
     return;
   }

@@ -32,13 +32,18 @@
 // reply frames (no reordering buffer — a reply streams the moment its slot
 // lands), and at most `max_inflight` v2 frames are evaluating at once; the
 // reader stops pulling bytes off the socket until a slot drains, which is
-// what pushes backpressure to the client. A tenant's own max_inflight quota
-// composes with that: at the tenant cap the frame is *rejected* with a
-// typed api-overload reply (and a retry-after hint) instead of blocking the
-// reader — one tenant's burst must not stall another tenant sharing the
-// executor. v1 frames, batches and controls are handled inline, so a
-// v1-only client observes exactly the strict arrival-order behavior of
-// protocol v1.
+// what pushes backpressure to the client. A v2 frame whose result sits in
+// the cache's memory tier is answered on the reading thread, from the
+// cache's stored frame with its header retagged; such replies are held and
+// go out together whenever the reader could block or stall (no complete
+// frame buffered, a backpressure wait, an inline v1/batch/control frame,
+// EOF), so no reply waits while the reader is blocked or busy. A tenant's
+// own max_inflight quota composes with that: at the tenant cap the frame is
+// *rejected* with a typed api-overload reply (and a retry-after hint)
+// instead of blocking the reader — one tenant's burst must not stall
+// another tenant sharing the executor. v1 frames, batches and controls are
+// handled inline, so a v1-only client observes exactly the strict
+// arrival-order behavior of protocol v1.
 #pragma once
 
 #include <array>
@@ -53,6 +58,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
@@ -171,11 +178,19 @@ class Service {
  private:
   /// One connection's write side: whole reply frames under one mutex, so a
   /// slot completing on an executor thread never interleaves bytes with the
-  /// reader thread's inline replies (or another slot's).
+  /// reader thread's inline replies (or another slot's). Frames written by
+  /// the reading thread (cache hits, inline replies) are held: appended to
+  /// the stream without a flush, so a burst of them leaves in one write.
+  /// The reader calls flush() before anything that could block or keep it
+  /// busy; a frame from any other thread flushes at once, and carries
+  /// whatever is held with it.
   struct Writer {
     std::ostream& out;
+    const std::thread::id reader = std::this_thread::get_id();
     std::mutex mutex;
-    void write(const std::string& frame);
+    bool held = false;  ///< the reader appended frames not yet flushed; guarded by mutex
+    void write(std::string_view frame);
+    void flush();
   };
 
   /// In-flight accounting for one pipelined stream.

@@ -2,14 +2,30 @@
 // builtin, exact hit/miss accounting, LRU eviction under a tiny capacity,
 // and the content key (two loads of one model share entries, and an
 // unload/reload pair re-hits byte-identical results). Also covers the
-// canonical request fingerprints the keys are built from.
+// canonical request fingerprints the keys are built from, the stored reply
+// frame (one encoding for both tiers and both protocol versions), and
+// Session::submit's inline memory-tier probe: hits land inside submit,
+// never reach the executor, and every lookup counts exactly once.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <future>
 #include <memory>
+#include <mutex>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
+#include "obs/trace.hpp"
+#include "service/service.hpp"
 
 namespace spivar {
 namespace {
@@ -453,6 +469,381 @@ TEST(SpecCache, UnloadThenReResolveReHitsAcrossStages) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->hits, 1u);
   EXPECT_EQ(stats->misses, 1u);
+}
+
+// --- stored reply frames: one encoding for both tiers and both versions -----
+
+TEST(CachedReplyFrames, StoredFrameIsTheOneEncodingOfEveryReply) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("spivar_cache_frames_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const persist::PersistConfig persist{.dir = dir.string()};
+
+  Session reference;
+  const auto model = reference.load_builtin("fig2");
+  ASSERT_TRUE(model.ok());
+  api::SimulateRequest simulate{.model = model.value().id};
+  simulate.options.record_trace = true;
+  const api::Result<api::AnyResponse> simulated = reference.call({.payload = simulate});
+  const api::Result<api::AnyResponse> analyzed =
+      reference.call({.payload = api::AnalyzeRequest{.model = model.value().id}});
+  ASSERT_TRUE(simulated.ok() && analyzed.ok());
+  support::DiagnosticList notes;
+  notes.warning("test-note", "a \"quoted\" note\nover two lines");
+  notes.note("test-note", "and a second one");
+  // Success of two kinds, a success carrying notes, and a failure.
+  const std::vector<api::Result<api::AnyResponse>> replies = {
+      simulated,
+      analyzed,
+      api::Result<api::AnyResponse>::success(analyzed.value(), notes),
+      api::Result<api::AnyResponse>::failure(api::diag::kEmptyProblem, "no \"elements\""),
+  };
+
+  {
+    // Synchronous spills: every insert is on disk when it returns.
+    api::ResultCache cache{{.capacity = 16, .shards = 1, .persist = persist,
+                            .async_spill = false}};
+    ASSERT_TRUE(cache.persistent());
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      const api::Result<api::AnyResponse>& reply = replies[i];
+      const api::RequestKind kind =
+          reply.ok() ? api::kind_of(reply.value()) : api::RequestKind::kSimulate;
+      const auto key = key_of(100 + i, kind);
+      const api::ResultCache::Value record = cache.insert(key, reply, 10);
+      ASSERT_NE(record, nullptr);
+      EXPECT_EQ(record->frame, api::wire::encode(reply)) << "reply " << i;
+      EXPECT_EQ(api::wire::retag(record->frame, 7 + i), api::wire::encode(reply, 7 + i))
+          << "reply " << i;
+      // A hit hands out the record itself, not a copy.
+      EXPECT_EQ(cache.find(key), record);
+
+      // The disk tier holds the same bytes.
+      persist::DiskTier disk{persist};
+      const auto stored = disk.load(key, api::to_string(kind));
+      ASSERT_TRUE(stored.has_value()) << "reply " << i;
+      EXPECT_EQ(stored->frame, record->frame) << "reply " << i;
+
+      // A promoted entry is re-encoded: the same bytes again.
+      cache.clear(/*include_disk=*/false);
+      const api::ResultCache::Value promoted = cache.find(key);
+      ASSERT_NE(promoted, nullptr) << "reply " << i;
+      EXPECT_EQ(promoted->frame, record->frame) << "reply " << i;
+      EXPECT_EQ(api::wire::encode(*promoted), record->frame) << "reply " << i;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// --- submit's inline memory-tier probe ----------------------------------------
+
+api::AnyRequest traced_simulate(const std::string& target, std::uint64_t seed) {
+  api::SimulateRequest simulate;
+  simulate.options.seed = seed;
+  simulate.options.resolution = sim::Resolution::kRandom;
+  api::AnyRequest envelope{.payload = simulate, .target = target};
+  envelope.trace = std::make_shared<obs::TraceContext>(seed, "default", "simulate", target);
+  return envelope;
+}
+
+bool has_span(const obs::TraceContext& trace, obs::SpanKind kind) {
+  const std::vector<obs::Span> spans = trace.spans();
+  return std::any_of(spans.begin(), spans.end(),
+                     [kind](const obs::Span& span) { return span.kind == kind; });
+}
+
+/// Waits (bounded) until the executor has completed `count` tasks; a task
+/// counts only after its slot callback returned, which can be after wait().
+std::uint64_t completed_at_least(const Session& session, std::uint64_t count) {
+  for (int i = 0; i < 10'000 && session.executor_stats().completed < count; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{1});
+  }
+  return session.executor_stats().completed;
+}
+
+TEST(SubmitInlineProbe, HitsLandInsideSubmitAndNeverReachTheExecutor) {
+  Session session{api::make_executor(2)};
+  session.enable_cache({.capacity = 64});
+  constexpr std::uint64_t kCached = 5;
+  constexpr std::uint64_t kUncached = 3;
+  for (std::uint64_t seed = 1; seed <= kCached; ++seed) {
+    ASSERT_TRUE(session.call(traced_simulate("fig1", seed)).ok());
+  }
+  const api::CacheStats before = *session.cache_stats();
+  const std::uint64_t completed_before = session.executor_stats().completed;
+
+  // Cached and uncached envelopes interleaved: slots 0, 2, 4, 6, 7 hit.
+  std::vector<api::AnyRequest> requests;
+  std::vector<bool> cached;
+  for (std::uint64_t i = 0; i < kCached + kUncached; ++i) {
+    const bool hit = i % 2 == 0 || i >= 2 * kUncached;
+    requests.push_back(traced_simulate("fig1", hit ? 1 + (i / 2) % kCached : 100 + i));
+    cached.push_back(hit);
+  }
+  std::vector<std::shared_ptr<obs::TraceContext>> traces;
+  for (const api::AnyRequest& request : requests) traces.push_back(request.trace);
+
+  std::mutex mutex;
+  std::vector<std::thread::id> landed_on(requests.size());
+  std::vector<std::string> frames(requests.size());
+  auto handle = session.submit(
+      requests, [&](std::size_t slot, const api::Result<api::AnyResponse>& result,
+                    std::string_view frame) {
+        std::lock_guard lock{mutex};
+        landed_on[slot] = std::this_thread::get_id();
+        frames[slot] = std::string{frame};
+        EXPECT_TRUE(frame.empty() || frame == api::wire::encode(result));
+      });
+  // on_slot fires before the future is set, so a hit whose future is ready
+  // here had its on_slot run before submit returned.
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    if (!cached[slot]) continue;
+    EXPECT_EQ(handle.slot(slot).wait_for(std::chrono::seconds{0}), std::future_status::ready)
+        << "slot " << slot;
+  }
+  const auto results = handle.wait();
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    ASSERT_TRUE(results[slot].ok()) << "slot " << slot;
+    std::lock_guard lock{mutex};
+    if (cached[slot]) {
+      EXPECT_EQ(landed_on[slot], std::this_thread::get_id()) << "slot " << slot;
+      EXPECT_EQ(frames[slot], api::wire::encode(results[slot])) << "slot " << slot;
+      EXPECT_TRUE(has_span(*traces[slot], obs::SpanKind::kCacheProbe)) << "slot " << slot;
+      EXPECT_FALSE(has_span(*traces[slot], obs::SpanKind::kQueueWait)) << "slot " << slot;
+      EXPECT_FALSE(has_span(*traces[slot], obs::SpanKind::kEval)) << "slot " << slot;
+    } else {
+      EXPECT_NE(landed_on[slot], std::this_thread::get_id()) << "slot " << slot;
+      EXPECT_TRUE(has_span(*traces[slot], obs::SpanKind::kCacheProbe)) << "slot " << slot;
+      EXPECT_TRUE(has_span(*traces[slot], obs::SpanKind::kQueueWait)) << "slot " << slot;
+      EXPECT_TRUE(has_span(*traces[slot], obs::SpanKind::kEval)) << "slot " << slot;
+    }
+  }
+
+  // Every lookup counted once: k hits, m misses, and only the misses ran
+  // on the executor.
+  const api::CacheStats after = *session.cache_stats();
+  EXPECT_EQ(after.hits - before.hits, kCached);
+  EXPECT_EQ(after.misses - before.misses, kUncached);
+  EXPECT_EQ(completed_at_least(session, completed_before + kUncached) - completed_before,
+            kUncached);
+}
+
+TEST(SubmitInlineProbe, QueuedDuplicatesHitTheFirstSlotsInsert) {
+  // Every slot misses the inline probe (nothing is cached yet), and the
+  // serial executor then runs them in order. Each task looks its key up
+  // again, so only the first evaluates; the rest hit its insert and carry
+  // its frame.
+  Session session{api::make_executor(1)};
+  session.enable_cache({.capacity = 64});
+  constexpr std::uint64_t kSlots = 4;
+  std::vector<api::AnyRequest> requests;
+  for (std::uint64_t i = 0; i < kSlots; ++i) requests.push_back(traced_simulate("fig1", 77));
+  const api::CacheStats before = *session.cache_stats();
+  const std::uint64_t completed_before = session.executor_stats().completed;
+
+  std::mutex mutex;
+  std::vector<std::string> frames(kSlots);
+  const auto results = session
+                           .submit(requests,
+                                   [&](std::size_t slot, const api::Result<api::AnyResponse>&,
+                                       std::string_view frame) {
+                                     std::lock_guard lock{mutex};
+                                     frames[slot] = std::string{frame};
+                                   })
+                           .wait();
+  ASSERT_EQ(results.size(), kSlots);
+  for (std::size_t slot = 0; slot < kSlots; ++slot) {
+    ASSERT_TRUE(results[slot].ok()) << "slot " << slot;
+    std::lock_guard lock{mutex};
+    EXPECT_EQ(frames[slot], api::wire::encode(results[slot])) << "slot " << slot;
+    EXPECT_EQ(frames[slot], frames[0]) << "slot " << slot;
+  }
+  const api::CacheStats after = *session.cache_stats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, kSlots - 1);
+  EXPECT_EQ(session.executor_stats().completed - completed_before, kSlots);
+}
+
+TEST(SubmitInlineProbe, CancelledSlotsCountNoLookupInEitherConfiguration) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("spivar_cache_cancel_" + std::to_string(::getpid()));
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "memory only");
+    std::filesystem::remove_all(dir);
+    auto store = std::make_shared<ModelStore>();
+    // One worker, so a blocked slot callback holds every later task queued.
+    Session session{store, std::make_shared<api::ThreadPoolExecutor>(1)};
+    api::CacheConfig config{.capacity = 64};
+    if (persistent) config.persist = persist::PersistConfig{.dir = dir.string()};
+    const std::shared_ptr<api::ResultCache> cache = session.enable_cache(config);
+    constexpr std::uint32_t kTag = 1;
+    session.bind_tenant(std::make_shared<api::StoreView>(
+        store, api::TenantContext{.name = "alpha", .tag = kTag}, api::TenantQuota{}));
+    const auto tenant_row = [&] {
+      for (const api::TenantCacheStats& row : cache->tenant_stats()) {
+        if (row.tag == kTag) return row;
+      }
+      return api::TenantCacheStats{.tag = kTag};
+    };
+    const api::CacheStats before = *session.cache_stats();
+    const api::TenantCacheStats row_before = tenant_row();
+
+    // The gate slot evaluates (one miss), then parks the worker in on_slot.
+    std::promise<void> parked;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    auto gate = session.submit({traced_simulate("fig1", 500)},
+                               [&parked, released](std::size_t,
+                                                   const api::Result<api::AnyResponse>&,
+                                                   std::string_view) {
+                                 parked.set_value();
+                                 released.wait();
+                               });
+    parked.get_future().wait();
+    // These miss the inline probe, queue behind the gate, and are cancelled
+    // before a worker reaches them: no lookup happens, so none is counted.
+    std::vector<api::AnyRequest> queued;
+    for (std::uint64_t seed = 600; seed < 604; ++seed) {
+      queued.push_back(traced_simulate("fig1", seed));
+    }
+    auto cancelled = session.submit(queued);
+    cancelled.cancel();
+    release.set_value();
+    ASSERT_TRUE(gate.wait().front().ok());
+    for (const auto& result : cancelled.wait()) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_TRUE(result.diagnostics().has_code(api::diag::kCancelled));
+    }
+
+    const api::CacheStats after = *session.cache_stats();
+    const api::TenantCacheStats row_after = tenant_row();
+    EXPECT_EQ(after.hits - before.hits, 0u);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(row_after.hits - row_before.hits, 0u);
+    EXPECT_EQ(row_after.misses - row_before.misses, 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SubmitInlineProbe, AdmissionShedsCachedKeysFirst) {
+  auto store = std::make_shared<ModelStore>();
+  auto executor = api::make_executor(1);
+  Session session{store, executor};
+  session.enable_cache({.capacity = 64});
+  const auto admission = std::make_shared<api::AdmissionController>(api::AdmissionConfig{
+      .max_miss_rate = 0.5,
+      .window = std::chrono::milliseconds{60'000},  // never expires mid-test
+      .min_samples = 1,
+  });
+  session.bind_tenant(nullptr, admission);
+  const api::AnyRequest cached = traced_simulate("fig1", 1);
+  ASSERT_TRUE(session.call(cached).ok());
+
+  // Expired deadlines drive the projected miss rate to 1.0.
+  std::vector<api::AnyRequest> hopeless;
+  for (std::uint64_t seed = 10; seed < 14; ++seed) {
+    hopeless.push_back(traced_simulate("fig1", seed));
+    hopeless.back().options.deadline = std::chrono::milliseconds{0};
+  }
+  for (const auto& result : session.call_batch(hopeless)) ASSERT_TRUE(result.ok());
+
+  // The key is cached, yet every entry point sheds it, and the cache is
+  // never probed.
+  const api::CacheStats before = *session.cache_stats();
+  const auto shed = session.submit({cached}).wait();
+  ASSERT_EQ(shed.size(), 1u);
+  ASSERT_FALSE(shed.front().ok());
+  EXPECT_TRUE(shed.front().diagnostics().has_code(api::diag::kOverload));
+  EXPECT_TRUE(session.call(cached).diagnostics().has_code(api::diag::kOverload));
+  const api::CacheStats after = *session.cache_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+/// The hits and misses columns of a rendered `cache-stats` table.
+std::pair<std::uint64_t, std::uint64_t> global_hits_misses(const std::string& text) {
+  std::istringstream in{text};
+  std::string line;
+  while (std::getline(in, line) && line.rfind("hits", 0) != 0) {
+  }
+  std::getline(in, line);  // the rule under the header
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  in >> hits >> misses;
+  return {hits, misses};
+}
+
+/// The hits and misses of tenant `name`'s `cache-stats` row.
+std::pair<std::uint64_t, std::uint64_t> tenant_hits_misses(const std::string& text,
+                                                           const std::string& name) {
+  std::istringstream in{text};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("tenant " + name + " ", 0) != 0) continue;
+    std::istringstream row{line};
+    std::string word;
+    std::pair<std::uint64_t, std::uint64_t> counts{0, 0};
+    while (row >> word) {
+      if (word == "hits") row >> counts.first;
+      if (word == "misses") row >> counts.second;
+    }
+    return counts;
+  }
+  return {0, 0};
+}
+
+TEST(SubmitInlineProbe, ServiceCountsEachLookupOnceForDefaultAndHelloTenants) {
+  service::Service svc{{.jobs = 2, .cache = 256}};
+  const auto run = [&](const std::string& input) {
+    std::istringstream in{input};
+    std::ostringstream out;
+    svc.serve_stream(in, out);
+    return out.str();
+  };
+  const auto cache_stats = [&](const std::string& hello) {
+    std::istringstream replies{run(hello + api::wire::control_frame("cache-stats"))};
+    std::string text;
+    while (const auto frame = api::wire::read_frame(replies)) {
+      const auto info = api::wire::decode_info(*frame);
+      if (info.ok()) text = info.value();
+    }
+    return text;
+  };
+  constexpr std::uint64_t kCached = 6;
+  constexpr std::uint64_t kUncached = 4;
+  std::uint64_t completed_before = 0;
+  for (const std::string tenant : {"", "alpha"}) {
+    const std::string hello = tenant.empty() ? "" : api::wire::hello_frame(tenant);
+    std::string warm = hello;
+    for (std::uint64_t seed = 1; seed <= kCached; ++seed) {
+      warm += api::wire::encode(traced_simulate("fig2", seed), seed);
+    }
+    run(warm);
+    // The warm-up's misses, all counted before the burst starts.
+    completed_before = completed_at_least(svc.session(), completed_before + kCached);
+
+    const std::string before = cache_stats(hello);
+    std::string burst = hello;
+    for (std::uint64_t i = 0; i < kCached + kUncached; ++i) {
+      const std::uint64_t seed = i < kCached ? 1 + i : 1000 + i;
+      burst += api::wire::encode(traced_simulate("fig2", seed), 50 + i);
+    }
+    run(burst);
+    const std::string after = cache_stats(hello);
+
+    const auto [hits_before, misses_before] = global_hits_misses(before);
+    const auto [hits_after, misses_after] = global_hits_misses(after);
+    EXPECT_EQ(hits_after - hits_before, kCached) << "tenant '" << tenant << "'\n" << after;
+    EXPECT_EQ(misses_after - misses_before, kUncached) << "tenant '" << tenant << "'\n" << after;
+    if (!tenant.empty()) {
+      const auto [row_hits_before, row_misses_before] = tenant_hits_misses(before, tenant);
+      const auto [row_hits_after, row_misses_after] = tenant_hits_misses(after, tenant);
+      EXPECT_EQ(row_hits_after - row_hits_before, kCached) << after;
+      EXPECT_EQ(row_misses_after - row_misses_before, kUncached) << after;
+    }
+    const std::uint64_t completed = completed_at_least(svc.session(), completed_before + kUncached);
+    EXPECT_EQ(completed - completed_before, kUncached) << "tenant '" << tenant << "'";
+    completed_before = completed;
+  }
 }
 
 }  // namespace

@@ -312,7 +312,8 @@ TEST_P(ParallelDeterminism, BatchAndCompareMatchSerialBitForBit) {
   EXPECT_EQ(serial_text, render_batch(pooled.call_batch(envelopes(simulations))));
   std::atomic<std::size_t> streamed{0};
   auto handle = pooled.submit(envelopes(simulations),
-                              [&streamed](std::size_t, const api::Result<api::AnyResponse>&) {
+                              [&streamed](std::size_t, const api::Result<api::AnyResponse>&,
+                                          std::string_view) {
                                 ++streamed;
                               });
   EXPECT_EQ(serial_text, render_batch(handle.wait()));

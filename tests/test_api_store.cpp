@@ -184,7 +184,7 @@ TEST(StreamingBatch, SlotsLandBeforeTheBatchCompletes) {
   std::atomic<std::size_t> streamed{0};
   auto handle = session.submit(
       {simulate_on(quick.value().id), simulate_on(slow.value().id)},
-      [&streamed](std::size_t, const api::Result<api::AnyResponse>& r) {
+      [&streamed](std::size_t, const api::Result<api::AnyResponse>& r, std::string_view) {
         EXPECT_TRUE(r.ok());
         ++streamed;
       });
@@ -216,7 +216,8 @@ TEST(StreamingBatch, CancelMidBatchDiagnosesUntouchedSlots) {
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
   handle = session.submit(
-      batch, [&handle, ready](std::size_t slot, const api::Result<api::AnyResponse>&) {
+      batch, [&handle, ready](std::size_t slot, const api::Result<api::AnyResponse>&,
+                              std::string_view) {
         if (slot == 0) {
           ready.wait();     // the submitting thread has assigned `handle`
           handle.cancel();  // cancel from inside the stream
@@ -248,7 +249,8 @@ TEST(StreamingBatch, ThrowingCallbackStillLandsEverySlot) {
   // the session boundary nor leave promises unfulfilled.
   std::atomic<std::size_t> streamed{0};
   auto handle = session.submit(
-      batch, [&streamed](std::size_t, const api::Result<api::AnyResponse>&) {
+      batch,
+      [&streamed](std::size_t, const api::Result<api::AnyResponse>&, std::string_view) {
         ++streamed;
         throw std::runtime_error("front end hiccup");
       });
@@ -273,7 +275,8 @@ TEST(StreamingBatch, BlockingBatchNestedInsideAPoolTaskCompletes) {
   std::atomic<std::size_t> inner_ok{0};
   auto handle = session.submit(
       {simulate_on(loaded.value().id)},
-      [&session, &inner, &inner_ok](std::size_t, const api::Result<api::AnyResponse>&) {
+      [&session, &inner, &inner_ok](std::size_t, const api::Result<api::AnyResponse>&,
+                                    std::string_view) {
         for (const auto& result : session.call_batch(inner)) {
           if (result.ok()) ++inner_ok;
         }
@@ -348,7 +351,8 @@ TEST(StreamingBatch, CancelFromOnSlotRacingManyWorkersLandsEverySlot) {
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
   handle = session.submit(
-      batch, [&handle, &streamed, ready](std::size_t slot, const api::Result<api::AnyResponse>&) {
+      batch, [&handle, &streamed, ready](std::size_t slot, const api::Result<api::AnyResponse>&,
+                                         std::string_view) {
         ++streamed;
         if (slot % 5 == 0) {
           ready.wait();

@@ -4,11 +4,14 @@
 // the same server, malformed v2 frames answered without killing the stream,
 // --record/--replay fidelity for pipelined traffic (ids preserved, replay
 // deterministic and byte-identical), and the loop over a real loopback
-// socket (TCP_NODELAY on both ends, no delayed-ACK stall on large replies).
+// socket (TCP_NODELAY on both ends, no delayed-ACK stall on large replies;
+// cache hits answered on the reading thread at depth 8, byte for byte,
+// ahead of a slow miss and past a half-sent frame).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -354,6 +357,211 @@ TEST(PipelinedServe, LoopbackRepliesOverThePutAreaDoNotWaitForDelayedAcks) {
   std::sort(round_trip_ms.begin(), round_trip_ms.end());
   const double median = (round_trip_ms[4] + round_trip_ms[5]) / 2.0;
   EXPECT_LT(median, 20.0) << "median depth-1 round trip " << median << " ms";
+}
+
+// --- cache hits on the reading thread, over real sockets ---------------------
+
+/// One client connection with a receive timeout: a reply that never comes
+/// reads as end of stream after kReplyTimeoutS instead of hanging the test.
+struct LoopbackClient {
+  static constexpr int kReplyTimeoutS = 20;
+
+  explicit LoopbackClient(std::uint16_t port)
+      : socket(service::connect_to({"127.0.0.1", port})),
+        buffer(socket.fd()),
+        in(&buffer),
+        out(&buffer) {
+    const timeval timeout{.tv_sec = kReplyTimeoutS, .tv_usec = 0};
+    ::setsockopt(socket.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+
+  service::Socket socket;
+  service::FdStreamBuf buffer;
+  std::istream in;
+  std::ostream out;
+};
+
+TEST(PipelinedServe, LoopbackDepth8AnswersHitsOnTheReaderByteForByte) {
+  service::Service svc{{.jobs = 2, .cache = 256}};
+  service::Socket listener = service::listen_loopback(0);
+  ASSERT_TRUE(listener.valid());
+  const std::uint16_t port = service::bound_port(listener);
+
+  // Two connections, each served exactly as spivar_serve serves one.
+  std::vector<std::thread> connections;
+  std::thread acceptor{[&] {
+    for (int i = 0; i < 2; ++i) {
+      service::Socket connection = service::accept_client(listener);
+      if (!connection.valid()) return;
+      connections.emplace_back([&svc, connection = std::move(connection)] {
+        service::FdStreamBuf buffer{connection.fd()};
+        std::istream in{&buffer};
+        std::ostream out{&buffer};
+        svc.serve_stream(in, out);
+      });
+    }
+  }};
+  LoopbackClient a{port};
+  LoopbackClient b{port};
+  if (!a.socket.valid() || !b.socket.valid()) {
+    ::shutdown(listener.fd(), SHUT_RDWR);  // unblocks a pending accept
+  }
+  acceptor.join();
+  // However the checks below end, half-close both clients (each server
+  // loop then drains and returns) and join the connection threads.
+  class Joiner {
+   public:
+    Joiner(std::vector<int> fds, std::vector<std::thread>& threads)
+        : fds_(std::move(fds)), threads_(threads) {}
+    ~Joiner() {
+      for (const int fd : fds_) ::shutdown(fd, SHUT_WR);
+      for (std::thread& thread : threads_) thread.join();
+    }
+    Joiner(const Joiner&) = delete;
+    Joiner& operator=(const Joiner&) = delete;
+
+   private:
+    std::vector<int> fds_;
+    std::vector<std::thread>& threads_;
+  } joiner{{a.socket.fd(), b.socket.fd()}, connections};
+  ASSERT_EQ(connections.size(), 2u) << "cannot connect to 127.0.0.1:" << port;
+
+  // The oracle: every reply equals the encoding of an in-process call.
+  api::Session reference;
+  const auto expected = [&](const api::AnyRequest& request, std::uint64_t id) {
+    return api::wire::encode(reference.call(request), id);
+  };
+  std::vector<api::AnyRequest> cached;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) cached.push_back(simulate_envelope("fig1", seed));
+  api::AnyRequest analyze;
+  analyze.payload = api::AnalyzeRequest{};
+  analyze.target = "fig2";
+  cached.push_back(analyze);
+  std::vector<api::Result<api::AnyResponse>> cached_results;
+  for (const api::AnyRequest& request : cached) cached_results.push_back(reference.call(request));
+  const auto cached_reply = [&](std::size_t index, std::uint64_t id) {
+    return api::wire::encode(cached_results.at(index), id);
+  };
+
+  // Reads `count` replies, keyed by frame id, in arrival order.
+  const auto read_replies = [](LoopbackClient& client, std::size_t count) {
+    std::vector<std::pair<std::uint64_t, std::string>> replies;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::optional<std::string> frame = api::wire::read_frame(client.in);
+      if (!frame) break;
+      replies.emplace_back(api::wire::response_frame_id(*frame).value_or(0), std::move(*frame));
+    }
+    return replies;
+  };
+
+  // Warm-up: the seven cached keys evaluate once (memory-tier misses).
+  {
+    std::string warm;
+    for (std::size_t i = 0; i < cached.size(); ++i) warm += api::wire::encode(cached[i], 100 + i);
+    a.out << warm << std::flush;
+    for (const auto& [id, frame] : read_replies(a, cached.size())) {
+      EXPECT_EQ(frame, cached_reply(id - 100, id));
+    }
+  }
+
+  // Depth 8 on both connections at once: an uncached slow compare first,
+  // then seven hits. Each hit is answered on its reader from the stored
+  // frame, so all seven overtake the compare sent before them.
+  std::vector<api::AnyRequest> compares;
+  for (LoopbackClient* client : {&a, &b}) {
+    api::AnyRequest compare = slow_compare_envelope();
+    std::get<api::CompareRequest>(compare.payload).options.seed = compares.size() + 1;
+    std::string burst = api::wire::encode(compare, 1);
+    for (std::size_t i = 0; i < cached.size(); ++i) burst += api::wire::encode(cached[i], 2 + i);
+    client->out << burst << std::flush;
+    compares.push_back(std::move(compare));
+  }
+  for (std::size_t c = 0; c < 2; ++c) {
+    LoopbackClient& client = c == 0 ? a : b;
+    const auto replies = read_replies(client, 1 + cached.size());
+    ASSERT_EQ(replies.size(), 1 + cached.size()) << "connection " << c;
+    for (const auto& [id, frame] : replies) {
+      EXPECT_EQ(frame, id == 1 ? expected(compares[c], 1) : cached_reply(id - 2, id))
+          << "connection " << c << " reply " << id;
+    }
+    EXPECT_EQ(replies.back().first, 1u) << "connection " << c << ": a hit waited for the compare";
+  }
+
+  // A hit followed by half of the next frame: the reader blocks on the
+  // missing half, and the hit's reply must not wait with it.
+  {
+    const std::string next = api::wire::encode(cached[1], 21);
+    const std::size_t half = next.size() / 2;
+    a.out << api::wire::encode(cached[0], 20) << next.substr(0, half) << std::flush;
+    const auto first = read_replies(a, 1);
+    ASSERT_EQ(first.size(), 1u) << "the hit's reply did not arrive within "
+                                << LoopbackClient::kReplyTimeoutS << " s";
+    EXPECT_EQ(first.front().second, cached_reply(0, 20));
+    a.out << next.substr(half) << std::flush;
+    const auto second = read_replies(a, 1);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second.front().second, cached_reply(1, 21));
+  }
+
+  // A burst, then a half-close: every reply still arrives (the held hits
+  // and the evaluated miss alike), then the server closes the stream.
+  {
+    std::string burst;
+    for (std::size_t i = 0; i < cached.size(); ++i) burst += api::wire::encode(cached[i], 30 + i);
+    const api::AnyRequest miss = simulate_envelope("fig2", 77);
+    burst += api::wire::encode(miss, 40);
+    b.out << burst << std::flush;
+    ::shutdown(b.socket.fd(), SHUT_WR);
+    const auto replies = read_replies(b, cached.size() + 1);
+    ASSERT_EQ(replies.size(), cached.size() + 1);
+    for (const auto& [id, frame] : replies) {
+      EXPECT_EQ(frame, id == 40 ? expected(miss, 40) : cached_reply(id - 30, id));
+    }
+    EXPECT_FALSE(api::wire::read_frame(b.in).has_value());
+  }
+
+  ::shutdown(a.socket.fd(), SHUT_WR);
+  EXPECT_FALSE(api::wire::read_frame(a.in).has_value());
+}
+
+TEST(PipelinedServe, ShutdownReplyLeavesBeforeTheSocketsClose) {
+  // spivar_serve's on_shutdown shuts every client socket down, the asking
+  // one included: the reply (written on the reading thread, so held) must
+  // be on the wire first, with any hits held ahead of it.
+  service::Service svc{{.jobs = 2, .cache = 16}};
+  service::Socket listener = service::listen_loopback(0);
+  ASSERT_TRUE(listener.valid());
+  const std::uint16_t port = service::bound_port(listener);
+  std::thread server{[&] {
+    service::Socket connection = service::accept_client(listener);
+    if (!connection.valid()) return;
+    svc.on_shutdown = [fd = connection.fd()] { ::shutdown(fd, SHUT_RDWR); };
+    service::FdStreamBuf buffer{connection.fd()};
+    std::istream in{&buffer};
+    std::ostream out{&buffer};
+    svc.serve_stream(in, out);
+  }};
+  LoopbackClient client{port};
+  if (!client.socket.valid()) {
+    ::shutdown(listener.fd(), SHUT_RDWR);
+    server.join();
+    FAIL() << "cannot connect to 127.0.0.1:" << port;
+  }
+  const api::AnyRequest request = simulate_envelope("fig1", 3);
+  client.out << api::wire::encode(request, 1) << std::flush;
+  const auto evaluated = api::wire::read_frame(client.in);  // a miss: now cached
+  client.out << api::wire::encode(request, 2) << api::wire::control_frame("shutdown")
+             << std::flush;
+  const auto hit = api::wire::read_frame(client.in);
+  const auto reply = api::wire::read_frame(client.in);
+  server.join();
+
+  ASSERT_TRUE(evaluated.has_value());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(api::wire::response_frame_id(*hit), 2u);
+  EXPECT_EQ(hit->substr(hit->find('\n')), evaluated->substr(evaluated->find('\n')));
+  ASSERT_TRUE(reply.has_value()) << "the shutdown reply was lost";
+  EXPECT_EQ(api::wire::decode_info(*reply).value(), "shutting down");
 }
 
 }  // namespace

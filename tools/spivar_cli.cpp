@@ -460,7 +460,8 @@ int cmd_compare(api::Session& session, api::ModelId model,
     const auto started = std::chrono::steady_clock::now();
     auto handle = session.submit(
         {{.payload = request}},
-        [&started](std::size_t slot, const api::Result<api::AnyResponse>& r) {
+        [&started](std::size_t slot, const api::Result<api::AnyResponse>& r,
+                   std::string_view) {
           const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - started)
                               .count();
@@ -533,7 +534,8 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
   const auto started = std::chrono::steady_clock::now();
   if (has_flag(flags, "--stream")) {
     const std::size_t total = requests.size();
-    on_slot = [&started, total](std::size_t slot, const api::Result<api::AnyResponse>& r) {
+    on_slot = [&started, total](std::size_t slot, const api::Result<api::AnyResponse>& r,
+                                std::string_view) {
       const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::steady_clock::now() - started)
                           .count();
