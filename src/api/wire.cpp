@@ -1,31 +1,21 @@
 #include "api/wire.hpp"
 
+#include <array>
 #include <charconv>
-#include <cstdlib>
+#include <concepts>
 #include <istream>
 #include <limits>
+#include <ranges>
+#include <span>
 #include <streambuf>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
 namespace spivar::api::wire {
 
 namespace {
-
-// --- writing primitives ------------------------------------------------------
-
-std::string fmt_u64(std::uint64_t value) { return std::to_string(value); }
-std::string fmt_i64(std::int64_t value) { return std::to_string(value); }
-
-/// Shortest decimal that parses back to the same IEEE double — the
-/// bit-identical transport for costs, utilizations and rates.
-std::string fmt_f64(double value) {
-  char buffer[64];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return ec == std::errc{} ? std::string(buffer, end) : std::string{"0"};
-}
-
-const char* fmt_bool(bool value) { return value ? "true" : "false"; }
 
 // --- frame splitting / tokens ------------------------------------------------
 
@@ -54,6 +44,7 @@ struct Line {
 
 std::vector<Token> tokenize(std::string_view text, std::size_t number) {
   std::vector<Token> tokens;
+  tokens.reserve(4);  // most lines are a key and a few columns
   std::size_t i = 0;
   while (i < text.size()) {
     if (text[i] == ' ') {
@@ -95,6 +86,7 @@ std::vector<Token> tokenize(std::string_view text, std::size_t number) {
 /// Non-empty lines of `frame`, tokenized, with their 1-based numbers.
 std::vector<Line> split_frame(std::string_view frame) {
   std::vector<Line> lines;
+  lines.reserve(std::ranges::count(frame, '\n') + 1);
   std::size_t number = 0;
   std::size_t begin = 0;
   while (begin <= frame.size()) {
@@ -126,27 +118,31 @@ class Args {
     return line_.tokens[next_++];
   }
 
-  std::string str(const char* what) {
+  const std::string& str(const char* what) {
     const Token& token = take(what);
     if (!token.quoted) fail(line_.number, std::string{what} + " must be a quoted string");
     return token.text;
   }
 
-  std::string word(const char* what) {
+  const std::string& word(const char* what) {
     const Token& token = take(what);
     if (token.quoted) fail(line_.number, std::string{what} + " must be unquoted");
     return token.text;
   }
 
-  std::uint64_t u64(const char* what) {
-    const std::string text = word(what);
-    std::uint64_t value = 0;
+  /// A number, as std::from_chars reads it.
+  template <typename T>
+  T parse(const char* what) {
+    const std::string& text = word(what);
+    T value{};
     const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
     if (ec != std::errc{} || end != text.data() + text.size()) {
       fail(line_.number, std::string{"invalid "} + what + " '" + text + "'");
     }
     return value;
   }
+
+  std::uint64_t u64(const char* what) { return parse<std::uint64_t>(what); }
 
   std::uint32_t u32(const char* what) {
     const std::uint64_t value = u64(what);
@@ -156,28 +152,8 @@ class Args {
     return static_cast<std::uint32_t>(value);
   }
 
-  std::int64_t i64(const char* what) {
-    const std::string text = word(what);
-    std::int64_t value = 0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-      fail(line_.number, std::string{"invalid "} + what + " '" + text + "'");
-    }
-    return value;
-  }
-
-  double f64(const char* what) {
-    const std::string text = word(what);
-    double value = 0.0;
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-      fail(line_.number, std::string{"invalid "} + what + " '" + text + "'");
-    }
-    return value;
-  }
-
   bool boolean(const char* what) {
-    const std::string text = word(what);
+    const std::string& text = word(what);
     if (text == "true") return true;
     if (text == "false") return false;
     fail(line_.number, std::string{"invalid "} + what + " '" + text + "' (true|false)");
@@ -195,388 +171,392 @@ class Args {
   std::size_t next_;
 };
 
-// --- small enum codecs -------------------------------------------------------
+// --- tokens ------------------------------------------------------------------
+//
+// put_token appends one field's token to a frame and get_token reads it
+// back, `label` naming the field in decode errors. Numbers are what
+// std::to_chars writes: for a double, the shortest decimal that parses back
+// to the same IEEE value, so costs, utilizations and rates travel
+// bit-identically.
 
-sim::Resolution parse_resolution(Args& args) {
-  const std::string name = args.word("resolution");
-  if (name == "lower") return sim::Resolution::kLowerBound;
-  if (name == "upper") return sim::Resolution::kUpperBound;
-  if (name == "random") return sim::Resolution::kRandom;
-  fail(args.number(), "unknown resolution '" + name + "' (lower|upper|random)");
+/// The wire's names for a synthesis problem's granularity.
+constexpr const char* to_string(synth::ElementGranularity granularity) noexcept {
+  return granularity == synth::ElementGranularity::kProcess ? "process" : "cluster";
 }
 
-synth::ExploreEngine parse_engine(Args& args) {
-  const std::string name = args.word("engine");
-  if (name == "exhaustive") return synth::ExploreEngine::kExhaustive;
-  if (name == "greedy") return synth::ExploreEngine::kGreedy;
-  if (name == "annealing") return synth::ExploreEngine::kAnnealing;
-  fail(args.number(), "unknown engine '" + name + "' (exhaustive|greedy|annealing)");
+/// Every value of each enum the wire names by its to_string, in the order a
+/// decode error lists them.
+constexpr auto values_of(sim::Resolution) {
+  using enum sim::Resolution;
+  return std::array{kLowerBound, kUpperBound, kRandom};
+}
+constexpr auto values_of(sim::TraceKind) {
+  using enum sim::TraceKind;
+  return std::array{kFire, kComplete, kReconfigure, kSelect, kCancel, kDrop};
+}
+constexpr auto values_of(synth::ExploreEngine) {
+  using enum synth::ExploreEngine;
+  return std::array{kExhaustive, kGreedy, kAnnealing};
+}
+constexpr auto values_of(synth::Target) {
+  return std::array{synth::Target::kSoftware, synth::Target::kHardware};
+}
+constexpr auto values_of(synth::ElementGranularity) {
+  return std::array{synth::ElementGranularity::kClusterAtomic, synth::ElementGranularity::kProcess};
+}
+constexpr auto values_of(analysis::FlowClass) {
+  using enum analysis::FlowClass;
+  return std::array{kBalanced, kPossiblyUnbounded, kStarving, kSourceOnly, kSinkOnly, kRegister};
+}
+constexpr auto values_of(support::Severity) {
+  using enum support::Severity;
+  return std::array{kNote, kWarning, kError};
+}
+constexpr auto values_of(Priority) {
+  return std::array{Priority::kLow, Priority::kNormal, Priority::kHigh};
 }
 
-synth::Target parse_target_kind(Args& args) {
-  const std::string name = args.word("target");
-  if (name == "SW") return synth::Target::kSoftware;
-  if (name == "HW") return synth::Target::kHardware;
-  fail(args.number(), "unknown mapping target '" + name + "' (SW|HW)");
-}
+/// Durations and time points travel as their count.
+template <typename T>
+concept Counted = requires(const T& value) { T{value.count()}; };
+/// Store ids travel as their index.
+template <typename T>
+concept IsId = requires(const T& id) { id.valid(); };
+template <typename T>
+concept IsOptional = requires(const T& value) { value.has_value(); };
 
-sim::TraceKind parse_trace_kind(Args& args) {
-  const std::string name = args.word("trace kind");
-  for (const auto kind : {sim::TraceKind::kFire, sim::TraceKind::kComplete,
-                          sim::TraceKind::kReconfigure, sim::TraceKind::kSelect,
-                          sim::TraceKind::kCancel, sim::TraceKind::kDrop}) {
-    if (name == sim::to_string(kind)) return kind;
+void put_token(std::string& out, const auto& value) {
+  using T = std::remove_cvref_t<decltype(value)>;
+  if constexpr (std::is_convertible_v<T, std::string_view>) {
+    out.push_back('"');
+    for (const char c : std::string_view{value}) {
+      switch (c) {
+        case '\\': out += "\\\\"; break;
+        case '"': out += "\\\""; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default: out.push_back(c);
+      }
+    }
+    out.push_back('"');
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += value ? "true" : "false";
+  } else if constexpr (std::is_enum_v<T>) {
+    out += to_string(value);
+  } else if constexpr (Counted<T>) {
+    put_token(out, value.count());
+  } else if constexpr (IsId<T>) {
+    put_token(out, value.value());
+  } else if constexpr (IsOptional<T>) {
+    put_token(out, *value);
+  } else {
+    char buffer[64];
+    out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
   }
-  fail(args.number(), "unknown trace kind '" + name + "'");
 }
 
-analysis::FlowClass parse_flow_class(Args& args) {
-  const std::string name = args.word("flow class");
-  for (const auto flow :
-       {analysis::FlowClass::kBalanced, analysis::FlowClass::kPossiblyUnbounded,
-        analysis::FlowClass::kStarving, analysis::FlowClass::kSourceOnly,
-        analysis::FlowClass::kSinkOnly, analysis::FlowClass::kRegister}) {
-    if (name == analysis::to_string(flow)) return flow;
+/// The enum value whose to_string is the next token.
+template <typename E>
+E parse_name(Args& args, const char* what) {
+  const std::string& name = args.word(what);
+  for (const E value : values_of(E{})) {
+    if (name == to_string(value)) return value;
   }
-  fail(args.number(), "unknown flow class '" + name + "'");
-}
-
-support::Severity parse_severity(Args& args) {
-  const std::string name = args.word("severity");
-  if (name == "note") return support::Severity::kNote;
-  if (name == "warning") return support::Severity::kWarning;
-  if (name == "error") return support::Severity::kError;
-  fail(args.number(), "unknown severity '" + name + "' (note|warning|error)");
-}
-
-// --- comma lists -------------------------------------------------------------
-
-template <typename T, typename Parse>
-std::vector<T> parse_comma_list(Args& args, const char* what, Parse&& parse) {
-  const std::string list = args.word(what);
-  std::vector<T> values;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string name =
-        list.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    const auto value = parse(name);
-    if (!value) fail(args.number(), std::string{"unknown "} + what + " '" + name + "'");
-    values.push_back(*value);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  std::string names;
+  for (const E value : values_of(E{})) {
+    if (!names.empty()) names.push_back('|');
+    names += to_string(value);
   }
-  return values;
+  fail(args.number(), "unknown " + std::string{what} + " '" + name + "' (" + names + ")");
 }
 
 template <typename T>
-std::string comma_list(const std::vector<T>& values) {
-  std::string out;
-  for (const T& value : values) {
-    if (!out.empty()) out.push_back(',');
-    out += to_string(value);
-  }
-  return out;
-}
-
-// --- shared request sections -------------------------------------------------
-
-void encode_explore_options(std::string& out, const synth::ExploreOptions& options) {
-  out += "engine " + std::string{to_string(options.engine)} + "\n";
-  out += "seed " + fmt_u64(options.seed) + "\n";
-  out += "exhaustive-limit " + fmt_u64(options.exhaustive_limit) + "\n";
-  out += "annealing-trials " + fmt_u64(options.annealing_trials_per_element) + "\n";
-  out += "annealing-temperature " + fmt_f64(options.annealing_initial_temperature) + "\n";
-  out += "infeasibility-penalty " + fmt_f64(options.infeasibility_penalty) + "\n";
-}
-
-bool decode_explore_options(const std::string& key, Args& args, synth::ExploreOptions& options) {
-  if (key == "engine") {
-    options.engine = parse_engine(args);
-  } else if (key == "seed") {
-    options.seed = args.u64("seed");
-  } else if (key == "exhaustive-limit") {
-    options.exhaustive_limit = args.u64("exhaustive-limit");
-  } else if (key == "annealing-trials") {
-    options.annealing_trials_per_element = args.u64("annealing-trials");
-  } else if (key == "annealing-temperature") {
-    options.annealing_initial_temperature = args.f64("annealing-temperature");
-  } else if (key == "infeasibility-penalty") {
-    options.infeasibility_penalty = args.f64("infeasibility-penalty");
+void get_token(Args& args, const char* label, T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    value = args.str(label);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    value = args.boolean(label);
+  } else if constexpr (std::is_enum_v<T>) {
+    value = parse_name<T>(args, label);
+  } else if constexpr (Counted<T>) {
+    value = T{args.parse<std::int64_t>(label)};
+  } else if constexpr (IsId<T>) {
+    value = T{args.u32(label)};
+  } else if constexpr (IsOptional<T>) {
+    typename T::value_type decoded{};
+    get_token(args, label, decoded);
+    value = std::move(decoded);
   } else {
-    return false;
+    value = args.parse<T>(label);
   }
-  return true;
 }
 
-void encode_overrides(std::string& out, const std::optional<synth::ProblemOptions>& problem,
-                      const std::optional<synth::ImplLibrary>& library) {
-  if (problem) {
-    out += std::string{"problem "} +
-           (problem->granularity == synth::ElementGranularity::kProcess ? "process" : "cluster") +
-           " " + fmt_bool(problem->skip_virtual) + "\n";
+// --- containers --------------------------------------------------------------
+//
+// A line per entry iterates entries() to encode and decodes each line into a
+// fresh entry that add_entry() files. Containers whose storage is read-only
+// (a mapping, a library, a diagnostic list) file through their own setters.
+
+template <typename C>
+const C& entries(const C& container) {
+  return container;
+}
+const auto& entries(const synth::Mapping& mapping) { return mapping.assignments(); }
+const auto& entries(const synth::ImplLibrary& library) { return library.elements(); }
+const auto& entries(const support::DiagnosticList& list) { return list.items(); }
+
+template <typename T>
+void add_entry(std::vector<T>& container, T entry) {
+  container.push_back(std::move(entry));
+}
+template <typename K, typename V>
+void add_entry(std::map<K, V>& container, std::pair<K, V> entry) {
+  container.emplace(std::move(entry));
+}
+void add_entry(synth::Mapping& mapping, std::pair<std::string, synth::Target> entry) {
+  mapping.set(entry.first, entry.second);
+}
+void add_entry(synth::ImplLibrary& library, std::pair<std::string, synth::ElementImpl> entry) {
+  library.add(std::move(entry.first), entry.second);
+}
+void add_entry(support::DiagnosticList& list, support::Diagnostic entry) {
+  list.add(entry.severity, std::move(entry.code), std::move(entry.message));
+}
+
+/// What one entry of `C` decodes into (a map's key loses its const).
+template <typename T>
+struct Decoded {
+  using type = T;
+};
+template <typename K, typename V>
+struct Decoded<std::pair<const K, V>> {
+  using type = std::pair<K, V>;
+};
+template <typename C>
+using EntryOf = typename Decoded<
+    std::ranges::range_value_t<decltype(entries(std::declval<const C&>()))>>::type;
+
+// An owner line owns the lines after it: each element of a vector, or the
+// value of an optional, is written with its owned lines, and an owned line
+// decodes into the latest owner.
+
+auto owners(auto& container) {
+  if constexpr (IsOptional<decltype(container)>) {
+    return std::span{container ? &*container : nullptr, container ? 1u : 0u};
+  } else {
+    return std::span{container};
   }
-  if (library) {
-    out += "library " + fmt_f64(library->processor_cost) + " " +
-           fmt_f64(library->processor_budget) + "\n";
-    for (const auto& [name, impl] : library->elements()) {
-      out += "element " + quote(name) + " " + fmt_f64(impl.sw_load) + " " +
-             fmt_i64(impl.sw_wcet.count()) + " " + fmt_f64(impl.hw_cost) + " " +
-             fmt_i64(impl.hw_wcet.count()) + " " + fmt_bool(impl.can_sw) + " " +
-             fmt_bool(impl.can_hw);
-      if (impl.period) out += " " + fmt_i64(impl.period->count());
-      out += "\n";
+}
+
+auto& add_owner(auto& container) {
+  if constexpr (IsOptional<decltype(container)>) {
+    return container.emplace();
+  } else {
+    return container.emplace_back();
+  }
+}
+
+/// An owner line with no owned lines.
+struct NoLines {
+  void operator()(auto&, auto&) const {}
+};
+
+// --- columns -----------------------------------------------------------------
+//
+// A body line is a key followed by columns. Each column refers to the field
+// it carries (const while encoding, mutable while decoding), writes it with
+// put() and reads it back with get(), naming it in decode errors: "missing
+// seed after 'seed'", "invalid hi-us 'x'".
+
+void put_all(std::string& out, const auto& columns) {
+  std::apply([&](const auto&... column) { (column.put(out), ...); }, columns);
+}
+
+void get_all(Args& args, const auto& columns) {
+  std::apply([&](const auto&... column) { (column.get(args), ...); }, columns);
+}
+
+/// One token.
+template <typename T>
+struct One {
+  const char* label;
+  T& value;
+
+  void put(std::string& out) const {
+    out.push_back(' ');
+    put_token(out, value);
+  }
+  void get(Args& args) const { get_token(args, label, value); }
+};
+
+/// An optional last token, written only when the optional holds a value.
+template <typename T>
+struct Trailing {
+  const char* label;
+  T& value;
+
+  void put(std::string& out) const {
+    if (value) One{label, *value}.put(out);
+  }
+  void get(Args& args) const {
+    if (!args.done()) get_token(args, label, value);
+  }
+};
+
+/// A comma-separated list of names in one token, each read by `parse`
+/// (which may accept aliases).
+template <typename T, typename Parse>
+struct Commas {
+  const char* label;
+  T& values;
+  Parse parse;
+
+  void put(std::string& out) const {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      out.push_back(i == 0 ? ' ' : ',');
+      out += to_string(values[i]);
     }
   }
-}
-
-bool decode_overrides(const std::string& key, Args& args,
-                      std::optional<synth::ProblemOptions>& problem,
-                      std::optional<synth::ImplLibrary>& library) {
-  if (key == "problem") {
-    synth::ProblemOptions options;
-    const std::string granularity = args.word("granularity");
-    if (granularity == "process") {
-      options.granularity = synth::ElementGranularity::kProcess;
-    } else if (granularity == "cluster") {
-      options.granularity = synth::ElementGranularity::kClusterAtomic;
-    } else {
-      fail(args.number(), "unknown granularity '" + granularity + "' (cluster|process)");
+  void get(Args& args) const {
+    values.clear();
+    for (const auto part : std::views::split(args.word(label), ',')) {
+      const std::string name{part.begin(), part.end()};
+      const auto value = parse(name);
+      if (!value) fail(args.number(), std::string{"unknown "} + label + " '" + name + "'");
+      values.push_back(*value);
     }
-    options.skip_virtual = args.boolean("skip-virtual");
-    problem = options;
-  } else if (key == "library") {
-    synth::ImplLibrary lib;
-    lib.processor_cost = args.f64("processor-cost");
-    lib.processor_budget = args.f64("processor-budget");
-    library = std::move(lib);
-  } else if (key == "element") {
-    if (!library) fail(args.number(), "'element' before 'library'");
-    const std::string name = args.str("element name");
-    synth::ElementImpl impl;
-    impl.sw_load = args.f64("sw-load");
-    impl.sw_wcet = support::Duration{args.i64("sw-wcet-us")};
-    impl.hw_cost = args.f64("hw-cost");
-    impl.hw_wcet = support::Duration{args.i64("hw-wcet-us")};
-    impl.can_sw = args.boolean("can-sw");
-    impl.can_hw = args.boolean("can-hw");
-    if (!args.done()) impl.period = support::Duration{args.i64("period-us")};
-    library->add(name, impl);
-  } else {
-    return false;
   }
-  return true;
-}
+};
 
-// --- request payload codecs --------------------------------------------------
+/// A latency interval as two tokens, low then high.
+template <typename T>
+struct Interval {
+  const char* lo;
+  const char* hi;
+  T& value;
 
-void encode_payload(std::string& out, const SimulateRequest& request) {
-  out += std::string{"resolution "} + to_string(request.options.resolution) + "\n";
-  out += "seed " + fmt_u64(request.options.seed) + "\n";
-  out += "max-time-us " + fmt_i64(request.options.max_time.count()) + "\n";
-  out += "max-firings " + fmt_i64(request.options.max_total_firings) + "\n";
-  out += std::string{"record-trace "} + fmt_bool(request.options.record_trace) + "\n";
-  out += "trace-limit " + fmt_u64(request.options.trace_limit) + "\n";
-  out += std::string{"render-timeline "} + fmt_bool(request.render_timeline) + "\n";
-}
-
-bool decode_payload(const std::string& key, Args& args, SimulateRequest& request) {
-  if (key == "resolution") {
-    request.options.resolution = parse_resolution(args);
-  } else if (key == "seed") {
-    request.options.seed = args.u64("seed");
-  } else if (key == "max-time-us") {
-    request.options.max_time = support::TimePoint{args.i64("max-time-us")};
-  } else if (key == "max-firings") {
-    request.options.max_total_firings = args.i64("max-firings");
-  } else if (key == "record-trace") {
-    request.options.record_trace = args.boolean("record-trace");
-  } else if (key == "trace-limit") {
-    request.options.trace_limit = args.u64("trace-limit");
-  } else if (key == "render-timeline") {
-    request.render_timeline = args.boolean("render-timeline");
-  } else {
-    return false;
+  void put(std::string& out) const {
+    const support::Duration bounds[] = {value.lo(), value.hi()};
+    One{lo, bounds[0]}.put(out);
+    One{hi, bounds[1]}.put(out);
   }
-  return true;
-}
-
-/// The analysis pass flags: AnalyzeRequest and AnalyzeResponse::Passes name
-/// them alike and both travel as the same two lines.
-template <typename Passes>
-void encode_passes(std::string& out, const Passes& passes) {
-  out += std::string{"passes "} + fmt_bool(passes.deadlock) + " " + fmt_bool(passes.buffers) +
-         " " + fmt_bool(passes.structure) + " " + fmt_bool(passes.timing) + "\n";
-  out += std::string{"include-reconfiguration "} + fmt_bool(passes.include_reconfiguration) +
-         "\n";
-}
-
-template <typename Passes>
-bool decode_passes(const std::string& key, Args& args, Passes& passes) {
-  if (key == "passes") {
-    passes.deadlock = args.boolean("deadlock");
-    passes.buffers = args.boolean("buffers");
-    passes.structure = args.boolean("structure");
-    passes.timing = args.boolean("timing");
-  } else if (key == "include-reconfiguration") {
-    passes.include_reconfiguration = args.boolean("include-reconfiguration");
-  } else {
-    return false;
+  void get(Args& args) const {
+    support::Duration bounds[2];
+    get_token(args, lo, bounds[0]);
+    get_token(args, hi, bounds[1]);
+    value = support::DurationInterval{bounds[0], bounds[1]};
   }
-  return true;
+};
+
+/// Decodes one more entry of `container` through `columns(entry)`.
+template <typename C>
+void get_entry(Args& args, C& container, const auto& columns) {
+  EntryOf<C> entry{};
+  get_all(args, columns(entry));
+  add_entry(container, std::move(entry));
 }
 
-void encode_payload(std::string& out, const AnalyzeRequest& request) {
-  encode_passes(out, request);
-}
+/// All remaining tokens: `columns(entry)` for each entry of `container`.
+template <typename C, typename Columns>
+struct Rest {
+  C& container;
+  Columns columns;
 
-bool decode_payload(const std::string& key, Args& args, AnalyzeRequest& request) {
-  return decode_passes(key, args, request);
-}
-
-void encode_payload(std::string& out, const ExploreRequest& request) {
-  encode_explore_options(out, request.options);
-  encode_overrides(out, request.problem, request.library);
-}
-
-bool decode_payload(const std::string& key, Args& args, ExploreRequest& request) {
-  return decode_explore_options(key, args, request.options) ||
-         decode_overrides(key, args, request.problem, request.library);
-}
-
-void encode_payload(std::string& out, const ParetoRequest& request) {
-  out += "exhaustive-limit " + fmt_u64(request.options.exhaustive_limit) + "\n";
-  out += "samples " + fmt_u64(request.options.samples) + "\n";
-  out += "seed " + fmt_u64(request.options.seed) + "\n";
-  encode_overrides(out, request.problem, request.library);
-}
-
-bool decode_payload(const std::string& key, Args& args, ParetoRequest& request) {
-  if (key == "exhaustive-limit") {
-    request.options.exhaustive_limit = args.u64("exhaustive-limit");
-  } else if (key == "samples") {
-    request.options.samples = args.u64("samples");
-  } else if (key == "seed") {
-    request.options.seed = args.u64("seed");
-  } else {
-    return decode_overrides(key, args, request.problem, request.library);
+  void put(std::string& out) const {
+    for (const auto& entry : entries(container)) put_all(out, columns(entry));
   }
-  return true;
+  void get(Args& args) const {
+    while (!args.done()) get_entry(args, container, columns);
+  }
+};
+
+/// All remaining tokens, one entry of `container` each.
+template <typename C>
+auto rest(const char* label, C& container) {
+  return Rest{container, [label](auto& entry) { return std::tuple{One{label, entry}}; }};
 }
 
-void encode_payload(std::string& out, const CompareRequest& request) {
-  if (!request.strategies.empty()) {
-    out += "strategies " + comma_list(request.strategies) + "\n";
-  }
-  encode_explore_options(out, request.options);
-  out += std::string{"all-orders "} + fmt_bool(request.all_orders) + "\n";
-  out += "max-orders " + fmt_u64(request.max_orders) + "\n";
-  if (!request.objectives.empty()) {
-    out += "objectives " + comma_list(request.objectives) + "\n";
-  }
-  encode_overrides(out, request.problem, request.library);
+/// The columns of a line, in order.
+template <typename... Columns>
+std::tuple<Columns...> cols(Columns... columns) {
+  return {columns...};
 }
 
-bool decode_payload(const std::string& key, Args& args, CompareRequest& request) {
-  if (key == "strategies") {
-    request.strategies =
-        parse_comma_list<synth::StrategyKind>(args, "strategy", synth::parse_strategy);
-  } else if (key == "all-orders") {
-    request.all_orders = args.boolean("all-orders");
-  } else if (key == "max-orders") {
-    request.max_orders = args.u64("max-orders");
-  } else if (key == "objectives") {
-    request.objectives =
-        parse_comma_list<synth::RankObjective>(args, "objective", synth::parse_objective);
-  } else {
-    return decode_explore_options(key, args, request.options) ||
-           decode_overrides(key, args, request.problem, request.library);
-  }
-  return true;
-}
+/// The columns of one mapping entry: `"element" SW`.
+constexpr auto assignment = [](auto& entry) {
+  return cols(One{"element", entry.first}, One{"mapping target", entry.second});
+};
 
-// --- response payload codecs -------------------------------------------------
+constexpr auto diagnostic = [](auto& d) {
+  return cols(One{"severity", d.severity}, One{"code", d.code}, One{"message", d.message});
+};
 
-void encode_mapping_line(std::string& out, const char* key, const synth::Mapping& mapping) {
-  for (const auto& [element, target] : mapping.assignments()) {
-    out += std::string{key} + " " + quote(element) + " " + to_string(target) + "\n";
-  }
-}
+constexpr auto trace_event = [](auto& e) {
+  return cols(One{"time-us", e.time}, One{"trace kind", e.kind}, One{"subject", e.subject},
+              One{"detail", e.detail});
+};
 
-void encode_names(std::string& out, const char* key, const std::vector<std::string>& names) {
-  out += key;
-  for (const std::string& name : names) out += " " + quote(name);
-  out += "\n";
-}
+// --- encoding and decoding a description -------------------------------------
+//
+// A description lists a type's body lines in frame order through the shapes
+// below. Writer writes every line it lists; Reader runs it once per body
+// line and decodes that line into the one entry carrying its key. Keys are
+// string literals, so a key can also label its line's one column.
 
-std::vector<std::string> decode_names(Args& args, const char* what) {
-  std::vector<std::string> names;
-  while (!args.done()) names.push_back(args.str(what));
-  return names;
-}
+class Writer {
+ public:
+  explicit Writer(std::string& out) : out_(out) {}
 
-void encode_cost(std::string& out, const char* key, const synth::CostBreakdown& cost) {
-  out += std::string{key} + " " + fmt_f64(cost.processor_cost) + " " + fmt_f64(cost.asic_cost) +
-         " " + fmt_f64(cost.total) + " " + fmt_bool(cost.feasible) + " " +
-         fmt_f64(cost.worst_utilization) + " " + quote(cost.infeasibility) + "\n";
-}
+  /// A line that is always written.
+  template <typename... Columns>
+  void line(std::string_view key, const Columns&... columns) {
+    out_ += key;
+    (columns.put(out_), ...);
+    out_.push_back('\n');
+  }
 
-void decode_cost(Args& args, synth::CostBreakdown& cost) {
-  cost.processor_cost = args.f64("processor-cost");
-  cost.asic_cost = args.f64("asic-cost");
-  cost.total = args.f64("total");
-  cost.feasible = args.boolean("feasible");
-  cost.worst_utilization = args.f64("worst-utilization");
-  cost.infeasibility = args.str("infeasibility");
-}
+  /// A line written only when `present`, and accepted whenever it is sent.
+  template <typename... Columns>
+  void line_if(bool present, std::string_view key, const Columns&... columns) {
+    if (present) line(key, columns...);
+  }
 
-void encode_payload(std::string& out, const SimulateResponse& response) {
-  out += "model " + quote(response.model) + "\n";
-  const sim::SimResult& r = response.result;
-  out += "end-time-us " + fmt_i64(r.end_time.count()) + "\n";
-  out += "total-firings " + fmt_i64(r.total_firings) + "\n";
-  out += std::string{"quiescent "} + fmt_bool(r.quiescent) + "\n";
-  out += std::string{"hit-limit "} + fmt_bool(r.hit_limit) + "\n";
-  for (const sim::ProcessStats& p : r.processes) {
-    out += "process-stat " + fmt_i64(p.firings) + " " + fmt_i64(p.busy.count()) + " " +
-           fmt_i64(p.reconfigurations) + " " + fmt_i64(p.reconfig_time.count()) + " " +
-           fmt_i64(p.cancelled);
-    for (const std::int64_t firings : p.mode_firings) out += " " + fmt_i64(firings);
-    out += "\n";
-  }
-  for (const sim::ChannelStats& c : r.channels) {
-    out += "channel-stat " + fmt_i64(c.produced) + " " + fmt_i64(c.consumed) + " " +
-           fmt_i64(c.dropped) + " " + fmt_i64(c.occupancy) + " " + fmt_i64(c.max_occupancy) +
-           "\n";
-  }
-  for (const auto& [id, stats] : r.interfaces) {
-    out += "interface-stat " + fmt_u64(id.value()) + " " + fmt_i64(stats.selections) + " " +
-           fmt_i64(stats.reconfigurations) + " " + fmt_i64(stats.reconfig_time.count()) + "\n";
-  }
-  for (const sim::ConstraintMeasurement& c : r.constraints) {
-    out += "constraint " + quote(c.name) + " " + fmt_bool(c.satisfied) + " " +
-           fmt_f64(c.observed) + " " + fmt_f64(c.bound) + " " + fmt_i64(c.samples) + "\n";
-  }
-  for (const sim::TraceEvent& e : r.trace.events()) {
-    out += "trace-event " + fmt_i64(e.time.count()) + " " + to_string(e.kind) + " " +
-           quote(e.subject) + " " + quote(e.detail) + "\n";
-  }
-  out += std::string{"trace-truncated "} + fmt_bool(r.trace.truncated()) + "\n";
-  for (const SimulateResponse::ProcessRow& row : response.processes) {
-    out += "process-row " + quote(row.name) + " " + fmt_i64(row.firings) + " " +
-           fmt_i64(row.busy.count()) + " " + fmt_i64(row.reconfigurations) + "\n";
-  }
-  for (const SimulateResponse::ChannelRow& row : response.channels) {
-    out += "channel-row " + quote(row.name) + " " + fmt_i64(row.produced) + " " +
-           fmt_i64(row.consumed) + " " + fmt_i64(row.occupancy) + " " +
-           fmt_i64(row.max_occupancy) + "\n";
-  }
-  out += "timeline " + quote(response.timeline) + "\n";
-}
+  /// A one-column line whose column is named like its key.
+  void field(std::string_view key, const auto& value) { line(key, One{key.data(), value}); }
 
-/// Decoder state for rebuilding a SimulateResponse's Trace (sim::Trace only
-/// grows through record(); the flag-only truncation marker is reproduced by
-/// recording one overflow past a tight limit).
+  /// One line per entry of `container`.
+  template <typename C, typename Columns>
+  void each(std::string_view key, const C& container, const Columns& columns) {
+    for (const auto& entry : entries(container)) line_of(key, columns(entry));
+  }
+
+  /// One line per owner in `container`, each followed by its owned lines.
+  template <typename C, typename Columns, typename Owned = NoLines>
+  void group(std::string_view key, const C& container, const Columns& columns,
+             const Owned& owned = {}) {
+    for (const auto& owner : owners(container)) {
+      line_of(key, columns(owner));
+      owned(*this, owner);
+    }
+  }
+
+  void trace(const sim::Trace& trace) {
+    each("trace-event", trace.events(), trace_event);
+    field("trace-truncated", trace.truncated());
+  }
+
+ private:
+  void line_of(std::string_view key, const auto& columns) {
+    std::apply([&](const auto&... column) { line(key, column...); }, columns);
+  }
+
+  std::string& out_;
+};
+
+/// sim::Trace grows only through record(), so a decoded trace is rebuilt
+/// from its lines once the frame is read; the flag-only truncation marker is
+/// reproduced by recording one overflow past a tight limit.
 struct TraceRebuild {
   std::vector<sim::TraceEvent> events;
   bool truncated = false;
@@ -589,386 +569,350 @@ struct TraceRebuild {
   }
 };
 
-bool decode_payload(const std::string& key, Args& args, SimulateResponse& response,
-                    TraceRebuild& trace) {
-  sim::SimResult& r = response.result;
-  if (key == "model") {
-    response.model = args.str("model");
-  } else if (key == "end-time-us") {
-    r.end_time = support::TimePoint{args.i64("end-time-us")};
-  } else if (key == "total-firings") {
-    r.total_firings = args.i64("total-firings");
-  } else if (key == "quiescent") {
-    r.quiescent = args.boolean("quiescent");
-  } else if (key == "hit-limit") {
-    r.hit_limit = args.boolean("hit-limit");
-  } else if (key == "process-stat") {
-    sim::ProcessStats stats;
-    stats.firings = args.i64("firings");
-    stats.busy = support::Duration{args.i64("busy-us")};
-    stats.reconfigurations = args.i64("reconfigurations");
-    stats.reconfig_time = support::Duration{args.i64("reconfig-us")};
-    stats.cancelled = args.i64("cancelled");
-    while (!args.done()) stats.mode_firings.push_back(args.i64("mode firings"));
-    r.processes.push_back(std::move(stats));
-  } else if (key == "channel-stat") {
-    sim::ChannelStats stats;
-    stats.produced = args.i64("produced");
-    stats.consumed = args.i64("consumed");
-    stats.dropped = args.i64("dropped");
-    stats.occupancy = args.i64("occupancy");
-    stats.max_occupancy = args.i64("max-occupancy");
-    r.channels.push_back(stats);
-  } else if (key == "interface-stat") {
-    const auto id = support::InterfaceId{args.u32("interface id")};
-    sim::InterfaceStats stats;
-    stats.selections = args.i64("selections");
-    stats.reconfigurations = args.i64("reconfigurations");
-    stats.reconfig_time = support::Duration{args.i64("reconfig-us")};
-    r.interfaces.emplace(id, stats);
-  } else if (key == "constraint") {
-    sim::ConstraintMeasurement c;
-    c.name = args.str("constraint name");
-    c.satisfied = args.boolean("satisfied");
-    c.observed = args.f64("observed");
-    c.bound = args.f64("bound");
-    c.samples = args.i64("samples");
-    r.constraints.push_back(std::move(c));
-  } else if (key == "trace-event") {
-    sim::TraceEvent e;
-    e.time = support::TimePoint{args.i64("time-us")};
-    e.kind = parse_trace_kind(args);
-    e.subject = args.str("subject");
-    e.detail = args.str("detail");
-    trace.events.push_back(std::move(e));
-  } else if (key == "trace-truncated") {
-    trace.truncated = args.boolean("trace-truncated");
-  } else if (key == "process-row") {
-    SimulateResponse::ProcessRow row;
-    row.name = args.str("process name");
-    row.firings = args.i64("firings");
-    row.busy = support::Duration{args.i64("busy-us")};
-    row.reconfigurations = args.i64("reconfigurations");
-    response.processes.push_back(std::move(row));
-  } else if (key == "channel-row") {
-    SimulateResponse::ChannelRow row;
-    row.name = args.str("channel name");
-    row.produced = args.i64("produced");
-    row.consumed = args.i64("consumed");
-    row.occupancy = args.i64("occupancy");
-    row.max_occupancy = args.i64("max-occupancy");
-    response.channels.push_back(std::move(row));
-  } else if (key == "timeline") {
-    response.timeline = args.str("timeline");
-  } else {
-    return false;
+class Reader {
+ public:
+  /// Decodes `line` through `describe(*this)`; a key no entry carries is an
+  /// error.
+  template <typename Describe>
+  void read(const Line& line, const Describe& describe) {
+    Args args{line};
+    args_ = &args;
+    key_ = line.key();
+    matched_ = false;
+    describe(*this);
+    if (!matched_) fail(line.number, "unknown key '" + line.key() + "'");
+    args.finish();
   }
-  return true;
-}
 
-void encode_payload(std::string& out, const AnalyzeResponse& response) {
-  out += "model " + quote(response.model) + "\n";
-  encode_passes(out, response.passes);
-  for (const AnalyzeResponse::Deadlock& d : response.deadlocks) {
-    out += "deadlock " + fmt_i64(d.initial_tokens) + " " + fmt_i64(d.required_tokens) + " " +
-           quote(d.description);
-    for (const std::string& name : d.cycle) out += " " + quote(name);
-    out += "\n";
+  /// Completes what spans lines, once the whole frame is read.
+  void finish() {
+    if (trace_ != nullptr) *trace_ = rebuild_.build();
   }
-  for (const analysis::ChannelFlow& flow : response.buffer_flows) {
-    out += "buffer-flow " + fmt_u64(flow.channel.value()) + " " + quote(flow.name) + " " +
-           to_string(flow.flow) + " " + fmt_f64(flow.max_inflow) + " " +
-           fmt_f64(flow.min_drain) + "\n";
-  }
-  for (const analysis::LatencyCheck& check : response.latency_checks) {
-    out += "latency-check " + quote(check.constraint) + " " +
-           fmt_i64(check.path_latency.lo().count()) + " " +
-           fmt_i64(check.path_latency.hi().count()) + " " + fmt_i64(check.bound.count()) + " " +
-           fmt_bool(check.satisfiable) + " " + fmt_bool(check.guaranteed) + " " +
-           fmt_i64(check.slack.count()) + "\n";
-  }
-  out += std::string{"structure "} + fmt_bool(response.structure.acyclic) + " " +
-         fmt_u64(response.structure.components) + "\n";
-  encode_names(out, "sources", response.structure.sources);
-  encode_names(out, "sinks", response.structure.sinks);
-  encode_names(out, "dead", response.structure.dead);
-}
 
-bool decode_payload(const std::string& key, Args& args, AnalyzeResponse& response) {
-  if (key == "model") {
-    response.model = args.str("model");
-  } else if (key == "deadlock") {
-    AnalyzeResponse::Deadlock d;
-    d.initial_tokens = args.i64("initial tokens");
-    d.required_tokens = args.i64("required tokens");
-    d.description = args.str("description");
-    d.cycle = decode_names(args, "cycle process");
-    response.deadlocks.push_back(std::move(d));
-  } else if (key == "buffer-flow") {
-    analysis::ChannelFlow flow;
-    flow.channel = support::ChannelId{args.u32("channel id")};
-    flow.name = args.str("channel name");
-    flow.flow = parse_flow_class(args);
-    flow.max_inflow = args.f64("max-inflow");
-    flow.min_drain = args.f64("min-drain");
-    response.buffer_flows.push_back(std::move(flow));
-  } else if (key == "latency-check") {
-    analysis::LatencyCheck check;
-    check.constraint = args.str("constraint name");
-    const auto lo = support::Duration{args.i64("lo-us")};
-    const auto hi = support::Duration{args.i64("hi-us")};
-    check.path_latency = support::DurationInterval{lo, hi};
-    check.bound = support::Duration{args.i64("bound-us")};
-    check.satisfiable = args.boolean("satisfiable");
-    check.guaranteed = args.boolean("guaranteed");
-    check.slack = support::Duration{args.i64("slack-us")};
-    response.latency_checks.push_back(std::move(check));
-  } else if (key == "structure") {
-    response.structure.acyclic = args.boolean("acyclic");
-    response.structure.components = args.u64("components");
-  } else if (key == "sources") {
-    response.structure.sources = decode_names(args, "source");
-  } else if (key == "sinks") {
-    response.structure.sinks = decode_names(args, "sink");
-  } else if (key == "dead") {
-    response.structure.dead = decode_names(args, "dead process");
-  } else {
-    return decode_passes(key, args, response.passes);
+  template <typename... Columns>
+  void line(std::string_view key, const Columns&... columns) {
+    if (take(key)) (columns.get(*args_), ...);
   }
-  return true;
-}
 
-void encode_payload(std::string& out, const ExploreResponse& response) {
-  out += "model " + quote(response.model) + "\n";
-  out += "problem " + quote(response.problem) + "\n";
-  out += "applications " + fmt_u64(response.applications) + "\n";
-  out += "elements " + fmt_u64(response.elements) + "\n";
-  out += "library-origin " + quote(response.library_origin) + "\n";
-  out += "engine " + quote(response.result.engine) + "\n";
-  out += std::string{"found-feasible "} + fmt_bool(response.result.found_feasible) + "\n";
-  out += "decisions " + fmt_i64(response.result.decisions) + "\n";
-  out += "evaluations " + fmt_i64(response.result.evaluations) + "\n";
-  encode_cost(out, "cost", response.result.cost);
-  encode_names(out, "cost-software", response.result.cost.software);
-  encode_names(out, "cost-hardware", response.result.cost.hardware);
-  encode_mapping_line(out, "map", response.result.mapping);
-}
-
-bool decode_payload(const std::string& key, Args& args, ExploreResponse& response) {
-  if (key == "model") {
-    response.model = args.str("model");
-  } else if (key == "problem") {
-    response.problem = args.str("problem");
-  } else if (key == "applications") {
-    response.applications = args.u64("applications");
-  } else if (key == "elements") {
-    response.elements = args.u64("elements");
-  } else if (key == "library-origin") {
-    response.library_origin = args.str("library-origin");
-  } else if (key == "engine") {
-    response.result.engine = args.str("engine");
-  } else if (key == "found-feasible") {
-    response.result.found_feasible = args.boolean("found-feasible");
-  } else if (key == "decisions") {
-    response.result.decisions = args.i64("decisions");
-  } else if (key == "evaluations") {
-    response.result.evaluations = args.i64("evaluations");
-  } else if (key == "cost") {
-    decode_cost(args, response.result.cost);
-  } else if (key == "cost-software") {
-    response.result.cost.software = decode_names(args, "software element");
-  } else if (key == "cost-hardware") {
-    response.result.cost.hardware = decode_names(args, "hardware element");
-  } else if (key == "map") {
-    const std::string element = args.str("element");
-    response.result.mapping.set(element, parse_target_kind(args));
-  } else {
-    return false;
+  template <typename... Columns>
+  void line_if(bool /*present*/, std::string_view key, const Columns&... columns) {
+    line(key, columns...);
   }
-  return true;
-}
 
-void encode_payload(std::string& out, const ParetoResponse& response) {
-  out += "model " + quote(response.model) + "\n";
-  out += "applications " + fmt_u64(response.applications) + "\n";
-  out += "library-origin " + quote(response.library_origin) + "\n";
-  for (const synth::ParetoPoint& point : response.points) {
-    out += "point " + fmt_f64(point.cost) + " " + fmt_i64(point.worst_latency.count());
-    for (const auto& [element, target] : point.mapping.assignments()) {
-      out += " " + quote(element) + " " + to_string(target);
-    }
-    out += "\n";
-  }
-}
+  void field(std::string_view key, auto& value) { line(key, One{key.data(), value}); }
 
-bool decode_payload(const std::string& key, Args& args, ParetoResponse& response) {
-  if (key == "model") {
-    response.model = args.str("model");
-  } else if (key == "applications") {
-    response.applications = args.u64("applications");
-  } else if (key == "library-origin") {
-    response.library_origin = args.str("library-origin");
-  } else if (key == "point") {
-    synth::ParetoPoint point;
-    point.cost = args.f64("cost");
-    point.worst_latency = support::Duration{args.i64("worst-latency-us")};
-    while (!args.done()) {
-      const std::string element = args.str("element");
-      point.mapping.set(element, parse_target_kind(args));
-    }
-    response.points.push_back(std::move(point));
-  } else {
-    return false;
+  template <typename C, typename Columns>
+  void each(std::string_view key, C& container, const Columns& columns) {
+    if (take(key)) get_entry(*args_, container, columns);
   }
-  return true;
-}
 
-void encode_outcome(std::string& out, const char* prefix, const synth::StrategyOutcome& outcome) {
-  const std::string p{prefix};
-  out += p + " " + quote(outcome.strategy) + " " + quote(outcome.detail) + " " +
-         fmt_bool(outcome.feasible) + " " + fmt_i64(outcome.decisions) + " " +
-         fmt_i64(outcome.evaluations) + "\n";
-  encode_cost(out, (p + "-cost").c_str(), outcome.cost);
-  encode_names(out, (p + "-software").c_str(), outcome.cost.software);
-  encode_names(out, (p + "-hardware").c_str(), outcome.cost.hardware);
-  encode_mapping_line(out, (p + "-map").c_str(), outcome.mapping);
-  for (const synth::Mapping& mapping : outcome.per_app) {
-    out += p + "-per-app\n";
-    encode_mapping_line(out, (p + "-per-app-map").c_str(), mapping);
-  }
-}
-
-void encode_payload(std::string& out, const CompareResponse& response) {
-  out += "model " + quote(response.model) + "\n";
-  out += "problem " + quote(response.problem) + "\n";
-  out += "applications " + fmt_u64(response.applications) + "\n";
-  out += "library-origin " + quote(response.library_origin) + "\n";
-  if (!response.objectives.empty()) {
-    out += "objectives " + comma_list(response.objectives) + "\n";
-  }
-  out += "ranking";
-  for (const std::size_t index : response.ranking) out += " " + fmt_u64(index);
-  out += "\n";
-  for (const CompareResponse::Row& row : response.rows) {
-    out += "row " + quote(row.strategy) + " " + quote(row.scope) + " " +
-           fmt_u64(row.orders_tried) + " " + fmt_f64(row.worst_total) + " " +
-           fmt_i64(row.decisions) + " " + fmt_i64(row.evaluations) + "\n";
-    encode_outcome(out, "outcome", row.outcome);
-    for (const CompareResponse::OrderOutcome& order : row.per_order) {
-      out += "per-order " + fmt_f64(order.total) + " " + fmt_f64(order.worst_utilization) + " " +
-             fmt_bool(order.feasible) + " " + fmt_i64(order.decisions);
-      for (const std::size_t index : order.order) out += " " + fmt_u64(index);
-      out += "\n";
+  template <typename C, typename Columns, typename Owned = NoLines>
+  void group(std::string_view key, C& container, const Columns& columns, const Owned& owned = {}) {
+    if (take(key)) return get_all(*args_, columns(add_owner(container)));
+    if (matched_) return;
+    if (const auto list = owners(container); !list.empty()) return owned(*this, list.back());
+    // No owner yet: probe whether an owned line came before its owner.
+    typename C::value_type scratch{};
+    const bool probing = std::exchange(probing_, true);
+    owned(*this, scratch);
+    probing_ = probing;
+    if (matched_ && !probing_) {
+      fail(args_->number(), "'" + std::string{key_} + "' before '" + std::string{key} + "'");
     }
   }
+
+  void trace(sim::Trace& trace) {
+    trace_ = &trace;
+    each("trace-event", rebuild_.events, trace_event);
+    field("trace-truncated", rebuild_.truncated);
+  }
+
+ private:
+  /// Whether the line is `key`'s and decodes now: a probe only notes the
+  /// match.
+  bool take(std::string_view key) {
+    if (matched_ || key_ != key) return false;
+    matched_ = true;
+    return !probing_;
+  }
+
+  Args* args_ = nullptr;
+  std::string_view key_;
+  bool matched_ = false;
+  bool probing_ = false;
+  sim::Trace* trace_ = nullptr;
+  TraceRebuild rebuild_;
+};
+
+// --- descriptions ------------------------------------------------------------
+//
+// One describe() per wire type. `Like<T> auto&` binds both the const value a
+// Writer encodes and the mutable one a Reader decodes into.
+
+template <typename V, typename T>
+concept Like = std::same_as<std::remove_const_t<V>, T>;
+
+void describe(auto& io, Like<SimulateRequest> auto& request) {
+  auto& options = request.options;
+  io.field("resolution", options.resolution);
+  io.field("seed", options.seed);
+  io.field("max-time-us", options.max_time);
+  io.field("max-firings", options.max_total_firings);
+  io.field("record-trace", options.record_trace);
+  io.field("trace-limit", options.trace_limit);
+  io.field("render-timeline", request.render_timeline);
 }
 
-bool decode_payload(const std::string& key, Args& args, CompareResponse& response) {
-  CompareResponse::Row* row = response.rows.empty() ? nullptr : &response.rows.back();
-  const auto require_row = [&]() -> CompareResponse::Row& {
-    if (!row) fail(args.number(), "'" + key + "' before any 'row'");
-    return *row;
-  };
-  if (key == "model") {
-    response.model = args.str("model");
-  } else if (key == "problem") {
-    response.problem = args.str("problem");
-  } else if (key == "applications") {
-    response.applications = args.u64("applications");
-  } else if (key == "library-origin") {
-    response.library_origin = args.str("library-origin");
-  } else if (key == "objectives") {
-    response.objectives =
-        parse_comma_list<synth::RankObjective>(args, "objective", synth::parse_objective);
-  } else if (key == "ranking") {
-    while (!args.done()) response.ranking.push_back(args.u64("ranking index"));
-  } else if (key == "row") {
-    CompareResponse::Row fresh;
-    fresh.strategy = args.str("strategy");
-    fresh.scope = args.str("scope");
-    fresh.orders_tried = args.u64("orders-tried");
-    fresh.worst_total = args.f64("worst-total");
-    fresh.decisions = args.i64("decisions");
-    fresh.evaluations = args.i64("evaluations");
-    response.rows.push_back(std::move(fresh));
-  } else if (key == "outcome") {
-    synth::StrategyOutcome& outcome = require_row().outcome;
-    outcome.strategy = args.str("strategy");
-    outcome.detail = args.str("detail");
-    outcome.feasible = args.boolean("feasible");
-    outcome.decisions = args.i64("decisions");
-    outcome.evaluations = args.i64("evaluations");
-  } else if (key == "outcome-cost") {
-    decode_cost(args, require_row().outcome.cost);
-  } else if (key == "outcome-software") {
-    require_row().outcome.cost.software = decode_names(args, "software element");
-  } else if (key == "outcome-hardware") {
-    require_row().outcome.cost.hardware = decode_names(args, "hardware element");
-  } else if (key == "outcome-map") {
-    const std::string element = args.str("element");
-    require_row().outcome.mapping.set(element, parse_target_kind(args));
-  } else if (key == "outcome-per-app") {
-    require_row().outcome.per_app.emplace_back();
-  } else if (key == "outcome-per-app-map") {
-    auto& per_app = require_row().outcome.per_app;
-    if (per_app.empty()) fail(args.number(), "'outcome-per-app-map' before 'outcome-per-app'");
-    const std::string element = args.str("element");
-    per_app.back().set(element, parse_target_kind(args));
-  } else if (key == "per-order") {
-    CompareResponse::OrderOutcome order;
-    order.total = args.f64("total");
-    order.worst_utilization = args.f64("worst-utilization");
-    order.feasible = args.boolean("feasible");
-    order.decisions = args.i64("decisions");
-    while (!args.done()) order.order.push_back(args.u64("order index"));
-    require_row().per_order.push_back(std::move(order));
-  } else {
-    return false;
-  }
-  return true;
+/// The analysis pass flags: AnalyzeRequest and AnalyzeResponse::Passes name
+/// them alike.
+void describe_passes(auto& io, auto& passes) {
+  io.line("passes", One{"deadlock", passes.deadlock}, One{"buffers", passes.buffers},
+          One{"structure", passes.structure}, One{"timing", passes.timing});
+  io.field("include-reconfiguration", passes.include_reconfiguration);
+}
+
+void describe(auto& io, Like<AnalyzeRequest> auto& request) { describe_passes(io, request); }
+
+void describe(auto& io, Like<synth::ExploreOptions> auto& options) {
+  io.field("engine", options.engine);
+  io.field("seed", options.seed);
+  io.field("exhaustive-limit", options.exhaustive_limit);
+  io.field("annealing-trials", options.annealing_trials_per_element);
+  io.field("annealing-temperature", options.annealing_initial_temperature);
+  io.field("infeasibility-penalty", options.infeasibility_penalty);
+}
+
+/// The problem and library overrides of explore, pareto and compare; the
+/// library line owns its element lines.
+void describe_overrides(auto& io, auto& request) {
+  io.group("problem", request.problem, [](auto& problem) {
+    return cols(One{"granularity", problem.granularity}, One{"skip-virtual", problem.skip_virtual});
+  });
+  io.group(
+      "library", request.library,
+      [](auto& library) {
+        return cols(One{"processor-cost", library.processor_cost},
+                    One{"processor-budget", library.processor_budget});
+      },
+      [](auto& owned, auto& library) {
+        owned.each("element", library, [](auto& element) {
+          auto& impl = element.second;
+          return cols(One{"element name", element.first}, One{"sw-load", impl.sw_load},
+                      One{"sw-wcet-us", impl.sw_wcet}, One{"hw-cost", impl.hw_cost},
+                      One{"hw-wcet-us", impl.hw_wcet}, One{"can-sw", impl.can_sw},
+                      One{"can-hw", impl.can_hw}, Trailing{"period-us", impl.period});
+        });
+      });
+}
+
+void describe(auto& io, Like<ExploreRequest> auto& request) {
+  describe(io, request.options);
+  describe_overrides(io, request);
+}
+
+void describe(auto& io, Like<ParetoRequest> auto& request) {
+  io.field("exhaustive-limit", request.options.exhaustive_limit);
+  io.field("samples", request.options.samples);
+  io.field("seed", request.options.seed);
+  describe_overrides(io, request);
+}
+
+void describe(auto& io, Like<CompareRequest> auto& request) {
+  io.line_if(!request.strategies.empty(), "strategies",
+             Commas{"strategy", request.strategies, synth::parse_strategy});
+  describe(io, request.options);
+  io.field("all-orders", request.all_orders);
+  io.field("max-orders", request.max_orders);
+  io.line_if(!request.objectives.empty(), "objectives",
+             Commas{"objective", request.objectives, synth::parse_objective});
+  describe_overrides(io, request);
+}
+
+/// The request envelope: target spec, model handle and scheduling options,
+/// then the payload.
+void describe(auto& io, Like<AnyRequest> auto& request) {
+  // Options without a target spec still travel (as an empty target), so
+  // the invalid combination round-trips and fails identically on both
+  // sides of the wire instead of silently becoming a valid request.
+  io.line_if(!request.target.empty() || !request.target_options.empty(), "target",
+             One{"target spec", request.target}, rest("target option", request.target_options));
+  std::visit(
+      [&](auto& payload) {
+        io.line_if(payload.model.valid(), "model", One{"model handle", payload.model});
+        io.line_if(request.options.priority != Priority::kNormal, "priority",
+                   One{"priority", request.options.priority});
+        io.line_if(request.options.deadline.has_value(), "deadline-ms",
+                   One{"deadline-ms", request.options.deadline});
+        describe(io, payload);
+      },
+      request.payload);
+}
+
+void describe(auto& io, Like<SimulateResponse> auto& response) {
+  auto& result = response.result;
+  io.field("model", response.model);
+  io.field("end-time-us", result.end_time);
+  io.field("total-firings", result.total_firings);
+  io.field("quiescent", result.quiescent);
+  io.field("hit-limit", result.hit_limit);
+  io.each("process-stat", result.processes, [](auto& p) {
+    return cols(One{"firings", p.firings}, One{"busy-us", p.busy},
+                One{"reconfigurations", p.reconfigurations}, One{"reconfig-us", p.reconfig_time},
+                One{"cancelled", p.cancelled}, rest("mode firings", p.mode_firings));
+  });
+  io.each("channel-stat", result.channels, [](auto& c) {
+    return cols(One{"produced", c.produced}, One{"consumed", c.consumed},
+                One{"dropped", c.dropped}, One{"occupancy", c.occupancy},
+                One{"max-occupancy", c.max_occupancy});
+  });
+  io.each("interface-stat", result.interfaces, [](auto& entry) {
+    auto& stats = entry.second;
+    return cols(One{"interface id", entry.first}, One{"selections", stats.selections},
+                One{"reconfigurations", stats.reconfigurations},
+                One{"reconfig-us", stats.reconfig_time});
+  });
+  io.each("constraint", result.constraints, [](auto& c) {
+    return cols(One{"constraint name", c.name}, One{"satisfied", c.satisfied},
+                One{"observed", c.observed}, One{"bound", c.bound}, One{"samples", c.samples});
+  });
+  io.trace(result.trace);
+  io.each("process-row", response.processes, [](auto& row) {
+    return cols(One{"process name", row.name}, One{"firings", row.firings},
+                One{"busy-us", row.busy}, One{"reconfigurations", row.reconfigurations});
+  });
+  io.each("channel-row", response.channels, [](auto& row) {
+    return cols(One{"channel name", row.name}, One{"produced", row.produced},
+                One{"consumed", row.consumed}, One{"occupancy", row.occupancy},
+                One{"max-occupancy", row.max_occupancy});
+  });
+  io.field("timeline", response.timeline);
+}
+
+void describe(auto& io, Like<AnalyzeResponse> auto& response) {
+  io.field("model", response.model);
+  describe_passes(io, response.passes);
+  io.each("deadlock", response.deadlocks, [](auto& d) {
+    return cols(One{"initial tokens", d.initial_tokens}, One{"required tokens", d.required_tokens},
+                One{"description", d.description}, rest("cycle process", d.cycle));
+  });
+  io.each("buffer-flow", response.buffer_flows, [](auto& flow) {
+    return cols(One{"channel id", flow.channel}, One{"channel name", flow.name},
+                One{"flow class", flow.flow}, One{"max-inflow", flow.max_inflow},
+                One{"min-drain", flow.min_drain});
+  });
+  io.each("latency-check", response.latency_checks, [](auto& check) {
+    return cols(One{"constraint name", check.constraint},
+                Interval{"lo-us", "hi-us", check.path_latency}, One{"bound-us", check.bound},
+                One{"satisfiable", check.satisfiable}, One{"guaranteed", check.guaranteed},
+                One{"slack-us", check.slack});
+  });
+  auto& structure = response.structure;
+  io.line("structure", One{"acyclic", structure.acyclic}, One{"components", structure.components});
+  io.line("sources", rest("source", structure.sources));
+  io.line("sinks", rest("sink", structure.sinks));
+  io.line("dead", rest("dead process", structure.dead));
+}
+
+/// A cost breakdown's three lines, under the keys its owner gives them.
+void describe_cost(auto& io, auto& cost, std::string_view key, std::string_view software,
+                   std::string_view hardware) {
+  io.line(key, One{"processor-cost", cost.processor_cost}, One{"asic-cost", cost.asic_cost},
+          One{"total", cost.total}, One{"feasible", cost.feasible},
+          One{"worst-utilization", cost.worst_utilization},
+          One{"infeasibility", cost.infeasibility});
+  io.line(software, rest("software element", cost.software));
+  io.line(hardware, rest("hardware element", cost.hardware));
+}
+
+void describe(auto& io, Like<ExploreResponse> auto& response) {
+  auto& result = response.result;
+  io.field("model", response.model);
+  io.field("problem", response.problem);
+  io.field("applications", response.applications);
+  io.field("elements", response.elements);
+  io.field("library-origin", response.library_origin);
+  io.field("engine", result.engine);
+  io.field("found-feasible", result.found_feasible);
+  io.field("decisions", result.decisions);
+  io.field("evaluations", result.evaluations);
+  describe_cost(io, result.cost, "cost", "cost-software", "cost-hardware");
+  io.each("map", result.mapping, assignment);
+}
+
+void describe(auto& io, Like<ParetoResponse> auto& response) {
+  io.field("model", response.model);
+  io.field("applications", response.applications);
+  io.field("library-origin", response.library_origin);
+  io.each("point", response.points, [](auto& point) {
+    return cols(One{"cost", point.cost}, One{"worst-latency-us", point.worst_latency},
+                Rest{point.mapping, assignment});
+  });
+}
+
+/// One compare row: its best outcome, then the orders it tried.
+void describe_row(auto& io, auto& row) {
+  auto& outcome = row.outcome;
+  io.line("outcome", One{"strategy", outcome.strategy}, One{"detail", outcome.detail},
+          One{"feasible", outcome.feasible}, One{"decisions", outcome.decisions},
+          One{"evaluations", outcome.evaluations});
+  describe_cost(io, outcome.cost, "outcome-cost", "outcome-software", "outcome-hardware");
+  io.each("outcome-map", outcome.mapping, assignment);
+  io.group(
+      "outcome-per-app", outcome.per_app, [](auto&) { return cols(); },
+      [](auto& owned, auto& mapping) { owned.each("outcome-per-app-map", mapping, assignment); });
+  io.each("per-order", row.per_order, [](auto& order) {
+    return cols(One{"total", order.total}, One{"worst-utilization", order.worst_utilization},
+                One{"feasible", order.feasible}, One{"decisions", order.decisions},
+                rest("order index", order.order));
+  });
+}
+
+void describe(auto& io, Like<CompareResponse> auto& response) {
+  io.field("model", response.model);
+  io.field("problem", response.problem);
+  io.field("applications", response.applications);
+  io.field("library-origin", response.library_origin);
+  io.line_if(!response.objectives.empty(), "objectives",
+             Commas{"objective", response.objectives, synth::parse_objective});
+  io.line("ranking", rest("ranking index", response.ranking));
+  io.group(
+      "row", response.rows,
+      [](auto& row) {
+        return cols(One{"strategy", row.strategy}, One{"scope", row.scope},
+                    One{"orders-tried", row.orders_tried}, One{"worst-total", row.worst_total},
+                    One{"decisions", row.decisions}, One{"evaluations", row.evaluations});
+      },
+      [](auto& owned, auto& row) { describe_row(owned, row); });
 }
 
 // --- frame scaffolding -------------------------------------------------------
 
-void encode_diagnostics(std::string& out, const support::DiagnosticList& diagnostics) {
-  for (const support::Diagnostic& d : diagnostics.items()) {
-    out += std::string{"diagnostic "} + to_string(d.severity) + " " + quote(d.code) + " " +
-           quote(d.message) + "\n";
-  }
-}
-
-/// Parses the body lines of a frame: diagnostics collect into `diagnostics`,
-/// everything else dispatches to `body` (which returns false for unknown
-/// keys). Requires the final `end` line.
+/// Decodes the body lines of a frame through `body(reader)`, after the
+/// `diagnostic` lines every frame may carry, which collect into
+/// `diagnostics`. Requires the final `end` line.
 template <typename Body>
 void decode_body(const std::vector<Line>& lines, support::DiagnosticList& diagnostics,
-                 Body&& body) {
+                 const Body& body) {
+  Reader reader;
   bool ended = false;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const Line& line = lines[i];
     if (ended) fail(line.number, "content after 'end'");
     if (line.tokens.front().quoted) fail(line.number, "expected a key, got a quoted string");
-    const std::string& key = line.key();
-    if (key == "end") {
-      Args args{line};
-      args.finish();
+    if (line.key() == "end") {
+      Args{line}.finish();
       ended = true;
       continue;
     }
-    Args args{line};
-    if (key == "diagnostic") {
-      const support::Severity severity = parse_severity(args);
-      std::string code = args.str("code");
-      std::string message = args.str("message");
-      diagnostics.add(severity, std::move(code), std::move(message));
-    } else if (!body(key, args)) {
-      fail(line.number, "unknown key '" + key + "'");
-    }
-    args.finish();
+    reader.read(line, [&](Reader& io) {
+      io.each("diagnostic", diagnostics, diagnostic);
+      body(io);
+    });
   }
   if (!ended) {
     fail(lines.empty() ? 1 : lines.back().number, "frame not terminated by 'end'");
   }
+  reader.finish();
 }
 
 /// A frame's non-empty lines plus the header version the decoder accepted.
@@ -984,9 +928,11 @@ OpenedFrame open_frame(std::string_view frame, const char* tag, int max_version 
   std::vector<Line> lines = split_frame(frame);
   if (lines.empty()) fail(1, std::string{"empty frame (expected '"} + tag + "')");
   Args args{lines.front(), 0};
-  const std::string head = args.word("frame tag");
-  if (head != tag) fail(lines.front().number, "expected '" + std::string{tag} + "' frame, got '" + head + "'");
-  const std::string version = args.word("version");
+  const std::string& head = args.word("frame tag");
+  if (head != tag) {
+    fail(lines.front().number, "expected '" + std::string{tag} + "' frame, got '" + head + "'");
+  }
+  const std::string& version = args.word("version");
   int parsed = 0;
   const char* first = version.data() + 1;
   const char* last = version.data() + version.size();
@@ -1006,10 +952,51 @@ OpenedFrame open_frame(std::string_view frame, const char* tag, int max_version 
   return OpenedFrame{std::move(lines), parsed};
 }
 
+/// Runs a decoder: a malformed frame, or a model error its values raise,
+/// comes back as a diag::kWireError failure ("line N: ..." when the frame
+/// is at fault).
 template <typename T>
-Result<T> wire_failure(const FrameError& error) {
-  return Result<T>::failure(diag::kWireError,
-                            "line " + std::to_string(error.line) + ": " + error.message);
+Result<T> decoded(const auto& decode) {
+  try {
+    return decode();
+  } catch (const FrameError& error) {
+    return Result<T>::failure(diag::kWireError,
+                              "line " + std::to_string(error.line) + ": " + error.message);
+  } catch (const std::exception& e) {
+    return Result<T>::failure(diag::kWireError, e.what());
+  }
+}
+
+/// `<head>\n`, the lines `body(writer)` lists, then `end`.
+std::string encode_frame(std::string head, const auto& body) {
+  std::string out = std::move(head);
+  out.push_back('\n');
+  Writer writer{out};
+  body(writer);
+  out += "end\n";
+  return out;
+}
+
+std::string request_head(int version, const AnyRequest& request) {
+  return "request v" + std::to_string(version) + " " + to_string(kind_of(request));
+}
+
+/// The versioned header prefixes of a response frame: strictly ordered
+/// ("response v1") and pipelined ("response v2 <id>").
+std::string response_head() { return "response v" + std::to_string(kVersion); }
+std::string response_head(std::uint64_t frame_id) {
+  return "response v" + std::to_string(kVersionPipelined) + " " + std::to_string(frame_id);
+}
+
+/// Status, kind and body shared by both response headers; `head` is the
+/// already-versioned header prefix (see response_head).
+std::string encode_response_frame(std::string head, const Result<AnyResponse>& result) {
+  head += result.ok() ? " ok " : " error";
+  if (result.ok()) head += to_string(kind_of(result.value()));
+  return encode_frame(std::move(head), [&](Writer& io) {
+    io.each("diagnostic", result.diagnostics(), diagnostic);
+    if (result.ok()) std::visit([&](const auto& typed) { describe(io, typed); }, result.value());
+  });
 }
 
 }  // namespace
@@ -1018,69 +1005,25 @@ Result<T> wire_failure(const FrameError& error) {
 
 std::string quote(std::string_view text) {
   std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  out.push_back('"');
+  put_token(out, text);
   return out;
 }
-
-namespace {
-
-/// Everything below a request's header line — bodies are identical across
-/// protocol versions, so both encoders share this.
-void encode_request_body(std::string& out, const AnyRequest& request) {
-  // Options without a target spec still travel (as an empty target), so
-  // the invalid combination round-trips and fails identically on both
-  // sides of the wire instead of silently becoming a valid request.
-  if (!request.target.empty() || !request.target_options.empty()) {
-    out += "target " + quote(request.target);
-    for (const std::string& option : request.target_options) out += " " + quote(option);
-    out += "\n";
-  }
-  if (const ModelId model = model_of(request.payload); model.valid()) {
-    out += "model " + fmt_u64(model.value()) + "\n";
-  }
-  if (request.options.priority != Priority::kNormal) {
-    out += std::string{"priority "} + to_string(request.options.priority) + "\n";
-  }
-  if (request.options.deadline) {
-    out += "deadline-ms " + fmt_i64(request.options.deadline->count()) + "\n";
-  }
-  std::visit([&out](const auto& payload) { encode_payload(out, payload); }, request.payload);
-  out += "end\n";
-}
-
-}  // namespace
 
 std::string encode(const AnyRequest& request) {
-  std::string out = "request v" + std::to_string(kVersion) + " " +
-                    to_string(kind_of(request)) + "\n";
-  encode_request_body(out, request);
-  return out;
+  return encode_frame(request_head(kVersion, request),
+                      [&](Writer& io) { describe(io, request); });
 }
 
 std::string encode(const AnyRequest& request, std::uint64_t frame_id) {
-  std::string out = "request v" + std::to_string(kVersionPipelined) + " " +
-                    to_string(kind_of(request)) + " " + fmt_u64(frame_id) + "\n";
-  encode_request_body(out, request);
-  return out;
+  return encode_frame(request_head(kVersionPipelined, request) + " " + std::to_string(frame_id),
+                      [&](Writer& io) { describe(io, request); });
 }
 
 Result<AnyRequest> decode_request(std::string_view frame) {
-  try {
+  return decoded<AnyRequest>([&] {
     const auto [lines, version] = open_frame(frame, "request", kVersionPipelined);
     Args header{lines.front(), 2};
-    const std::string kind_name = header.word("request kind");
+    const std::string& kind_name = header.word("request kind");
     if (version >= kVersionPipelined) (void)header.u64("frame id");
     header.finish();
     const std::optional<RequestKind> kind = parse_request_kind(kind_name);
@@ -1094,67 +1037,11 @@ Result<AnyRequest> decode_request(std::string_view frame) {
       case RequestKind::kPareto: request.payload = ParetoRequest{}; break;
       case RequestKind::kCompare: request.payload = CompareRequest{}; break;
     }
-
     support::DiagnosticList ignored;
-    decode_body(lines, ignored, [&](const std::string& key, Args& args) {
-      if (key == "target") {
-        request.target = args.str("target spec");
-        while (!args.done()) request.target_options.push_back(args.str("target option"));
-        return true;
-      }
-      if (key == "model") {
-        set_model(request.payload, ModelId{args.u32("model handle")});
-        return true;
-      }
-      if (key == "priority") {
-        const std::string name = args.word("priority");
-        const std::optional<Priority> priority = parse_priority(name);
-        if (!priority) fail(args.number(), "unknown priority '" + name + "' (low|normal|high)");
-        request.options.priority = *priority;
-        return true;
-      }
-      if (key == "deadline-ms") {
-        request.options.deadline = std::chrono::milliseconds{args.i64("deadline-ms")};
-        return true;
-      }
-      return std::visit([&](auto& payload) { return decode_payload(key, args, payload); },
-                        request.payload);
-    });
+    decode_body(lines, ignored, [&](Reader& io) { describe(io, request); });
     return Result<AnyRequest>::success(std::move(request));
-  } catch (const FrameError& error) {
-    return wire_failure<AnyRequest>(error);
-  } catch (const std::exception& e) {
-    return Result<AnyRequest>::failure(diag::kWireError, e.what());
-  }
+  });
 }
-
-namespace {
-
-/// The versioned header prefixes of a response frame: strictly ordered
-/// ("response v1") and pipelined ("response v2 <id>").
-std::string response_head() { return "response v" + std::to_string(kVersion); }
-std::string response_head(std::uint64_t frame_id) {
-  return "response v" + std::to_string(kVersionPipelined) + " " + fmt_u64(frame_id);
-}
-
-/// Status, kind and body shared by both response headers; `head` is the
-/// already-versioned header prefix (see response_head).
-std::string encode_response_frame(std::string head, const Result<AnyResponse>& result) {
-  std::string out = std::move(head);
-  if (!result.ok()) {
-    out += " error\n";
-    encode_diagnostics(out, result.diagnostics());
-    out += "end\n";
-    return out;
-  }
-  out += " ok " + std::string{to_string(kind_of(result.value()))} + "\n";
-  encode_diagnostics(out, result.diagnostics());
-  std::visit([&out](const auto& response) { encode_payload(out, response); }, result.value());
-  out += "end\n";
-  return out;
-}
-
-}  // namespace
 
 std::string encode(const Result<AnyResponse>& result) {
   return encode_response_frame(response_head(), result);
@@ -1171,15 +1058,15 @@ std::string retag(std::string_view frame, std::uint64_t frame_id) {
 }
 
 Result<AnyResponse> decode_response(std::string_view frame) {
-  try {
+  return decoded<AnyResponse>([&] {
     const auto [lines, version] = open_frame(frame, "response", kVersionPipelined);
     Args header{lines.front(), 2};
     if (version >= kVersionPipelined) (void)header.u64("frame id");
-    const std::string status = header.word("status");
+    const std::string& status = header.word("status");
+    support::DiagnosticList diagnostics;
     if (status == "error") {
       header.finish();
-      support::DiagnosticList diagnostics;
-      decode_body(lines, diagnostics, [](const std::string&, Args&) { return false; });
+      decode_body(lines, diagnostics, [](Reader&) {});
       if (diagnostics.empty()) {
         diagnostics.error(diag::kWireError, "error response without diagnostics");
       }
@@ -1188,63 +1075,24 @@ Result<AnyResponse> decode_response(std::string_view frame) {
     if (status != "ok") {
       fail(lines.front().number, "unknown response status '" + status + "' (ok|error)");
     }
-    const std::string kind_name = header.word("response kind");
+    const std::string& kind_name = header.word("response kind");
     header.finish();
     const std::optional<RequestKind> kind = parse_request_kind(kind_name);
     if (!kind) fail(lines.front().number, "unknown response kind '" + kind_name + "'");
 
-    support::DiagnosticList notes;
     AnyResponse response;
     switch (*kind) {
-      case RequestKind::kSimulate: {
-        SimulateResponse typed;
-        TraceRebuild trace;
-        decode_body(lines, notes, [&](const std::string& key, Args& args) {
-          return decode_payload(key, args, typed, trace);
-        });
-        typed.result.trace = trace.build();
-        response = std::move(typed);
-        break;
-      }
-      case RequestKind::kAnalyze: {
-        AnalyzeResponse typed;
-        decode_body(lines, notes, [&](const std::string& key, Args& args) {
-          return decode_payload(key, args, typed);
-        });
-        response = std::move(typed);
-        break;
-      }
-      case RequestKind::kExplore: {
-        ExploreResponse typed;
-        decode_body(lines, notes, [&](const std::string& key, Args& args) {
-          return decode_payload(key, args, typed);
-        });
-        response = std::move(typed);
-        break;
-      }
-      case RequestKind::kPareto: {
-        ParetoResponse typed;
-        decode_body(lines, notes, [&](const std::string& key, Args& args) {
-          return decode_payload(key, args, typed);
-        });
-        response = std::move(typed);
-        break;
-      }
-      case RequestKind::kCompare: {
-        CompareResponse typed;
-        decode_body(lines, notes, [&](const std::string& key, Args& args) {
-          return decode_payload(key, args, typed);
-        });
-        response = std::move(typed);
-        break;
-      }
+      case RequestKind::kSimulate: response = SimulateResponse{}; break;
+      case RequestKind::kAnalyze: response = AnalyzeResponse{}; break;
+      case RequestKind::kExplore: response = ExploreResponse{}; break;
+      case RequestKind::kPareto: response = ParetoResponse{}; break;
+      case RequestKind::kCompare: response = CompareResponse{}; break;
     }
-    return Result<AnyResponse>::success(std::move(response), std::move(notes));
-  } catch (const FrameError& error) {
-    return wire_failure<AnyResponse>(error);
-  } catch (const std::exception& e) {
-    return Result<AnyResponse>::failure(diag::kWireError, e.what());
-  }
+    decode_body(lines, diagnostics, [&](Reader& io) {
+      std::visit([&](auto& typed) { describe(io, typed); }, response);
+    });
+    return Result<AnyResponse>::success(std::move(response), std::move(diagnostics));
+  });
 }
 
 namespace {
@@ -1327,7 +1175,7 @@ std::optional<Line> service_frame_header(std::string_view frame, const char* tag
 }  // namespace
 
 std::string batch_header(std::size_t slots) {
-  return "batch v" + std::to_string(kVersion) + " " + fmt_u64(slots) + "\nend\n";
+  return "batch v" + std::to_string(kVersion) + " " + std::to_string(slots) + "\nend\n";
 }
 
 std::optional<std::size_t> parse_batch_header(std::string_view frame) {
@@ -1345,7 +1193,7 @@ std::optional<std::size_t> parse_batch_header(std::string_view frame) {
 
 std::string control_frame(std::string_view command, const std::vector<std::string>& args) {
   std::string out = "control v" + std::to_string(kVersion) + " " + std::string{command};
-  for (const std::string& arg : args) out += " " + quote(arg);
+  for (const std::string& arg : args) One{"argument", arg}.put(out);
   out += "\nend\n";
   return out;
 }
@@ -1365,8 +1213,9 @@ std::optional<ControlCommand> parse_control(std::string_view frame) {
 }
 
 std::string hello_frame(std::string_view tenant, std::string_view token) {
-  std::string out = "hello v" + std::to_string(kVersion) + " " + quote(tenant);
-  if (!token.empty()) out += " " + quote(token);
+  std::string out = "hello v" + std::to_string(kVersion);
+  One{"tenant", tenant}.put(out);
+  if (!token.empty()) One{"token", token}.put(out);
   out += "\nend\n";
   return out;
 }
@@ -1387,30 +1236,20 @@ std::optional<HelloCommand> parse_hello(std::string_view frame) {
 }
 
 std::string encode_info(std::string_view text) {
-  std::string out = "info v" + std::to_string(kVersion) + "\n";
-  out += "text " + quote(text) + "\n";
-  out += "end\n";
-  return out;
+  return encode_frame("info v" + std::to_string(kVersion),
+                      [&](Writer& io) { io.field("text", text); });
 }
 
 Result<std::string> decode_info(std::string_view frame) {
-  try {
+  return decoded<std::string>([&] {
     const std::vector<Line> lines = open_frame(frame, "info").lines;
     Args header{lines.front(), 2};
     header.finish();
     std::string text;
     support::DiagnosticList ignored;
-    decode_body(lines, ignored, [&](const std::string& key, Args& args) {
-      if (key != "text") return false;
-      text = args.str("text");
-      return true;
-    });
+    decode_body(lines, ignored, [&](Reader& io) { io.field("text", text); });
     return Result<std::string>::success(std::move(text));
-  } catch (const FrameError& error) {
-    return wire_failure<std::string>(error);
-  } catch (const std::exception& e) {
-    return Result<std::string>::failure(diag::kWireError, e.what());
-  }
+  });
 }
 
 // --- stream utilities --------------------------------------------------------
@@ -1439,6 +1278,14 @@ bool next_line(std::istream& in, std::string& line, const std::function<void()>&
   }
 }
 
+/// Whether `line` ends a frame: its only token is `end`, as the decoders
+/// read it (they drop the spaces around tokens).
+bool is_end(std::string_view line) {
+  const std::size_t first = line.find_first_not_of(' ');
+  return first != std::string_view::npos &&
+         line.substr(first, line.find_last_not_of(' ') + 1 - first) == "end";
+}
+
 }  // namespace
 
 std::optional<std::string> read_frame(std::istream& in, const std::function<void()>& before_wait) {
@@ -1455,11 +1302,11 @@ std::optional<std::string> read_frame(std::istream& in, const std::function<void
       if (line.empty()) continue;  // skip blank separators between frames
       started = true;
       frame = line + "\n";
-      if (line == "end") return frame;  // stray terminator: one-line frame
+      if (is_end(line)) return frame;  // stray terminator: one-line frame
       continue;
     }
     frame += line + "\n";
-    if (line == "end") return frame;
+    if (is_end(line)) return frame;
   }
   if (started) return frame;  // truncated frame: let the decoder report it
   return std::nullopt;

@@ -28,6 +28,10 @@
 // unknown keys, and version mismatches come back as failed Results whose
 // diagnostics carry the offending 1-based line number (diag::kWireError).
 //
+// Each wire type's body layout is listed once, in its describe() in
+// wire.cpp: the one description both writes a frame and reads it back, so
+// adding a field is one line there.
+//
 // The service front end (tools/spivar_serve) speaks three more one-purpose
 // frames on top of the envelope pair: `batch v1 <n>` prefixing n request
 // frames evaluated as one heterogeneous Session::submit, `control v1
@@ -173,8 +177,9 @@ struct HelloCommand {
 // --- stream utilities --------------------------------------------------------
 
 /// Reads the next frame from `in`: skips blank lines, then accumulates
-/// lines through the terminating `end` (every frame kind is
-/// `end`-terminated, so one malformed frame consumes exactly one frame).
+/// lines through the terminating `end`, a line whose only token is `end` as
+/// the decoders read it (every frame kind is `end`-terminated, so one
+/// malformed frame consumes exactly one frame).
 /// nullopt at EOF. The result includes the trailing newline and feeds
 /// straight into the decoders. When `before_wait` is set, it runs every
 /// time the next byte is not yet buffered in the stream, that is, before

@@ -367,7 +367,6 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
           continue;
         }
       }
-      const std::string& tenant_name = tenant ? tenant->context.name : kDefaultTenantName;
       const std::optional<std::uint64_t> frame_id = head.request_id;
       if (!frame_id.has_value()) {
         // v1 (or a header too rotten to carry an id): strict arrival order,
@@ -378,14 +377,8 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
               api::Result<api::AnyResponse>::failure(request.diagnostics())));
           continue;
         }
-        api::AnyRequest req = std::move(request).value();
-        const api::RequestKind kind = api::kind_of(req);
-        req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
-        const std::shared_ptr<obs::TraceContext> trace = req.trace;
-        writer.flush();
-        const api::Result<api::AnyResponse> result = session->call(req);
-        observe_done(trace, kind, tenant.get(), result.ok());
-        writer.write(api::wire::encode(result));
+        writer.write(api::wire::encode(
+            call_inline(std::move(request).value(), writer, *session, tenant.get())));
         continue;
       }
       ++stats.pipelined;
@@ -419,14 +412,8 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
         // --replay/--warm: evaluate inline so the reply order (and the
         // cache fill order) reproduces the recorded submission order
         // byte-for-byte; the reply still carries its v2 tag.
-        api::AnyRequest req = std::move(request).value();
-        const api::RequestKind kind = api::kind_of(req);
-        req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
-        const std::shared_ptr<obs::TraceContext> trace = req.trace;
-        writer.flush();
-        const api::Result<api::AnyResponse> result = session->call(req);
-        observe_done(trace, kind, tenant.get(), result.ok());
-        writer.write(api::wire::encode(result, *frame_id));
+        writer.write(api::wire::encode(
+            call_inline(std::move(request).value(), writer, *session, tenant.get()), *frame_id));
         std::lock_guard lock{inflight.mutex};
         --inflight.count;
         inflight.drained.notify_all();
@@ -453,7 +440,8 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
         }
       }
       api::AnyRequest req = std::move(request).value();
-      req.trace = tracer_.begin(tenant_name, api::to_string(api::kind_of(req)), req.target);
+      req.trace = tracer_.begin(tenant ? tenant->context.name : kDefaultTenantName,
+                                api::to_string(api::kind_of(req)), req.target);
       submit_pipelined(std::move(req), *frame_id, writer, inflight, *session, tenant);
     } catch (const std::exception& e) {
       reply_error(writer, std::string{"internal error handling frame: "} + e.what());
@@ -472,6 +460,18 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
   stream_backpressure_.fetch_add(stats.backpressure_waits, std::memory_order_relaxed);
   stream_shed_.fetch_add(stats.shed, std::memory_order_relaxed);
   return stats;
+}
+
+api::Result<api::AnyResponse> Service::call_inline(api::AnyRequest request, Writer& writer,
+                                                   api::Session& session, Tenant* tenant) {
+  const api::RequestKind kind = api::kind_of(request);
+  request.trace = tracer_.begin(tenant != nullptr ? tenant->context.name : kDefaultTenantName,
+                                api::to_string(kind), request.target);
+  const std::shared_ptr<obs::TraceContext> trace = request.trace;
+  writer.flush();
+  api::Result<api::AnyResponse> result = session.call(request);
+  observe_done(trace, kind, tenant, result.ok());
+  return result;
 }
 
 void Service::submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, Writer& writer,

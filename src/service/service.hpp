@@ -231,6 +231,11 @@ class Service {
   void reply_info(Writer& writer, const std::string& text);
   void reply_error(Writer& writer, const support::DiagnosticList& diagnostics);
   void reply_error(Writer& writer, const std::string& message);
+  /// Evaluates one decoded frame on the reading thread (v1 frames, and v2
+  /// frames in StreamMode::kOrdered): mints its trace, sends the held
+  /// replies before the call can block, and records the outcome.
+  api::Result<api::AnyResponse> call_inline(api::AnyRequest request, Writer& writer,
+                                            api::Session& session, Tenant* tenant);
   /// Submits one decoded v2 frame to the stream's session; the slot
   /// callback writes the tagged reply and releases the inflight tokens
   /// (stream-level, and the tenant's when one is bound).

@@ -1,12 +1,16 @@
 // The v5 envelope and its wire protocol: every request/response kind
 // round-trips bit-identically (diagnostics-carrying error responses
-// included), malformed and old-version frames are rejected with
-// line-numbered errors, and a mixed-kind call_batch/submit returns per-slot
-// results identical to the dedicated v4 endpoints — with cache hits and
-// per-slot priorities/deadlines intact.
+// included), the frames of every kind over the builtins and the smoke
+// corpus reproduce a pinned digest, malformed and old-version frames are
+// rejected with line-numbered errors (a table pins each column kind's exact
+// message), and a mixed-kind call_batch/submit returns per-slot results
+// identical to the dedicated v4 endpoints — with cache hits and per-slot
+// priorities/deadlines intact.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -14,6 +18,8 @@
 
 #include "api/api.hpp"
 #include "api/wire.hpp"
+#include "corpus/sweep.hpp"
+#include "support/hash.hpp"
 
 namespace spivar {
 namespace {
@@ -383,6 +389,244 @@ TEST_F(WireResponseRoundTrip, Compare) {
   }
 }
 
+// --- pinned codec digest -----------------------------------------------------
+
+/// FNV-1a over every frame CatalogFramesMatchThePinnedDigest hashes, as the
+/// codec wrote them when each wire type had a hand-written encoder and a
+/// separate hand-written decoder.
+constexpr std::uint64_t kCodecDigest = 0x2934dc96df810341;
+
+/// Every request kind with non-default options, for one catalog model.
+std::vector<AnyRequest> codec_requests(const std::string& name) {
+  std::vector<AnyRequest> requests;
+  api::SimulateRequest simulate;
+  simulate.options.resolution = sim::Resolution::kRandom;
+  simulate.options.seed = 3;
+  simulate.options.max_total_firings = 400;
+  simulate.options.record_trace = true;
+  simulate.options.trace_limit = 60;
+  simulate.render_timeline = true;
+  requests.push_back({.payload = simulate, .target = name});
+  requests.push_back({.payload = api::SimulateRequest{}, .target = name});
+
+  requests.push_back({.payload = api::AnalyzeRequest{.buffers = false,
+                                                     .include_reconfiguration = true},
+                      .target = name,
+                      .options = {.priority = api::Priority::kLow}});
+
+  api::ExploreRequest explore;
+  explore.options.engine = synth::ExploreEngine::kAnnealing;
+  explore.options.seed = 2;
+  explore.options.annealing_trials_per_element = 40;
+  explore.options.annealing_initial_temperature = 7.5;
+  requests.push_back({.payload = explore,
+                      .target = name,
+                      .options = {.priority = api::Priority::kHigh,
+                                  .deadline = std::chrono::milliseconds{250}}});
+
+  api::ParetoRequest pareto;
+  pareto.options.exhaustive_limit = 4;
+  pareto.options.samples = 64;
+  pareto.options.seed = 9;
+  requests.push_back({.payload = pareto, .target = name});
+
+  api::CompareRequest compare;
+  compare.strategies = {synth::StrategyKind::kIndependent, synth::StrategyKind::kSuperposition,
+                        synth::StrategyKind::kSerialized, synth::StrategyKind::kIncremental,
+                        synth::StrategyKind::kWithVariants};
+  compare.options.engine = synth::ExploreEngine::kGreedy;
+  compare.all_orders = true;
+  compare.max_orders = 6;
+  compare.objectives = {synth::RankObjective::kWorstUtilization,
+                        synth::RankObjective::kDesignTime};
+  requests.push_back({.payload = compare, .target = name});
+  return requests;
+}
+
+/// fig2 explored under its own curated library, passed as an override with
+/// one element made periodic.
+AnyRequest override_request() {
+  api::ModelStore store;
+  const api::ModelId id = store.load_model("fig2").value().id;
+  synth::ImplLibrary library = store.find(id)->default_setup()->library;
+  synth::ElementImpl periodic = library.elements().begin()->second;
+  periodic.period = support::Duration::millis(40);
+  library.add(library.elements().begin()->first, periodic);
+  api::ExploreRequest explore;
+  explore.options.engine = synth::ExploreEngine::kExhaustive;
+  explore.problem = synth::ProblemOptions{.granularity = synth::ElementGranularity::kClusterAtomic,
+                                          .skip_virtual = true};
+  explore.library = std::move(library);
+  return {.payload = explore, .target = "fig2"};
+}
+
+TEST(WireCodec, CatalogFramesMatchThePinnedDigest) {
+  std::vector<std::string> names = api::builtin_names();
+  for (const corpus::CorpusEntry& entry : corpus::smoke_corpus()) names.push_back(entry.name);
+  std::vector<AnyRequest> requests;
+  for (const std::string& name : names) {
+    for (AnyRequest& request : codec_requests(name)) requests.push_back(std::move(request));
+  }
+  requests.push_back(override_request());
+  requests.push_back({.payload = api::SimulateRequest{},
+                      .target = "synthetic",
+                      .target_options = {"variants=3", "seed=7"}});
+
+  Session session;  // no cache: every call evaluates
+  support::Fnv1aHasher digest;
+  std::size_t frames = 0;
+  const auto hash = [&](const std::string& frame) {
+    digest.str(frame);
+    ++frames;
+  };
+  // Each reply frame, then the frame its decoding re-encodes to (a
+  // transported error decodes as that failure, so it re-encodes too).
+  const auto hash_reply = [&](const api::Result<AnyResponse>& result, std::uint64_t id) {
+    const std::string v1 = api::wire::encode(result);
+    const std::string v2 = api::wire::encode(result, id);
+    hash(v1);
+    hash(v2);
+    hash(api::wire::encode(api::wire::decode_response(v1)));
+    hash(api::wire::encode(api::wire::decode_response(v2), id));
+  };
+
+  std::uint64_t id = 1;
+  std::size_t ok = 0;
+  for (const AnyRequest& request : requests) {
+    const std::string v1 = api::wire::encode(request);
+    const std::string v2 = api::wire::encode(request, id);
+    hash(v1);
+    hash(v2);
+    const auto decoded_v1 = api::wire::decode_request(v1);
+    const auto decoded_v2 = api::wire::decode_request(v2);
+    ASSERT_TRUE(decoded_v1.ok()) << decoded_v1.error_summary();
+    ASSERT_TRUE(decoded_v2.ok()) << decoded_v2.error_summary();
+    hash(api::wire::encode(decoded_v1.value()));
+    hash(api::wire::encode(decoded_v2.value(), id));
+    const api::Result<AnyResponse> result = session.call(request);
+    ok += result.ok() ? 1 : 0;
+    hash_reply(result, id);
+    ++id;
+  }
+
+  support::DiagnosticList diagnostics;
+  diagnostics.error("api-unknown-model", "no model with handle #7");
+  diagnostics.warning("some-code", "message with \"quotes\",\nnewlines\tand tabs\\");
+  diagnostics.note("note-code", "");
+  hash_reply(api::Result<AnyResponse>::failure(diagnostics), id++);
+  support::DiagnosticList notes;
+  notes.warning("api-note", "served from a \"derived\" library");
+  notes.note("api-note", "second\r\nnote");
+  hash_reply(api::Result<AnyResponse>::success(session.call(requests.front()).value(), notes),
+             id++);
+
+  std::cout << "codec digest 0x" << std::hex << digest.digest() << std::dec << " over " << frames
+            << " frames, " << requests.size() << " requests (" << ok << " ok)\n";
+  EXPECT_EQ(ok, requests.size());
+  EXPECT_EQ(digest.digest(), kCodecDigest);
+}
+
+// --- malformed frames --------------------------------------------------------
+
+struct Malformed {
+  const char* frame;
+  const char* message;  ///< the decoder's full message, after the code
+};
+
+/// One malformed frame per column kind and line shape, with its exact
+/// message: a decode error names the line, the key and the column.
+const Malformed kMalformed[] = {
+    // Token columns: a bad number, a missing token, a trailing token.
+    {"request v1 simulate\nseed banana\nend\n",
+     "line 2: invalid seed 'banana'"},
+    {"request v1 explore\nannealing-temperature hot\nend\n",
+     "line 2: invalid annealing-temperature 'hot'"},
+    {"request v1 simulate\nseed\nend\n",
+     "line 2: missing seed after 'seed'"},
+    {"request v1 analyze\npasses true false\nend\n",
+     "line 2: missing structure after 'passes'"},
+    {"request v1 simulate\nseed 3 4\nend\n",
+     "line 2: unexpected trailing token '4' after 'seed'"},
+    {"request v1 simulate\nrecord-trace maybe\nend\n",
+     "line 2: invalid record-trace 'maybe' (true|false)"},
+    {"request v1 simulate\nmodel 4294967296\nend\n",
+     "line 2: model handle out of range: 4294967296"},
+    // A quoted token where an unquoted one belongs, and the reverse.
+    {"request v1 simulate\nseed \"3\"\nend\n",
+     "line 2: seed must be unquoted"},
+    {"request v1 simulate\ntarget fig2\nend\n",
+     "line 2: target spec must be a quoted string"},
+    {"request v1 simulate\ntarget \"fig2\" opt\nend\n",
+     "line 2: target option must be a quoted string"},
+    // Unknown enum names, one per enum.
+    {"request v1 simulate\nresolution sideways\nend\n",
+     "line 2: unknown resolution 'sideways' (lower|upper|random)"},
+    {"request v1 explore\nengine quantum\nend\n",
+     "line 2: unknown engine 'quantum' (exhaustive|greedy|annealing)"},
+    {"request v1 simulate\npriority urgent\nend\n",
+     "line 2: unknown priority 'urgent' (low|normal|high)"},
+    {"request v1 explore\nproblem atom true\nend\n",
+     "line 2: unknown granularity 'atom' (cluster|process)"},
+    {"request v1 compare\nstrategies serialized,bogus\nend\n",
+     "line 2: unknown strategy 'bogus'"},
+    {"request v1 compare\nobjectives cost,,time\nend\n",
+     "line 2: unknown objective ''"},
+    {"response v1 ok simulate\ntrace-event 5 fly \"P\" \"\"\nend\n",
+     "line 2: unknown trace kind 'fly' (fire|complete|reconfigure|select|cancel|drop)"},
+    {"response v1 ok analyze\nbuffer-flow 0 \"c\" leaky 1 1\nend\n",
+     "line 2: unknown flow class 'leaky' "
+     "(balanced|possibly-unbounded|starving|source-only|sink-only|register)"},
+    {"response v1 ok explore\nmap \"A\" FPGA\nend\n",
+     "line 2: unknown mapping target 'FPGA' (SW|HW)"},
+    {"response v1 error\ndiagnostic fatal \"c\" \"m\"\nend\n",
+     "line 2: unknown severity 'fatal' (note|warning|error)"},
+    // Lines that need an owner line before them.
+    {"request v1 explore\nelement \"A\" 0.5 10 3 20 true true\nend\n",
+     "line 2: 'element' before 'library'"},
+    {"response v1 ok compare\noutcome \"s\" \"d\" true 1 1\nend\n",
+     "line 2: 'outcome' before 'row'"},
+    {"response v1 ok compare\nper-order 1 0.5 true 2\nend\n",
+     "line 2: 'per-order' before 'row'"},
+    {"response v1 ok compare\nrow \"s\" \"system\" 1 0 0 0\noutcome-per-app-map \"A\" SW\nend\n",
+     "line 3: 'outcome-per-app-map' before 'outcome-per-app'"},
+    // Composite columns.
+    {"response v1 ok simulate\ninterface-stat 4294967296 0 0 0\nend\n",
+     "line 2: interface id out of range: 4294967296"},
+    {"response v1 ok analyze\nlatency-check \"c\" 1 x 3 true true 0\nend\n",
+     "line 2: invalid hi-us 'x'"},
+    {"response v1 ok pareto\npoint 1 2 \"A\"\nend\n",
+     "line 2: missing mapping target after 'point'"},
+    {"response v1 ok pareto\npoint 1 2 A SW\nend\n",
+     "line 2: element must be a quoted string"},
+    // Frame structure.
+    {"request v1 simulate\nfroznar 12\nend\n",
+     "line 2: unknown key 'froznar'"},
+    {"request v1 transmogrify\nend\n",
+     "line 1: unknown request kind 'transmogrify'"},
+    {"request v2 simulate\nend\n",
+     "line 1: missing frame id after 'request'"},
+    {"request v1 simulate\nend\nseed 3\n",
+     "line 3: content after 'end'"},
+    {"request v1 simulate\nseed 3\n",
+     "line 2: frame not terminated by 'end'"},
+    {"request v1 simulate\n\"seed\" 3\nend\n",
+     "line 2: expected a key, got a quoted string"},
+    {"response v1 maybe simulate\nend\n",
+     "line 1: unknown response status 'maybe' (ok|error)"},
+    {"response v1 ok simulate\nend 1\n",
+     "line 2: unexpected trailing token '1' after 'end'"},
+};
+
+TEST(WireCodec, MalformedFramesReportExactMessages) {
+  for (const Malformed& row : kMalformed) {
+    const std::string frame = row.frame;
+    const std::string summary = frame.starts_with("response")
+                                    ? api::wire::decode_response(frame).error_summary()
+                                    : api::wire::decode_request(frame).error_summary();
+    EXPECT_EQ(summary, std::string{"api-wire-error: "} + row.message) << frame;
+  }
+}
+
 // --- service frames ----------------------------------------------------------
 
 TEST(WireService, BatchHeaderAndControlRoundTrip) {
@@ -418,6 +662,25 @@ TEST(WireService, ReadFrameSplitsAStream) {
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(api::wire::parse_batch_header(*batch), 2u);
   EXPECT_FALSE(api::wire::read_frame(in).has_value());  // EOF
+}
+
+TEST(WireService, ReadFrameEndsAtATerminatorWithStraySpaces) {
+  // The decoder ends a frame at a line whose only token is `end`, so the
+  // reader must too: otherwise `end ` swallows the next frame.
+  std::istringstream in{"request v1 simulate\nseed 3\nend \n\nrequest v1 analyze\n end\n" +
+                        api::wire::control_frame("ping")};
+  const auto first = api::wire::read_frame(in);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, "request v1 simulate\nseed 3\nend \n");
+  EXPECT_TRUE(api::wire::decode_request(*first).ok());
+  const auto second = api::wire::read_frame(in);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, "request v1 analyze\n end\n");
+  EXPECT_TRUE(api::wire::decode_request(*second).ok());
+  const auto control = api::wire::read_frame(in);
+  ASSERT_TRUE(control.has_value());
+  EXPECT_TRUE(api::wire::parse_control(*control).has_value());
+  EXPECT_FALSE(api::wire::read_frame(in).has_value());
 }
 
 TEST(WireService, TypodFrameConsumesExactlyOneFrame) {

@@ -2,6 +2,7 @@
 // (a slow compare ahead of K fast simulates must not delay their replies),
 // per-connection backpressure at --max-inflight, strict v1 compatibility on
 // the same server, malformed v2 frames answered without killing the stream,
+// an `end` with stray spaces ending its frame and not the next one,
 // --record/--replay fidelity for pipelined traffic (ids preserved, replay
 // deterministic and byte-identical), and the loop over a real loopback
 // socket (TCP_NODELAY on both ends, no delayed-ACK stall on large replies;
@@ -231,6 +232,26 @@ TEST(PipelinedServe, MalformedV2FramesAnswerWithoutKillingTheStream) {
   EXPECT_NE(bad_id.error_summary().find("line 1"), std::string::npos);
 
   EXPECT_TRUE(api::wire::decode_response(find_reply(9)).ok());
+}
+
+TEST(PipelinedServe, TerminatorWithStraySpacesEndsItsFrame) {
+  service::Service svc{{.jobs = 2}};
+
+  // `end ` reads as `end` to the decoder, so it must end the frame for the
+  // reader too: frame 2 is its own request, not content after frame 1.
+  std::istringstream in{
+      "request v2 simulate 1\ntarget \"fig1\"\nend \n\n"
+      "request v2 analyze 2\ntarget \"fig2\"\nend\n"};
+  std::ostringstream out;
+  const service::StreamStats stats = svc.serve_stream(in, out);
+
+  EXPECT_EQ(stats.frames, 2u);
+  const auto replies = parse_replies(out.str());
+  ASSERT_EQ(replies.size(), 2u) << out.str();
+  for (const auto& [id, frame] : replies) {
+    ASSERT_TRUE(id.has_value()) << frame;
+    EXPECT_TRUE(api::wire::decode_response(frame).ok()) << frame;
+  }
 }
 
 // --- record / replay for pipelined traffic -----------------------------------
