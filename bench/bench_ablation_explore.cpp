@@ -2,13 +2,20 @@
 //
 // Compares exhaustive / greedy / simulated annealing on synthetic variant
 // problems of growing size: solution quality (gap to the exhaustive optimum
-// where computable) and examined decisions.
+// where computable) and examined decisions. BM_Dense_Evaluate/<target> times
+// the one function every engine loops over, on the targets of the
+// perfbench `explore` deck.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <string>
+#include <vector>
 
+#include "api/store.hpp"
 #include "models/synthetic.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
+#include "synth/dense.hpp"
 #include "synth/explore.hpp"
 #include "synth/from_model.hpp"
 
@@ -94,10 +101,48 @@ void BM_Explore_GreedyLargeProblem(benchmark::State& state) {
 }
 BENCHMARK(BM_Explore_GreedyLargeProblem)->Arg(5)->Arg(10)->Arg(20);
 
+/// One `DenseProblem::evaluate` per iteration over `target`'s default setup,
+/// on a random walk of single flips drawn before timing from a fixed seed:
+/// the engines visit data-dependent states, so the walk does too. The walk
+/// goes out and back, so every lap visits the same states and the mean does
+/// not depend on how many iterations run.
+void BM_Dense_Evaluate(benchmark::State& state, const std::string& target) {
+  api::ModelStore store;
+  const api::Result<api::ModelInfo> info = store.load_model(target);
+  if (!info.ok()) {
+    state.SkipWithError(("cannot load " + target).c_str());
+    return;
+  }
+  const auto setup = store.find(info.value().id)->default_setup();
+  const synth::DenseProblem problem{setup->library, setup->problem.apps, {}};
+  constexpr std::size_t kSteps = 4096;
+  support::SplitMix64 rng{7};
+  std::vector<synth::DenseProblem::Id> walk(kSteps);
+  for (std::size_t i = 0; i < kSteps / 2; ++i) {
+    walk[i] = walk[kSteps - 1 - i] = problem.free()[rng.next_below(problem.free().size())];
+  }
+  synth::DenseState dense = problem.initial_state();
+  std::size_t step = 0;
+  for (auto _ : state) {
+    const synth::DenseProblem::Id id = walk[step++ % kSteps];
+    dense[id] = dense[id] == synth::Target::kSoftware ? synth::Target::kHardware
+                                                      : synth::Target::kSoftware;
+    const synth::DenseCost cost = problem.evaluate(dense);
+    benchmark::DoNotOptimize(cost);
+  }
+  state.SetLabel(std::to_string(problem.free().size()) + " elements, " +
+                 std::to_string(problem.app_count()) + " applications");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   print_report();
+  for (const std::string target :
+       {"fig2", "multistandard_tv", "sweep/i2v2c2-s7", "sweep/p2i2v2c2-s7"}) {
+    benchmark::RegisterBenchmark(("BM_Dense_Evaluate/" + target).c_str(), BM_Dense_Evaluate,
+                                 target);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -230,6 +230,14 @@ Result<BuiltinOptions> apply(const FieldTable<Opts>& table, std::string_view bui
       diagnostics.error(diag::kBadOption, std::move(message));
     }
   }
+  if constexpr (std::same_as<Opts, models::SyntheticSpec>) {
+    // The merged spec, name knobs and assignments together, is what mints.
+    if (!diagnostics.has_errors()) {
+      if (const std::string why = models::size_error(options); !why.empty()) {
+        diagnostics.error(diag::kBadOption, "'" + std::string{builtin} + "' options: " + why);
+      }
+    }
+  }
   if (diagnostics.has_errors()) return Result<BuiltinOptions>::failure(std::move(diagnostics));
   return Result<BuiltinOptions>::success(BuiltinOptions{std::move(options)});
 }

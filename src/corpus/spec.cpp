@@ -174,6 +174,10 @@ std::optional<CorpusSpec> parse_name(std::string_view name, std::string* error) 
     fail(error, std::string{"'"} + std::string{name} + "' needs variants/cluster_size/modes >= 1");
     return std::nullopt;
   }
+  if (const std::string why = models::size_error(spec.spec); !why.empty()) {
+    if (error != nullptr) *error = "'" + std::string{name} + "': " + why;
+    return std::nullopt;
+  }
   return spec;
 }
 

@@ -50,7 +50,8 @@ inline constexpr std::string_view kCorpusPrefix = "sweep/";
 [[nodiscard]] std::string format_name(const CorpusSpec& spec);
 
 /// Parses a `sweep/...` name; on failure returns nullopt and, when `error`
-/// is non-null, stores a human-readable reason mentioning the grammar.
+/// is non-null, stores a human-readable reason mentioning the grammar, or
+/// the cap a well-formed name exceeds (`models::size_error`).
 [[nodiscard]] std::optional<CorpusSpec> parse_name(std::string_view name,
                                                    std::string* error = nullptr);
 

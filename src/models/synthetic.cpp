@@ -154,6 +154,51 @@ variant::VariantModel make_synthetic(const SyntheticSpec& spec) {
   return vb.take();
 }
 
+namespace {
+
+/// a * b, or SIZE_MAX when that overflows.
+std::size_t times(std::size_t a, std::size_t b) {
+  return b != 0 && a > SIZE_MAX / b ? SIZE_MAX : a * b;
+}
+
+}  // namespace
+
+std::string size_error(const SyntheticSpec& spec) {
+  const auto over = [](const std::string& what, std::size_t limit) {
+    return what + " is over the limit of " + std::to_string(limit);
+  };
+  // Stops multiplying once past the cap, so a huge exponent costs nothing.
+  std::size_t applications = 1;
+  if (spec.variants > 1) {
+    for (std::size_t i = 0; i < spec.interfaces && applications <= kMaxSyntheticApplications;
+         ++i) {
+      applications = times(applications, spec.variants);
+    }
+  }
+  if (applications > kMaxSyntheticApplications) {
+    return over("variants^interfaces = " + std::to_string(spec.variants) + "^" +
+                    std::to_string(spec.interfaces) + " applications",
+                kMaxSyntheticApplications);
+  }
+  const std::size_t clustered = times(times(spec.interfaces, spec.variants), spec.cluster_size);
+  if (clustered > kMaxSyntheticProcesses ||
+      spec.shared_processes > kMaxSyntheticProcesses - clustered) {
+    return over("shared_processes + interfaces * variants * cluster_size = " +
+                    std::to_string(spec.shared_processes) + " + " +
+                    std::to_string(spec.interfaces) + " * " + std::to_string(spec.variants) +
+                    " * " + std::to_string(spec.cluster_size) + " processes",
+                kMaxSyntheticProcesses);
+  }
+  if (spec.modes > kMaxSyntheticModes) {
+    return over("modes = " + std::to_string(spec.modes), kMaxSyntheticModes);
+  }
+  if (spec.predicate_depth > kMaxSyntheticPredicateDepth) {
+    return over("predicate_depth = " + std::to_string(spec.predicate_depth),
+                kMaxSyntheticPredicateDepth);
+  }
+  return {};
+}
+
 synth::ImplLibrary make_synthetic_library(const variant::VariantModel& model,
                                           const SyntheticLibraryOptions& options) {
   support::SplitMix64 rng{options.seed};

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "support/duration.hpp"
 #include "synth/target.hpp"
@@ -35,6 +36,20 @@ struct SyntheticSpec {
 };
 
 [[nodiscard]] variant::VariantModel make_synthetic(const SyntheticSpec& spec);
+
+/// Caps on the model a spec parsed from text may describe: a `sweep/` name
+/// or the `synthetic` builtin's `--opt` knobs. A model has
+/// variants^interfaces applications, so one short name could otherwise ask
+/// for millions of them. Every name the corpus, tests and examples use is
+/// far below every cap.
+inline constexpr std::size_t kMaxSyntheticApplications = 256;
+inline constexpr std::size_t kMaxSyntheticProcesses = 256;
+inline constexpr std::size_t kMaxSyntheticModes = 16;
+inline constexpr std::size_t kMaxSyntheticPredicateDepth = 16;
+
+/// Empty when `spec` is within every cap above; otherwise the first cap it
+/// exceeds, with the limit.
+[[nodiscard]] std::string size_error(const SyntheticSpec& spec);
 
 struct SyntheticLibraryOptions {
   std::uint64_t seed = 7;

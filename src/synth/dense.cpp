@@ -21,18 +21,20 @@ DenseProblem::DenseProblem(const ImplLibrary& library, const std::vector<Applica
       if (ids.try_emplace(e, 0).second) first_seen.push_back(e);
     }
   }
+  const ElementImpl missing;
   names_.reserve(ids.size());
-  elements_.reserve(ids.size());
+  rows_.reserve(ids.size());
   for (auto& [name, id] : ids) {
     id = static_cast<Id>(names_.size());
     names_.emplace_back(name);
     const auto it = library.elements().find(names_.back());
-    if (it == library.elements().end()) {
-      any_missing_ = true;
-      elements_.emplace_back();
-    } else {
-      elements_.push_back(it->second);
-    }
+    const bool found = it != library.elements().end();
+    any_missing_ = any_missing_ || !found;
+    const ElementImpl& e = found ? it->second : missing;
+    rows_.push_back({.load = {{e.sw_load, 0.0}},
+                     .asic = {{0.0, e.hw_cost}},
+                     .wcet = {{e.sw_wcet, e.hw_wcet}},
+                     .allowed = {{e.can_sw, e.can_hw}}});
   }
 
   initial_.resize(names_.size());
@@ -45,7 +47,7 @@ DenseProblem::DenseProblem(const ImplLibrary& library, const std::vector<Applica
       initial_[id] = it->second;
     } else {
       free_.push_back(id);
-      initial_[id] = elements_[id].can_sw ? Target::kSoftware : Target::kHardware;
+      initial_[id] = allows(id, Target::kSoftware) ? Target::kSoftware : Target::kHardware;
     }
   }
 
@@ -111,34 +113,30 @@ void DenseProblem::require_library(const ImplLibrary& library, bool free_first) 
 
 DenseCost DenseProblem::evaluate(const DenseState& state) const noexcept {
   DenseCost out;
+  // Once per id: permission, whether the processor is bought, and the ASIC
+  // sum in id order, which is the reference's name order.
+  bool any_software = false;
+  double asic = 0.0;
+  for (std::size_t id = 0; id < rows_.size(); ++id) {
+    const DenseRow& row = rows_[id];
+    const Target target = state[id];
+    out.feasible &= row.allowed[target];
+    any_software |= target == Target::kSoftware;
+    asic += row.asic[target];
+  }
+  out.total = (any_software ? processor_cost_ : 0.0) + asic;
+
   for (const App& app : apps_) {
     double load = 0.0;
     for (std::uint32_t k = app.begin; k < app.end; ++k) {
       const Id id = app_ids_[k];
-      const ElementImpl& element = elements_[id];
-      if (state[id] == Target::kSoftware) {
-        out.feasible = out.feasible && element.can_sw;
-        load += element.sw_load;
-      } else {
-        out.feasible = out.feasible && element.can_hw;
-      }
+      load += rows_[id].load[state[id]];
     }
     out.worst_utilization = std::max(out.worst_utilization, load);
     if (load > budget_ + 1e-12) out.feasible = false;
     // The schedule only decides feasibility: skip it once that is lost.
     if (app.deadline && out.feasible && !meets_deadline(app, state)) out.feasible = false;
   }
-
-  bool any_software = false;
-  double asic = 0.0;
-  for (std::size_t id = 0; id < elements_.size(); ++id) {
-    if (state[id] == Target::kHardware) {
-      asic += elements_[id].hw_cost;
-    } else {
-      any_software = true;
-    }
-  }
-  out.total = (any_software ? processor_cost_ : 0.0) + asic;
   return out;
 }
 
@@ -150,8 +148,8 @@ bool DenseProblem::meets_deadline(const App& app, const DenseState& state) const
   TimePoint done = TimePoint::zero();    // completion of `position` so far
   for (std::uint32_t k = app.steps_begin; k < app.steps_end; ++k) {
     const Step& step = steps_[k];
-    const ElementImpl& element = elements_[step.id];
-    const bool software = state[step.id] == Target::kSoftware;
+    const Target target = state[step.id];
+    const bool software = target == Target::kSoftware;
     TimePoint start = TimePoint::zero();
     if (step.position != kNoPosition) {
       if (step.position != position) {
@@ -161,7 +159,7 @@ bool DenseProblem::meets_deadline(const App& app, const DenseState& state) const
       if (position > 0) start = before;
     }
     if (software) start = std::max(start, processor_free);
-    const TimePoint end = start + (software ? element.sw_wcet : element.hw_wcet);
+    const TimePoint end = start + rows_[step.id].wcet[target];
     if (software) processor_free = end;
     if (step.position != kNoPosition) done = end;
     makespan = std::max(makespan, end - TimePoint::zero());

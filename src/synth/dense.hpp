@@ -2,23 +2,34 @@
 // ids, with names only at the edges.
 //
 // `DenseProblem` interns one (library, applications, fixed mapping) triple
-// once per explore call: element ids in name order, per-element
-// implementation data in one flat array, every application's element ids in
-// that application's own order and, for applications with a deadline, the
-// list scheduler's (chain position, name) priority order. A `DenseState` is
-// one target per id; `DenseProblem::evaluate` prices it without touching a
-// string or the heap.
+// once per explore call: element ids in name order, one cost row per
+// element, every application's element ids in that application's own order
+// and, for applications with a deadline, the list scheduler's (chain
+// position, name) priority order. A `DenseState` is one target per id;
+// `DenseProblem::evaluate` prices it without touching a string or the heap.
+//
+// Each element's row holds, per `Target` (`kSoftware` 0, `kHardware` 1),
+// the load it adds to every application holding it ({sw_load, 0.0}), the
+// ASIC cost it adds ({0.0, hw_cost}), its execution time and whether it may
+// sit there ({can_sw, can_hw}). Pricing indexes the rows with the state byte
+// instead of branching on it: the engines visit data-dependent bit patterns,
+// which a branch mispredicts.
 //
 // The dense cost is bit-identical to `synth::evaluate`, which stays the
 // public reference: software loads add in each application's element order,
 // ASIC costs add in name order (the reference's std::set order), and
 // `Duration` is integer microseconds, so the list schedule is exact. The
-// engines convert only their final state back to a `Mapping` and price it
-// once through `evaluate` for the name lists and the infeasibility text.
-// Cost is a plain function over the state: a second objective is a second
-// function, not a second explorer.
+// zeros a row adds are +0.0 into sums that start at +0.0, and such a sum is
+// never -0.0, so each one leaves the sum's bits as they were. Permission is
+// checked once per id rather than once per occurrence; every id occurs in
+// some application, so the verdict is the same. The engines convert only
+// their final state back to a `Mapping` and price it once through
+// `evaluate` for the name lists and the infeasibility text. Cost is a plain
+// function over the state: a second objective is a second function, not a
+// second explorer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -32,6 +43,24 @@ namespace spivar::synth {
 
 /// One target per element id.
 using DenseState = std::vector<Target>;
+
+/// Two values of one kind, indexed by `Target`.
+template <typename T>
+struct PerTarget {
+  std::array<T, 2> values{};
+
+  [[nodiscard]] const T& operator[](Target target) const noexcept {
+    return values[static_cast<std::uint8_t>(target)];
+  }
+};
+
+/// What one element adds to a state at each target.
+struct DenseRow {
+  PerTarget<double> load;    ///< to each application holding it: {sw_load, +0.0}
+  PerTarget<double> asic;    ///< to the ASIC sum: {+0.0, hw_cost}
+  PerTarget<Duration> wcet;  ///< one firing: {sw_wcet, hw_wcet}
+  PerTarget<bool> allowed;   ///< {can_sw, can_hw}
+};
 
 /// What the engines compare: a `CostBreakdown` without the name lists.
 struct DenseCost {
@@ -56,7 +85,7 @@ class DenseProblem {
   /// element in first-seen order.
   void require_library(const ImplLibrary& library, bool free_first) const;
 
-  [[nodiscard]] const ElementImpl& element(Id id) const noexcept { return elements_[id]; }
+  [[nodiscard]] const DenseRow& row(Id id) const noexcept { return rows_[id]; }
   [[nodiscard]] const std::string& name(Id id) const noexcept { return names_[id]; }
   [[nodiscard]] double processor_budget() const noexcept { return budget_; }
 
@@ -81,7 +110,7 @@ class DenseProblem {
   [[nodiscard]] std::size_t slot_count() const noexcept { return slot_count_; }
 
   [[nodiscard]] bool allows(Id id, Target target) const noexcept {
-    return target == Target::kSoftware ? elements_[id].can_sw : elements_[id].can_hw;
+    return rows_[id].allowed[target];
   }
 
   /// Fixed ids at their fixed target; free ids in software where possible.
@@ -116,7 +145,7 @@ class DenseProblem {
   [[nodiscard]] bool meets_deadline(const App& app, const DenseState& state) const noexcept;
 
   std::vector<std::string> names_;
-  std::vector<ElementImpl> elements_;  ///< default-constructed when missing
+  std::vector<DenseRow> rows_;         ///< a default `ElementImpl`'s when missing
   bool any_missing_ = false;           ///< some element has no library entry
   std::vector<Id> union_;              ///< every id in first-seen order
   std::vector<Id> free_;

@@ -72,20 +72,12 @@ ExploreResult run_exhaustive(const ImplLibrary& library, const std::vector<Appli
   if (best) {
     assign(best_bits);
     search.cost = *best;
-    return finish(library, apps, problem, search, "exhaustive");
+  } else {
+    // No state is feasible: report the start state, every fixed entry included.
+    search.state = problem.initial_state();
+    search.cost.feasible = false;
   }
-
-  ExploreResult result;
-  result.engine = "exhaustive";
-  result.decisions = search.decisions;
-  result.evaluations = search.evaluations;
-  if (n > 0) {
-    // Keep a defined (infeasible) outcome for reporting: the free elements'
-    // start targets, without the fixed entries.
-    for (const Id id : free) result.mapping.set(problem.name(id), problem.initial_state()[id]);
-    result.cost = evaluate(library, apps, result.mapping);
-  }
-  return result;
+  return finish(library, apps, problem, search, "exhaustive");
 }
 
 Search greedy_search(const DenseProblem& problem) {
@@ -104,9 +96,7 @@ Search greedy_search(const DenseProblem& problem) {
     // Per-app overload under the current mapping.
     for (std::size_t a = 0; a < problem.app_count(); ++a) {
       double load = 0.0;
-      for (const Id id : problem.app_elements(a)) {
-        if (current[id] == Target::kSoftware) load += problem.element(id).sw_load;
-      }
+      for (const Id id : problem.app_elements(a)) load += problem.row(id).load[current[id]];
       overload[problem.app_slot(a)] = std::max(0.0, load - budget);
     }
 
@@ -114,21 +104,21 @@ Search greedy_search(const DenseProblem& problem) {
     Id best = 0;
     for (const Id id : free) {
       if (current[id] != Target::kSoftware) continue;
-      const ElementImpl& element = problem.element(id);
-      if (!element.can_hw) continue;
+      const DenseRow& row = problem.row(id);
+      if (!row.allowed[Target::kHardware]) continue;
       search.decisions += 1;
 
       double relief = 0.0;
       for (const std::uint32_t a : problem.apps_of(id)) {
         const double over = overload[problem.app_slot(a)];
         if (over <= 1e-12) continue;
-        relief += std::min(element.sw_load, over);
+        relief += std::min(row.load[Target::kSoftware], over);
       }
       if (relief <= 1e-12) {
         // No utilization relief; moving may still fix deadline misses.
         relief = 1e-6;
       }
-      const double score = element.hw_cost / relief;
+      const double score = row.asic[Target::kHardware] / relief;
       if (!best_score || score < *best_score - 1e-12) {
         best_score = score;
         best = id;

@@ -69,6 +69,46 @@ TEST(CorpusNames, MalformedNamesReportTheGrammar) {
   EXPECT_FALSE(corpus::parse_name("fig2", &error).has_value());
 }
 
+TEST(CorpusNames, NamesBeyondTheSizeCapsAreRefusedWithTheLimit) {
+  // Every spec here is refused while parsing, so none of them mints; each is
+  // also small enough that a parser without the caps would not blow up.
+  const auto refused = [](const std::string& name, const std::string& limit) {
+    std::string error;
+    EXPECT_FALSE(corpus::parse_name(name, &error).has_value()) << name;
+    EXPECT_NE(error.find(name), std::string::npos) << error;
+    EXPECT_NE(error.find("over the limit of " + limit), std::string::npos) << error;
+  };
+  // variants^interfaces applications: 2^8 = 256 is the cap, 2^9 is over.
+  EXPECT_TRUE(corpus::parse_name("sweep/i8v2c1-s1").has_value());
+  refused("sweep/i9v2c1-s1", "256");
+  refused("sweep/i2v17-s1", "256");
+  // Processes: shared + interfaces * variants * cluster_size.
+  EXPECT_TRUE(corpus::parse_name("sweep/p250-s1").has_value());  // 250 + 1 * 2 * 3
+  refused("sweep/p251-s1", "256");
+  refused("sweep/i1v2c200-s1", "256");
+  refused("sweep/m17-s1", "16");
+  refused("sweep/d17-s1", "16");
+  // Huge knobs are refused without overflowing or counting to them.
+  refused("sweep/i18446744073709551615-s1", "256");
+  refused("sweep/i18446744073709551615v1-s1", "256");
+  refused("sweep/v18446744073709551615c18446744073709551615-s1", "256");
+  refused("sweep/p18446744073709551615-s1", "256");
+
+  // The `--opt` edge checks the spec the assignments and the name make
+  // together, with a typed diagnostic.
+  const auto tuned = api::parse_builtin_options("sweep/i8v2c1-s1", {"interfaces=9"});
+  ASSERT_FALSE(tuned.ok());
+  EXPECT_TRUE(tuned.diagnostics().has_code(api::diag::kBadOption));
+  EXPECT_NE(tuned.error_summary().find("over the limit of 256"), std::string::npos)
+      << tuned.error_summary();
+  const auto synthetic = api::parse_builtin_options("synthetic", {"modes=17"});
+  ASSERT_FALSE(synthetic.ok());
+  EXPECT_TRUE(synthetic.diagnostics().has_code(api::diag::kBadOption));
+  EXPECT_NE(synthetic.error_summary().find("over the limit of 16"), std::string::npos)
+      << synthetic.error_summary();
+  EXPECT_TRUE(api::parse_builtin_options("synthetic", {"interfaces=8", "cluster_size=1"}).ok());
+}
+
 // --- sweep expansion ---------------------------------------------------------
 
 TEST(CorpusSweep, ExpandCrossesAxes) {

@@ -1,13 +1,13 @@
 // The pipelined service loop (service::Service): out-of-order v2 completion
 // (a slow compare ahead of K fast simulates must not delay their replies),
 // per-connection backpressure at --max-inflight, strict v1 compatibility on
-// the same server, malformed v2 frames answered without killing the stream,
-// an `end` with stray spaces ending its frame and not the next one,
-// --record/--replay fidelity for pipelined traffic (ids preserved, replay
-// deterministic and byte-identical), and the loop over a real loopback
-// socket (TCP_NODELAY on both ends, no delayed-ACK stall on large replies;
-// cache hits answered on the reading thread at depth 8, byte for byte,
-// ahead of a slow miss and past a half-sent frame).
+// the same server, malformed v2 frames and oversized synthetic targets
+// answered without killing the stream, an `end` with stray spaces ending its
+// frame and not the next one, --record/--replay fidelity for pipelined
+// traffic (ids preserved, replay deterministic and byte-identical), and the
+// loop over a real loopback socket (TCP_NODELAY on both ends, no delayed-ACK
+// stall on large replies; cache hits answered on the reading thread at depth
+// 8, byte for byte, ahead of a slow miss and past a half-sent frame).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -232,6 +232,37 @@ TEST(PipelinedServe, MalformedV2FramesAnswerWithoutKillingTheStream) {
   EXPECT_NE(bad_id.error_summary().find("line 1"), std::string::npos);
 
   EXPECT_TRUE(api::wire::decode_response(find_reply(9)).ok());
+}
+
+TEST(PipelinedServe, OversizedSyntheticTargetsAnswerATypedErrorAndTheStreamLivesOn) {
+  service::Service svc{{.jobs = 2}};
+
+  // 2^9 applications, past the cap of 2^8: refused while the target parses,
+  // by name and by `--opt` knobs alike, and the next frame is still served.
+  std::string input = api::wire::encode(simulate_envelope("sweep/i9v2c1-s1"), 1);
+  api::AnyRequest tuned = simulate_envelope("synthetic");
+  tuned.target_options = {"interfaces=9", "cluster_size=1"};
+  input += api::wire::encode(tuned, 2);
+  input += api::wire::encode(simulate_envelope("fig1"), 3);
+  std::istringstream in{input};
+  std::ostringstream out;
+  EXPECT_EQ(svc.serve_stream(in, out).frames, 3u);
+
+  const auto replies = parse_replies(out.str());
+  ASSERT_EQ(replies.size(), 3u) << out.str();
+  for (const auto& [id, frame] : replies) {
+    ASSERT_TRUE(id.has_value()) << frame;
+    const auto reply = api::wire::decode_response(frame);
+    if (*id == 3) {
+      EXPECT_TRUE(reply.ok()) << frame;
+      continue;
+    }
+    ASSERT_FALSE(reply.ok()) << frame;
+    EXPECT_TRUE(reply.diagnostics().has_code(*id == 1 ? api::diag::kUnknownBuiltin
+                                                      : api::diag::kBadOption))
+        << frame;
+    EXPECT_NE(reply.error_summary().find("over the limit of 256"), std::string::npos) << frame;
+  }
 }
 
 TEST(PipelinedServe, TerminatorWithStraySpacesEndsItsFrame) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -166,6 +167,41 @@ struct DeadlineFixture {
   }
 };
 
+/// Library values that catch pricing which is not bit-identical: -0.0 and
+/// subnormal loads and costs (a sum that starts at -0.0, or skips a
+/// subnormal, shows in the bits), ASIC costs that overflow to inf in name
+/// order but stay finite in application order, loads whose sum rounds
+/// differently by order, and elements allowed on one target only.
+struct AdversarialFixture {
+  ImplLibrary lib;
+  std::vector<Application> apps;
+
+  AdversarialFixture() {
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double max = std::numeric_limits<double>::max();
+    lib.processor_cost = 5.0;
+    lib.processor_budget = 1.0;
+    lib.add("neg_zero", {.sw_load = -0.0, .hw_cost = -0.0});
+    lib.add("subnormal", {.sw_load = tiny, .hw_cost = 3 * tiny});
+    lib.add("max_a", {.sw_load = 0.05, .hw_cost = max});
+    lib.add("max_b", {.sw_load = 0.05, .hw_cost = max});
+    lib.add("max_c", {.sw_load = 0.05, .hw_cost = -max});
+    lib.add("r1", {.sw_load = 0.1, .hw_cost = 1.0});
+    lib.add("r2", {.sw_load = 0.2, .hw_cost = 1.0});
+    lib.add("r3", {.sw_load = 0.3, .hw_cost = 1.0});
+    lib.add("sw_only", {.sw_load = 0.4, .hw_cost = 2.0, .can_hw = false});
+    lib.add("hw_only", {.sw_load = 0.4, .hw_cost = 2.0, .can_sw = false});
+
+    apps.push_back({.name = "zeros", .elements = {"neg_zero", "subnormal", "neg_zero"}});
+    // (0.1 + 0.2) + 0.3 is 0.6000000000000001, and (0.3 + 0.2) + 0.1 is 0.6.
+    apps.push_back({.name = "forward", .elements = {"r1", "r2", "r3", "sw_only"}});
+    apps.push_back({.name = "backward", .elements = {"r3", "r2", "r1", "hw_only"}});
+    // In name order max + max is inf, and inf - max stays inf; in this
+    // order max - max + max is max.
+    apps.push_back({.name = "overflow", .elements = {"max_a", "max_c", "max_b", "subnormal"}});
+  }
+};
+
 // --- dense evaluate vs the reference ----------------------------------------
 
 TEST(DenseKernel, MatchesReferenceOnEveryCatalogProblem) {
@@ -189,6 +225,16 @@ TEST(DenseKernel, MatchesReferenceOnDeadlinesBrokenChainsAndTargetLimits) {
     const Verdicts verdicts = expect_matches_reference(f.lib, {app}, {}, 11, app.name);
     EXPECT_GT(verdicts.feasible, 0) << app.name;
     EXPECT_GT(verdicts.infeasible, 0) << app.name;
+  }
+}
+
+TEST(DenseKernel, MatchesReferenceOnSignedZerosSubnormalsOverflowAndRounding) {
+  AdversarialFixture f;
+  const Verdicts verdicts = expect_matches_reference(f.lib, f.apps, {}, 13, "adversarial");
+  EXPECT_GT(verdicts.feasible, 0);
+  EXPECT_GT(verdicts.infeasible, 0);
+  for (const Application& app : f.apps) {
+    (void)expect_matches_reference(f.lib, {app}, {}, 17, app.name);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "models/synthetic.hpp"
 #include "synth/explore.hpp"
 #include "synth/from_model.hpp"
+#include "synth/strategies.hpp"
 
 namespace spivar::synth {
 namespace {
@@ -48,6 +49,23 @@ TEST(ExploreExhaustive, KeepsTheFirstOptimumInEnumerationOrder) {
   EXPECT_DOUBLE_EQ(r.cost.total, 6.0);
   EXPECT_EQ(r.mapping.at("b"), Target::kHardware);
   EXPECT_EQ(r.mapping.at("a"), Target::kSoftware);
+
+  // The lower bit pattern wins a tie even with more elements in hardware,
+  // and a later state cheaper by less than 1e-12 ties: with free order c, d,
+  // e, pattern 0b011 (c and d in hardware) costs 7 and is found before 0b100
+  // (e in hardware), which costs 1e-13 less.
+  ImplLibrary tie;
+  tie.processor_cost = 1.0;
+  tie.processor_budget = 1.0;
+  tie.add("c", {.sw_load = 0.5, .hw_cost = 3.0});
+  tie.add("d", {.sw_load = 0.5, .hw_cost = 3.0});
+  tie.add("e", {.sw_load = 1.0, .hw_cost = 6.0 - 1e-13});
+  const ExploreResult t = explore(tie, {{.name = "y", .elements = {"c", "d", "e"}}}, options);
+  ASSERT_TRUE(t.found_feasible);
+  EXPECT_DOUBLE_EQ(t.cost.total, 7.0);
+  EXPECT_EQ(t.mapping.at("c"), Target::kHardware);
+  EXPECT_EQ(t.mapping.at("d"), Target::kHardware);
+  EXPECT_EQ(t.mapping.at("e"), Target::kSoftware);
 }
 
 TEST(ExploreGreedy, MatchesExhaustiveOnTable1) {
@@ -117,6 +135,40 @@ TEST(ExploreWithFixed, FixedElementsNeverMove) {
   EXPECT_EQ(r.mapping.at("PA"), Target::kSoftware);
   // Next best: both clusters to hardware = superposition cost.
   EXPECT_DOUBLE_EQ(r.cost.total, 57.0);
+}
+
+TEST(ExploreWithFixed, NoFeasibleStateReportsEveryFixedEntry) {
+  // With x fixed in software, y (software only) overloads application B in
+  // every state. Each engine reports a mapping holding the fixed entry, so
+  // the incremental strategy can re-design at B instead of failing.
+  ImplLibrary lib;
+  lib.processor_cost = 10.0;
+  lib.processor_budget = 1.0;
+  lib.add("x", {.sw_load = 0.6, .hw_cost = 50.0});
+  lib.add("y", {.sw_load = 0.6, .hw_cost = 5.0, .can_hw = false});
+  const std::vector<Application> apps{{.name = "A", .elements = {"x"}},
+                                      {.name = "B", .elements = {"x", "y"}}};
+  Mapping fixed;
+  fixed.set("x", Target::kSoftware);
+
+  for (const ExploreEngine engine :
+       {ExploreEngine::kExhaustive, ExploreEngine::kGreedy, ExploreEngine::kAnnealing}) {
+    ExploreOptions options;
+    options.engine = engine;
+    const ExploreResult r = explore_with_fixed(lib, apps, fixed, options);
+    EXPECT_FALSE(r.found_feasible) << to_string(engine);
+    EXPECT_FALSE(r.cost.feasible) << to_string(engine);
+    EXPECT_EQ(r.mapping.size(), 2u) << to_string(engine);
+    EXPECT_EQ(r.mapping.at("x"), Target::kSoftware) << to_string(engine);
+    EXPECT_EQ(r.mapping.at("y"), Target::kSoftware) << to_string(engine);
+
+    const StrategyOutcome incremental =
+        run_strategy(StrategyKind::kIncremental, lib, apps, {}, options);
+    EXPECT_TRUE(incremental.feasible) << to_string(engine);
+    EXPECT_DOUBLE_EQ(incremental.cost.total, 60.0) << to_string(engine);
+    EXPECT_NE(incremental.detail.find("[re-design at 'B']"), std::string::npos)
+        << incremental.detail;
+  }
 }
 
 TEST(ExploreGreedy, ImprovementPhasePullsBackToSoftware) {
