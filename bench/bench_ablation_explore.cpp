@@ -108,7 +108,7 @@ BENCHMARK(BM_Explore_GreedyLargeProblem)->Arg(5)->Arg(10)->Arg(20);
 /// not depend on how many iterations run.
 void BM_Dense_Evaluate(benchmark::State& state, const std::string& target) {
   api::ModelStore store;
-  const api::Result<api::ModelInfo> info = store.load_model(target);
+  const api::Result<api::ModelInfo> info = store.load(api::ModelSpec{target});
   if (!info.ok()) {
     state.SkipWithError(("cannot load " + target).c_str());
     return;

@@ -26,13 +26,13 @@ using namespace spivar;
 /// Loads a builtin or aborts with rendered diagnostics — benchmarks have no
 /// error path of their own.
 api::ModelId must_load(api::Session& session, const char* name) {
-  const auto loaded = session.load_builtin(name);
+  const auto loaded = session.load(api::ModelSpec{name});
   if (api::report_failure(loaded)) std::exit(1);
   return loaded.value().id;
 }
 
-api::ModelId must_load(api::Session& session, api::LoadBuiltinRequest request) {
-  const auto loaded = session.load_builtin(request);
+api::ModelId must_load(api::Session& session, api::ModelSpec request) {
+  const auto loaded = session.load(std::move(request));
   if (api::report_failure(loaded)) std::exit(1);
   return loaded.value().id;
 }
@@ -112,8 +112,8 @@ BENCHMARK(BM_BatchThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 std::vector<api::AnyRequest> make_skewed_batch(api::Session& session, std::size_t heavy) {
   const api::ModelId small = must_load(session, "fig1");
   const api::ModelId big = must_load(
-      session, api::LoadBuiltinRequest{.name = "synthetic",
-                                       .options = models::SyntheticSpec{.variants = 12}});
+      session, api::ModelSpec{.name = "synthetic",
+                              .options = models::SyntheticSpec{.variants = 12}});
   std::vector<api::AnyRequest> batch = seed_sweep(big, static_cast<std::int64_t>(heavy));
   batch.insert(batch.begin(), api::AnyRequest{.payload = api::SimulateRequest{.model = small}});
   return batch;

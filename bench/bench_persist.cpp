@@ -42,7 +42,7 @@ struct TempDir {
 };
 
 api::ModelId must_load(api::Session& session, const char* name) {
-  const auto loaded = session.load_builtin(name);
+  const auto loaded = session.load(api::ModelSpec{name});
   if (api::report_failure(loaded)) std::exit(1);
   return loaded.value().id;
 }

@@ -38,7 +38,7 @@ int main() {
   const auto store = std::make_shared<api::ModelStore>();
   api::Session session{store};
   api::Session pooled{store, api::make_executor(2)};
-  const auto model = session.load_builtin("multistandard_tv");
+  const auto model = session.load(api::ModelSpec{"multistandard_tv"});
   if (api::report_failure(model)) return 1;
   std::cout << "=== multi-standard TV: " << model.value().interfaces
             << " linked variant sets, " << model.value().clusters << " clusters ===\n\n";
@@ -59,7 +59,7 @@ int main() {
   // registry — simulated as a batch.
   std::vector<api::AnyRequest> batch;
   for (int region = 0; region < 3; ++region) {
-    const auto loaded = session.load_builtin(api::LoadBuiltinRequest{
+    const auto loaded = session.load(api::ModelSpec{
         .name = "multistandard_tv",
         .options = models::TvOptions{.region = region, .frames = 25}});
     if (api::report_failure(loaded)) return 1;

@@ -25,10 +25,11 @@ int main() {
 
   api::Session session;
 
-  // 1. Load a model. Built-ins come from the registry by name; .spit text
-  //    or files work the same way (session.load_text / session.load_file).
+  // 1. Load a model. A ModelSpec names a registry model or a .spit file;
+  //    spit text (api::ModelText) and models built in code
+  //    (api::BuiltModel) go through the same session.load.
   //    Every operation returns Result<T>: value or diagnostics, no throw.
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   const api::ModelId model = unwrap(loaded).id;
   std::cout << "== model ==\n" << api::render(loaded.value());
 

@@ -10,7 +10,7 @@ int main() {
   using namespace spivar;
 
   api::Session session;
-  const auto model = session.load_builtin("fig2");
+  const auto model = session.load(api::ModelSpec{"fig2"});
   if (api::report_failure(model)) return 1;
 
   api::CompareRequest request{.model = model.value().id};

@@ -40,7 +40,8 @@ int main() {
                                 models::make_video_system(no_valves)};
   std::vector<api::AnyRequest> batch;
   for (const spi::Graph& graph : graphs) {
-    const auto loaded = session.load(variant::VariantModel{spi::Graph{graph}}, "video-scenario");
+    const auto loaded =
+        session.load(api::BuiltModel{variant::VariantModel{spi::Graph{graph}}, "video-scenario"});
     if (api::report_failure(loaded)) return 1;
     api::SimulateRequest run{.model = loaded.value().id};
     // Only the first scenario's protocol is printed.

@@ -31,8 +31,8 @@
 //     carries the model's canonical content fingerprint.
 //   * Session::call / call_batch / submit (session.hpp) — one uniform
 //     entry point, one heterogeneous blocking batch, one heterogeneous
-//     streaming batch (BatchHandle<AnyResponse>). Every entry point —
-//     per-kind endpoints included — sheds under admission, checks tenant
+//     streaming batch (BatchHandle). Every entry point — per-kind
+//     endpoints included — sheds under admission, checks tenant
 //     ownership, installs the trace and evaluates through one snapshot +
 //     result-cache seam, so results and cache entries never depend on the
 //     entry point. Batch slots with identical SubmitOptions share one
@@ -46,7 +46,8 @@
 //     info replies) spoken by tools/spivar_serve and `spivar_cli remote`.
 //     The persistent cache tier stores these same frames on disk.
 //   * ModelStore (store.hpp) — thread-safe, share-by-snapshot model
-//     ownership: loads (taking the loading TenantContext) produce immutable
+//     ownership: load(LoadRequest, TenantContext) — the one place each
+//     model source is handled — produces immutable
 //     `shared_ptr<const StoreEntry>` snapshots (model + registry entry +
 //     memoized synthesis setup + memoized content fingerprint, each
 //     carrying its id, tenant salt and tenant tag), unload is
@@ -76,7 +77,8 @@
 //     kind, request fingerprint) key; corrupt or stale entries are skipped
 //     with a diagnostic and compacted away, never served.
 //   * Session (session.hpp) — a movable view over (store, executor):
-//     load_text/load_file/load_model, typed load_builtin(LoadBuiltinRequest),
+//     one load(LoadRequest) for every model source (ModelSpec: registry
+//     name with typed options, else a .spit path; ModelText; BuiltModel),
 //     resolve() (spec -> handle through the target cache),
 //     validate/stats/dot/write_text (variant-aware `variants v1` spit
 //     round-trip; tenant-scoped when bound), the per-kind

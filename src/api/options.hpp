@@ -1,8 +1,8 @@
 // Typed per-model options for registry loading.
 //
 // Every builtin's option struct travels through one std::variant, so
-// LoadBuiltinRequest stays a single type while the registry dispatches to
-// the matching factory. std::monostate selects the model's defaults; a
+// ModelSpec (store.hpp) stays a single type while the registry dispatches
+// to the matching factory. std::monostate selects the model's defaults; a
 // mismatched alternative (e.g. VideoOptions for "fig2") is a load failure,
 // not a silent fallback. parse_builtin_options() turns the CLI's
 // `--opt key=value` assignments into the right struct.
@@ -29,13 +29,6 @@ using BuiltinOptions =
     std::variant<std::monostate, models::Fig1Options, models::Fig2Options, models::Fig3Options,
                  models::VideoOptions, models::TvOptions, models::EmissionOptions,
                  models::SyntheticSpec>;
-
-/// Typed load request: `load_builtin({.name = "synthetic",
-/// .options = models::SyntheticSpec{.variants = 4}})`.
-struct LoadBuiltinRequest {
-  std::string name;
-  BuiltinOptions options{};
-};
 
 /// Builds the typed option struct for `builtin` from "key=value" assignments
 /// (e.g. {"frames=100", "input_valve=false"}). Unknown keys and malformed

@@ -185,28 +185,8 @@ void Session::bind_tenant(std::shared_ptr<StoreView> view,
 
 // --- loading (forwarded to the store, via the tenant view when bound) --------
 
-Result<ModelInfo> Session::load_text(std::string_view text, std::string_view name) {
-  return view_ ? view_->load_text(text, name) : store_->load_text(text, name);
-}
-
-Result<ModelInfo> Session::load_file(const std::string& path) {
-  return view_ ? view_->load_file(path) : store_->load_file(path);
-}
-
-Result<ModelInfo> Session::load_builtin(std::string_view name) {
-  return view_ ? view_->load_builtin(name) : store_->load_builtin(name);
-}
-
-Result<ModelInfo> Session::load_builtin(const LoadBuiltinRequest& request) {
-  return view_ ? view_->load_builtin(request) : store_->load_builtin(request);
-}
-
-Result<ModelInfo> Session::load_model(std::string_view spec) {
-  return view_ ? view_->load_model(spec) : store_->load_model(spec);
-}
-
-Result<ModelInfo> Session::load(variant::VariantModel model, std::string_view origin) {
-  return view_ ? view_->load(std::move(model), origin) : store_->load(std::move(model), origin);
+Result<ModelInfo> Session::load(LoadRequest request) {
+  return view_ ? view_->load(std::move(request)) : store_->load(std::move(request));
 }
 
 UnloadStatus Session::unload(ModelId id) {
@@ -479,14 +459,14 @@ std::vector<PreparedSlot> prepare(const ModelStore& store, std::vector<AnyReques
 }
 
 /// The one slot body behind call_batch and submit's executor tasks: cancel
-/// check (streaming batches only — call_batch passes no core), then the
+/// check (streaming batches only — call_batch passes no state), then the
 /// resolution failure, then unknown model, then the evaluation.
 ResultCache::Value run_slot(const PreparedSlot& slot, std::size_t index,
-                            const detail::BatchCore* core,
+                            const detail::BatchState* state,
                             const std::shared_ptr<ResultCache>& cache, Executor* executor) {
   if (slot.trace) slot.trace->end_queue_wait();
   obs::TraceScope scope{slot.trace.get()};
-  if (core != nullptr && core->cancel_requested()) {
+  if (state != nullptr && state->cancel_requested()) {
     return uncached(Result<AnyResponse>::failure(detail::cancelled_diagnostics(index)));
   }
   if (slot.failure) return uncached(Result<AnyResponse>::failure(*slot.failure));
@@ -515,10 +495,8 @@ ResultCache::Value probe_memory(const PreparedSlot& slot,
 
 }  // namespace
 
-BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
-                                         SlotCallback<AnyResponse> on_slot) const {
-  auto state =
-      std::make_shared<detail::BatchState<AnyResponse>>(requests.size(), std::move(on_slot));
+BatchHandle Session::submit(std::vector<AnyRequest> requests, SlotCallback on_slot) const {
+  auto state = std::make_shared<detail::BatchState>(requests.size(), std::move(on_slot));
   if (const auto decision = shed()) {
     // Shed before submission: every slot lands with the typed overload
     // failure and the executor never sees the work — queueing it anyway is
@@ -526,7 +504,7 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
     for (std::size_t i = 0; i < requests.size(); ++i) {
       state->deliver(i, overload_failure(*decision));
     }
-    return make_batch_handle<AnyResponse>(std::move(state), executor_);
+    return make_batch_handle(std::move(state), executor_);
   }
   const std::shared_ptr<ResultCache> cache = store_->cache();
   // Each compare slot fans its strategy jobs across the same executor; the
@@ -560,12 +538,12 @@ BatchHandle<AnyResponse> Session::submit(std::vector<AnyRequest> requests,
       group = std::prev(groups.end());
     }
     group->second.push_back([state, cache, executor, i, slot = std::move(slots[i])] {
-      const ResultCache::Value reply = run_slot(slot, i, &state->core, cache, executor);
+      const ResultCache::Value reply = run_slot(slot, i, state.get(), cache, executor);
       state->deliver(i, *reply, reply->frame);
     });
   }
   for (auto& [options, group] : groups) executor_->submit(std::move(group), options);
-  return make_batch_handle<AnyResponse>(std::move(state), executor_);
+  return make_batch_handle(std::move(state), executor_);
 }
 
 std::vector<Result<AnyResponse>> Session::call_batch(

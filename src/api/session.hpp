@@ -9,7 +9,7 @@
 // Result.
 //
 //   api::Session session;                         // private store, serial
-//   auto model = session.load_builtin("fig2");
+//   auto model = session.load(api::ModelSpec{"fig2"});
 //   auto sim = session.simulate({.model = model.value().id});
 //
 //   auto store = std::make_shared<api::ModelStore>();
@@ -34,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "api/admission.hpp"
@@ -109,28 +108,12 @@ class Session {
 
   // --- loading (forwarded to the store) -------------------------------------
 
-  /// Parses a model from "spit" text. `name` overrides the model name for
-  /// presentation (empty keeps the parsed one).
-  Result<ModelInfo> load_text(std::string_view text, std::string_view name = {});
-
-  /// Reads and parses a .spit file.
-  Result<ModelInfo> load_file(const std::string& path);
-
-  /// Instantiates a registry model with its default options.
-  Result<ModelInfo> load_builtin(std::string_view name);
-
-  /// Instantiates a registry model with a typed option struct, e.g.
-  /// `load_builtin({.name = "synthetic", .options = models::SyntheticSpec{
-  /// .variants = 4}})`. A struct that belongs to a different model fails
-  /// with diagnostics.
-  Result<ModelInfo> load_builtin(const LoadBuiltinRequest& request);
-
-  /// Builtin name when it matches one, file path otherwise — the CLI's
-  /// positional-model resolution in one place.
-  Result<ModelInfo> load_model(std::string_view spec);
-
-  /// Adopts an already-built model (programmatic construction).
-  Result<ModelInfo> load(variant::VariantModel model, std::string_view origin = "adopted");
+  /// Loads one model from whichever source `request` names — a registry
+  /// name or .spit path with optional typed options (ModelSpec), spit text
+  /// (ModelText) or a model built in code (BuiltModel) — through the bound
+  /// tenant view, or straight into the store when unbound. A typed option
+  /// struct that belongs to a different model fails with diagnostics.
+  Result<ModelInfo> load(LoadRequest request);
 
   /// Resolves a spec (builtin name or .spit path, with optional "key=value"
   /// builtin options) through the session's tombstone-aware target cache —
@@ -252,8 +235,8 @@ class Session {
   /// work the executor runs. shed() still gates first: under overload every
   /// slot, cached or not, gets the typed overload failure, so shed replies
   /// never depend on cache state.
-  [[nodiscard]] BatchHandle<AnyResponse> submit(std::vector<AnyRequest> requests,
-                                                SlotCallback<AnyResponse> on_slot = {}) const;
+  [[nodiscard]] BatchHandle submit(std::vector<AnyRequest> requests,
+                                   SlotCallback on_slot = {}) const;
 
  private:
   /// Tombstone-aware target-spec memoization behind AnyRequest::target.

@@ -57,21 +57,20 @@ Result<ModelInfo> SpecCache::resolve(const std::string& spec,
     loaded_.erase(it);
   }
 
-  Result<ModelInfo> loaded = [&] {
-    if (assignments.empty()) {
-      return view_ ? view_->load_model(spec) : store_->load_model(spec);
-    }
+  ModelSpec request{.name = spec};
+  if (!assignments.empty()) {
     // Corpus names take the builtin path too: parse_builtin_options starts
     // from the name-parsed spec, so malformed names get grammar diagnostics.
     if (!find_builtin(spec) && !corpus::is_corpus_name(spec)) {
       return Result<ModelInfo>::failure(
           diag::kBadOption, "'--opt' requires a built-in model, and '" + spec + "' is not one");
     }
-    const auto options = parse_builtin_options(spec, assignments);
+    auto options = parse_builtin_options(spec, assignments);
     if (!options.ok()) return Result<ModelInfo>::failure(options.diagnostics());
-    const LoadBuiltinRequest request{.name = spec, .options = options.value()};
-    return view_ ? view_->load_builtin(request) : store_->load_builtin(request);
-  }();
+    request.options = std::move(options).value();
+  }
+  Result<ModelInfo> loaded =
+      view_ ? view_->load(std::move(request)) : store_->load(std::move(request));
   if (loaded.ok()) loaded_.emplace(std::move(key), loaded.value().id);
   return loaded;
 }

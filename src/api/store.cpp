@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "api/detail.hpp"
 #include "corpus/spec.hpp"
@@ -144,68 +145,44 @@ std::shared_ptr<const SynthesisSetup> resolve_setup(
 
 // --- ModelStore --------------------------------------------------------------
 
-Result<ModelInfo> ModelStore::load_text(std::string_view text, std::string_view name,
-                                        const TenantContext& tenant) {
+Result<ModelInfo> ModelStore::load(LoadRequest request, const TenantContext& tenant) {
   return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
-    // Variant-aware: text with a `variants v1` section reconstructs the
-    // cluster/interface structure, plain graph text loads flat.
-    variant::VariantModel model = variant::parse_text(text);
-    if (!name.empty()) model.graph().set_name(std::string{name});
-    return adopt("text", std::move(model), nullptr, tenant);
-  });
-}
-
-Result<ModelInfo> ModelStore::load_file(const std::string& path, const TenantContext& tenant) {
-  return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
-    std::error_code ec;
-    if (!std::filesystem::is_regular_file(path, ec)) {
-      return Result<ModelInfo>::failure(diag::kIoError, "'" + path + "' is not a readable file");
+    if (BuiltModel* built = std::get_if<BuiltModel>(&request)) {
+      return adopt(std::move(built->origin), std::move(built->model), nullptr, tenant);
     }
-    std::ifstream in{path};
-    if (!in) return Result<ModelInfo>::failure(diag::kIoError, "cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return adopt(path, variant::parse_text(buffer.str()), nullptr, tenant);
-  });
-}
-
-Result<ModelInfo> ModelStore::load_builtin(std::string_view name) {
-  return load_builtin(LoadBuiltinRequest{.name = std::string{name}});
-}
-
-Result<ModelInfo> ModelStore::load_builtin(const LoadBuiltinRequest& request,
-                                           const TenantContext& tenant) {
-  return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
-    const BuiltinModel* builtin = find_builtin(request.name);
-    if (!builtin) {
-      // A sweep/ name that failed to mint is malformed — surface the name
-      // grammar instead of the generic unknown-builtin message.
-      if (corpus::is_corpus_name(request.name)) {
-        std::string error;
-        (void)corpus::parse_name(request.name, &error);
-        return Result<ModelInfo>::failure(diag::kUnknownBuiltin, error);
-      }
+    if (const ModelText* text = std::get_if<ModelText>(&request)) {
+      // Variant-aware: text with a `variants v1` section reconstructs the
+      // cluster/interface structure, plain graph text loads flat.
+      variant::VariantModel model = variant::parse_text(text->text);
+      if (!text->name.empty()) model.graph().set_name(text->name);
+      return adopt("text", std::move(model), nullptr, tenant);
+    }
+    const ModelSpec& spec = std::get<ModelSpec>(request);
+    if (const BuiltinModel* builtin = find_builtin(spec.name)) {
+      return adopt("builtin:" + builtin->name, builtin->make(spec.options), builtin, tenant);
+    }
+    // A sweep/ name that failed to mint is malformed — surface the name
+    // grammar rather than a missing-file error.
+    if (corpus::is_corpus_name(spec.name)) {
+      std::string error;
+      (void)corpus::parse_name(spec.name, &error);
+      return Result<ModelInfo>::failure(diag::kUnknownBuiltin, error);
+    }
+    if (!std::holds_alternative<std::monostate>(spec.options)) {
       return Result<ModelInfo>::failure(
           diag::kUnknownBuiltin,
-          "no built-in model '" + request.name + "' (see Session::builtins())");
+          "no built-in model '" + spec.name + "' (see Session::builtins())");
     }
-    return adopt("builtin:" + builtin->name, builtin->make(request.options), builtin, tenant);
-  });
-}
-
-Result<ModelInfo> ModelStore::load_model(std::string_view spec, const TenantContext& tenant) {
-  // Corpus names route through the builtin path even when malformed, so the
-  // caller sees a grammar diagnostic rather than a missing-file error.
-  if (find_builtin(spec) || corpus::is_corpus_name(spec)) {
-    return load_builtin(LoadBuiltinRequest{.name = std::string{spec}}, tenant);
-  }
-  return load_file(std::string{spec}, tenant);
-}
-
-Result<ModelInfo> ModelStore::load(variant::VariantModel model, std::string_view origin,
-                                   const TenantContext& tenant) {
-  return guarded<ModelInfo>([&]() -> Result<ModelInfo> {
-    return adopt(std::string{origin}, std::move(model), nullptr, tenant);
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(spec.name, ec)) {
+      return Result<ModelInfo>::failure(diag::kIoError,
+                                        "'" + spec.name + "' is not a readable file");
+    }
+    std::ifstream in{spec.name};
+    if (!in) return Result<ModelInfo>::failure(diag::kIoError, "cannot open '" + spec.name + "'");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return adopt(spec.name, variant::parse_text(buffer.str()), nullptr, tenant);
   });
 }
 

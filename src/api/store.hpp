@@ -4,9 +4,12 @@
 // `shared_ptr<const StoreEntry>` holding the model, its registry entry (when
 // loaded from a builtin) and a memoized default SynthesisSetup. Any number
 // of sessions attach to one store, so a model is parsed/built once and
-// evaluated from many sessions — the cross-session sharding seam.
+// evaluated from many sessions — the cross-session sharding seam. Every
+// model source — registry name, .spit file, spit text, a model built in
+// code — is one LoadRequest alternative through the one load().
 //
 //   auto store = std::make_shared<api::ModelStore>();
+//   store->load(api::ModelSpec{"fig2"});          // registry name or .spit path
 //   api::Session a{store};                        // loads are visible to b
 //   api::Session b{store, api::make_executor(4)}; // shards the same models
 //
@@ -27,7 +30,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "api/cache.hpp"
@@ -142,6 +145,30 @@ class StoreEntry {
     const StoreEntry& entry, const std::optional<synth::ProblemOptions>& problem,
     const std::optional<synth::ImplLibrary>& library);
 
+/// A registry model or a .spit file: a name the registry knows (a curated
+/// builtin or a `sweep/` corpus name) instantiates it with `options`,
+/// anything else is read as a .spit path. Typed options need a registry
+/// name; a malformed `sweep/` name reports the name grammar.
+struct ModelSpec {
+  std::string name;
+  BuiltinOptions options{};  ///< std::monostate = the model's defaults
+};
+
+/// A model in "spit" text; a non-empty `name` overrides the parsed one.
+struct ModelText {
+  std::string text;
+  std::string name;
+};
+
+/// A model built in code, adopted as is.
+struct BuiltModel {
+  variant::VariantModel model;
+  std::string origin = "adopted";
+};
+
+/// Where a load takes its model from — exactly one source per load.
+using LoadRequest = std::variant<ModelSpec, ModelText, BuiltModel>;
+
 class ModelStore {
  public:
   using Snapshot = std::shared_ptr<const StoreEntry>;
@@ -150,35 +177,15 @@ class ModelStore {
   ModelStore(const ModelStore&) = delete;
   ModelStore& operator=(const ModelStore&) = delete;
 
-  // --- loading (all thread-safe) -------------------------------------------
-  //
-  // Every load takes the loading tenant — what a tenant's StoreView passes
-  // through so the entry's restart-stable content identity is salted for
-  // that tenant and its cache use is attributed to it. The default tenant
-  // is the unsalted, unattributed pre-tenancy identity; direct callers
-  // never need to think about it.
+  // --- loading (thread-safe) ------------------------------------------------
 
-  /// Parses a model from "spit" text. `name` overrides the model name for
-  /// presentation (empty keeps the parsed one).
-  Result<ModelInfo> load_text(std::string_view text, std::string_view name = {},
-                              const TenantContext& tenant = {});
-
-  /// Reads and parses a .spit file.
-  Result<ModelInfo> load_file(const std::string& path, const TenantContext& tenant = {});
-
-  /// Instantiates a registry model with its default options.
-  Result<ModelInfo> load_builtin(std::string_view name);
-
-  /// Instantiates a registry model with a typed option struct.
-  Result<ModelInfo> load_builtin(const LoadBuiltinRequest& request,
-                                 const TenantContext& tenant = {});
-
-  /// Builtin name when it matches one, file path otherwise.
-  Result<ModelInfo> load_model(std::string_view spec, const TenantContext& tenant = {});
-
-  /// Adopts an already-built model (programmatic construction).
-  Result<ModelInfo> load(variant::VariantModel model, std::string_view origin = "adopted",
-                         const TenantContext& tenant = {});
+  /// Loads one model from whichever source `request` names (see
+  /// LoadRequest). `tenant` is the loading tenant — what a tenant's
+  /// StoreView passes through so the entry's restart-stable content identity
+  /// is salted for that tenant and its cache use is attributed to it. The
+  /// default tenant is the unsalted, unattributed pre-tenancy identity;
+  /// direct callers never need to think about it.
+  Result<ModelInfo> load(LoadRequest request, const TenantContext& tenant = {});
 
   /// Tombstones the model: the snapshot is dropped from the table but the id
   /// stays known, so later calls can distinguish the three UnloadStatus

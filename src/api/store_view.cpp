@@ -11,8 +11,7 @@ StoreView::StoreView(std::shared_ptr<ModelStore> store, TenantContext tenant, Te
   if (!store_) store_ = std::make_shared<ModelStore>();
 }
 
-template <typename Loader>
-Result<ModelInfo> StoreView::admitted(Loader&& loader) {
+Result<ModelInfo> StoreView::load(LoadRequest request) {
   {
     std::lock_guard lock{mutex_};
     if (quota_.max_models != 0 && owned_.size() + pending_ >= quota_.max_models) {
@@ -23,36 +22,11 @@ Result<ModelInfo> StoreView::admitted(Loader&& loader) {
     }
     ++pending_;
   }
-  Result<ModelInfo> loaded = loader();
+  Result<ModelInfo> loaded = store_->load(std::move(request), tenant_);
   std::lock_guard lock{mutex_};
   --pending_;
   if (loaded.ok()) owned_.insert(loaded.value().id.value());
   return loaded;
-}
-
-Result<ModelInfo> StoreView::load_text(std::string_view text, std::string_view name) {
-  return admitted([&] { return store_->load_text(text, name, tenant_); });
-}
-
-Result<ModelInfo> StoreView::load_file(const std::string& path) {
-  return admitted([&] { return store_->load_file(path, tenant_); });
-}
-
-Result<ModelInfo> StoreView::load_builtin(std::string_view name) {
-  return load_builtin(LoadBuiltinRequest{.name = std::string{name}});
-}
-
-Result<ModelInfo> StoreView::load_builtin(const LoadBuiltinRequest& request) {
-  return admitted([&] { return store_->load_builtin(request, tenant_); });
-}
-
-Result<ModelInfo> StoreView::load_model(std::string_view spec) {
-  return admitted([&] { return store_->load_model(spec, tenant_); });
-}
-
-Result<ModelInfo> StoreView::load(variant::VariantModel model, std::string_view origin) {
-  return admitted(
-      [&] { return store_->load(std::move(model), origin, tenant_); });
 }
 
 bool StoreView::owns(ModelId id) const {

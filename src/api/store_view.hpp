@@ -12,9 +12,9 @@
 //   auto store = std::make_shared<api::ModelStore>();
 //   api::StoreView a{store, {.name = "alpha", .tag = 1}, {.max_models = 8}};
 //   api::StoreView b{store, {.name = "beta", .tag = 2}, {}};
-//   a.load_builtin("fig2");   // id X, salted fingerprint, owned by a
-//   b.load_builtin("fig2");   // id Y != X — cache entries never cross
-//   b.unload(X-id);           // kNeverLoaded: b cannot tombstone a's model
+//   a.load(api::ModelSpec{"fig2"});  // id X, salted fingerprint, owned by a
+//   b.load(api::ModelSpec{"fig2"});  // id Y != X — cache entries never cross
+//   b.unload(X-id);                  // kNeverLoaded: b cannot tombstone a's model
 //
 // Isolation invariants the view enforces (tests/test_tenant.cpp):
 //   * unload of an un-owned id is kNeverLoaded — no cross-tenant tombstones
@@ -34,7 +34,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "api/store.hpp"
@@ -57,12 +56,11 @@ class StoreView {
 
   // --- loading (tenant-scoped, quota-checked) --------------------------------
 
-  Result<ModelInfo> load_text(std::string_view text, std::string_view name = {});
-  Result<ModelInfo> load_file(const std::string& path);
-  Result<ModelInfo> load_builtin(std::string_view name);
-  Result<ModelInfo> load_builtin(const LoadBuiltinRequest& request);
-  Result<ModelInfo> load_model(std::string_view spec);
-  Result<ModelInfo> load(variant::VariantModel model, std::string_view origin = "adopted");
+  /// ModelStore::load under this view's tenant, behind the model quota: a
+  /// pending-load reservation keeps a racing pair of loads from overshooting
+  /// max_models, while the load itself (parses and model factories can be
+  /// slow) runs outside the view lock.
+  Result<ModelInfo> load(LoadRequest request);
 
   // --- tenant-scoped lookup / unload -----------------------------------------
 
@@ -84,13 +82,6 @@ class StoreView {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  /// Quota gate + ownership bookkeeping around one store load. `loader`
-  /// runs outside the view lock (parses and model factories can be slow); a
-  /// pending-load reservation keeps a racing pair of loads from overshooting
-  /// max_models.
-  template <typename Loader>
-  Result<ModelInfo> admitted(Loader&& loader);
-
   std::shared_ptr<ModelStore> store_;
   TenantContext tenant_;
   TenantQuota quota_;

@@ -17,12 +17,13 @@
 #include <utility>
 #include <vector>
 
+#include "corpus/spec.hpp"
+
 namespace spivar::service {
 
 Service::Service(const ServiceOptions& options)
     : store_(std::make_shared<api::ModelStore>()),
       executor_(api::make_executor(options.jobs)),
-      session_(store_, executor_),
       max_inflight_(std::max<std::size_t>(options.max_inflight, 1)),
       tracer_(obs::TracerConfig{.ring = options.trace_ring,
                                 .slow_threshold_us = options.trace_slow_us,
@@ -35,12 +36,6 @@ Service::Service(const ServiceOptions& options)
         api::AdmissionConfig{.max_miss_rate = options.overload_miss_rate,
                              .retry_after = options.overload_retry_after});
   }
-  // The default session gets a tag-0 view of its own: identical behavior to
-  // the pre-tenancy service (unsalted identity, no quotas) but models() and
-  // raw-id lookups are scoped to what *this* session loaded — a no-hello
-  // client never observes another tenant's models.
-  session_.bind_tenant(std::make_shared<api::StoreView>(store_, api::TenantContext{}),
-                       admission_);
   if (options.cache || !options.cache_dir.empty()) {
     api::CacheConfig config;
     config.capacity = options.cache.value_or(1024);
@@ -72,10 +67,11 @@ Service::Service(const ServiceOptions& options)
   }
   // Hot-path instruments resolve once here; request threads only ever touch
   // the pre-resolved handles (one atomic add each), never the registry.
-  default_requests_ =
-      resolve_kind_counters("spivar_requests_total", "requests completed", "default");
-  default_errors_ = resolve_kind_counters("spivar_request_errors_total",
-                                          "requests completed with a failure result", "default");
+  // The default tenant's tag-0 view behaves like the pre-tenancy service
+  // (unsalted identity, no quotas), but models() and raw-id lookups are
+  // scoped to what it loaded — a no-hello client never observes another
+  // tenant's models.
+  provision(default_tenant_, {.name = "default", .tag = 0}, {});
   for (std::size_t k = 0; k < kKinds; ++k) {
     latency_[k] = &registry_.histogram(
         "spivar_request_latency_us", "end-to-end request latency in microseconds",
@@ -216,54 +212,57 @@ void Service::register_collector() {
   });
 }
 
-void Service::observe_done(const std::shared_ptr<obs::TraceContext>& trace,
-                           api::RequestKind kind, Tenant* tenant, bool ok) {
-  const auto total_us = tracer_.finish(trace, ok);
+Service::Traced Service::begin_trace(api::AnyRequest& request, const Tenant& tenant) {
+  const api::RequestKind kind = api::kind_of(request);
+  request.trace = tracer_.begin(tenant.context.name, api::to_string(kind), request.target);
+  return {request.trace, kind};
+}
+
+void Service::observe_done(const Traced& traced, Tenant& tenant, bool ok) {
+  const auto total_us = tracer_.finish(traced.trace, ok);
   if (!total_us) return;  // finish() latched earlier — already counted
-  const auto k = static_cast<std::size_t>(kind);
-  (tenant != nullptr ? tenant->requests : default_requests_)[k]->add();
-  if (!ok) (tenant != nullptr ? tenant->errors : default_errors_)[k]->add();
+  const auto k = static_cast<std::size_t>(traced.kind);
+  tenant.requests[k]->add();
+  if (!ok) tenant.errors[k]->add();
   latency_[k]->record(*total_us);
 }
 
-std::shared_ptr<Service::Tenant> Service::create_tenant_locked(const std::string& name,
-                                                               const api::TenantQuota& quota) {
-  auto tenant = std::make_shared<Tenant>();
-  tenant->context = api::TenantContext{.name = name, .tag = next_tag_++};
-  tenant->quota = quota;
-  tenant->view = std::make_shared<api::StoreView>(store_, tenant->context, quota);
-  tenant->session = std::make_shared<api::Session>(store_, executor_);
-  tenant->session->bind_tenant(tenant->view, admission_);
-  tenant->requests = resolve_kind_counters("spivar_requests_total", "requests completed", name);
-  tenant->errors = resolve_kind_counters("spivar_request_errors_total",
-                                         "requests completed with a failure result", name);
+void Service::provision(Tenant& tenant, api::TenantContext context,
+                        const api::TenantQuota& quota) {
+  tenant.context = std::move(context);
+  tenant.quota = quota;
+  tenant.view = std::make_shared<api::StoreView>(store_, tenant.context, quota);
+  tenant.session = std::make_shared<api::Session>(store_, executor_);
+  tenant.session->bind_tenant(tenant.view, admission_);
+  tenant.requests =
+      resolve_kind_counters("spivar_requests_total", "requests completed", tenant.context.name);
+  tenant.errors = resolve_kind_counters("spivar_request_errors_total",
+                                        "requests completed with a failure result",
+                                        tenant.context.name);
   if (quota.max_cache_entries > 0) {
     if (const auto cache = store_->cache()) {
-      cache->set_tenant_cap(tenant->context.tag, quota.max_cache_entries);
+      cache->set_tenant_cap(tenant.context.tag, quota.max_cache_entries);
     }
   }
-  tenants_.emplace(name, tenant);
-  return tenant;
 }
 
-std::shared_ptr<Service::Tenant> Service::authenticate(const std::string& name,
-                                                       const std::string& token,
-                                                       std::string* error) {
-  if (name == "default") return nullptr;  // the shared pre-tenancy session
+Service::Tenant& Service::create_tenant_locked(const std::string& name,
+                                               const api::TenantQuota& quota) {
+  auto tenant = std::make_unique<Tenant>();
+  provision(*tenant, {.name = name, .tag = next_tag_++}, quota);
+  return *tenants_.emplace(name, std::move(tenant)).first->second;
+}
+
+Service::Tenant* Service::authenticate(const std::string& name, const std::string& token) {
+  if (name == "default") return &default_tenant_;
   std::lock_guard lock{tenants_mutex_};
-  auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
-    // Ad hoc tenants get default (unlimited) quotas — isolation without
-    // provisioning. Only configured tenants carry tokens, so nothing
-    // protected is reachable this way.
-    create_tenant_locked(name, {});
-    it = tenants_.find(name);
-  }
-  if (!it->second->quota.token.empty() && it->second->quota.token != token) {
-    *error = "invalid token for tenant '" + name + "'";
-    return nullptr;
-  }
-  return it->second;
+  const auto it = tenants_.find(name);
+  // Ad hoc tenants get default (unlimited) quotas — isolation without
+  // provisioning. Only configured tenants carry tokens, so nothing
+  // protected is reachable this way.
+  Tenant& tenant = it != tenants_.end() ? *it->second : create_tenant_locked(name, {});
+  if (!tenant.quota.token.empty() && tenant.quota.token != token) return nullptr;
+  return &tenant;
 }
 
 Service::~Service() {
@@ -282,6 +281,12 @@ void Service::Writer::flush() {
   if (!held) return;
   out.flush();
   held = false;
+}
+
+void Service::Inflight::release() {
+  std::lock_guard lock{mutex};
+  --count;
+  drained.notify_all();
 }
 
 void Service::warm(std::istream& in) {
@@ -313,8 +318,33 @@ api::Result<api::AnyResponse> tenant_cap_failure(const std::string& tenant, std:
                                 std::to_string(cap) + "); retry-after-ms 10");
 }
 
-/// The trace/metric label for streams that never sent a hello.
-const std::string kDefaultTenantName = "default";
+/// The service loads registry models only: a curated builtin or a `sweep/`
+/// corpus name. Any other target would be opened as a path on the server's
+/// filesystem, so it is refused here, before it reaches a session. The
+/// prefix is checked first and nothing is minted, so a request pays a few
+/// string compares.
+std::optional<support::DiagnosticList> refuse(std::string_view target) {
+  if (corpus::is_corpus_name(target)) return std::nullopt;
+  for (const api::BuiltinModel& builtin : api::builtin_models()) {
+    if (builtin.name == target) return std::nullopt;
+  }
+  support::DiagnosticList diagnostics;
+  diagnostics.error(api::diag::kUnknownBuiltin,
+                    "no built-in model '" + std::string{target} +
+                        "' (the service loads registry and sweep/ names only)");
+  return diagnostics;
+}
+
+/// Decodes a request frame and refuses a target that names no registry
+/// model, so a refusal travels every path a decode error does.
+api::Result<api::AnyRequest> decode(const std::string& frame) {
+  api::Result<api::AnyRequest> request = api::wire::decode_request(frame);
+  if (!request.ok() || request.value().target.empty()) return request;
+  if (auto refused = refuse(request.value().target)) {
+    return api::Result<api::AnyRequest>::failure(std::move(*refused));
+  }
+  return request;
+}
 
 }  // namespace
 
@@ -322,11 +352,10 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
   Writer writer{out};
   Inflight inflight;
   StreamStats stats;
-  // The stream starts on the default tenant (the shared pre-tenancy
-  // session); a hello frame re-binds it. Tenants outlive every stream, so
-  // the raw session pointer stays valid for the loop's lifetime.
-  std::shared_ptr<Tenant> tenant;
-  api::Session* session = &session_;
+  // The stream starts on the default tenant; a hello frame re-binds it.
+  // Tenants live as long as the service, so the pointer stays valid for the
+  // loop's lifetime.
+  Tenant* tenant = &default_tenant_;
   const std::function<void()> flush = [&writer] { writer.flush(); };
   while (!shutdown_requested()) {
     // Held replies go out before any read that could block, including the
@@ -343,27 +372,24 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
       const api::wire::FrameHead head = api::wire::peek_head(*frame);
       if (head.tag != "request") {
         if (const auto hello = api::wire::parse_hello(*frame)) {
-          std::string error;
-          std::shared_ptr<Tenant> bound = authenticate(hello->tenant, hello->token, &error);
-          if (!error.empty()) {
-            reply_error(writer, error);
+          Tenant* bound = authenticate(hello->tenant, hello->token);
+          if (bound == nullptr) {
+            reply_error(writer, "invalid token for tenant '" + hello->tenant + "'");
             continue;
           }
-          tenant = std::move(bound);
-          session = tenant ? tenant->session.get() : &session_;
-          const std::uint32_t tag = tenant ? tenant->context.tag : 0;
-          reply_info(writer,
-                     "hello tenant " + hello->tenant + " tag " + std::to_string(tag));
+          tenant = bound;
+          reply_info(writer, "hello tenant " + hello->tenant + " tag " +
+                                 std::to_string(tenant->context.tag));
           continue;
         }
         if (const auto slots = api::wire::parse_batch_header(*frame)) {
           writer.flush();
-          handle_batch(*slots, in, writer, *session, tenant.get());
+          handle_batch(*slots, in, writer, *tenant);
           continue;
         }
         if (const auto control = api::wire::parse_control(*frame)) {
           writer.flush();
-          handle_control(*control, writer, *session);
+          handle_control(*control, writer, *tenant);
           continue;
         }
       }
@@ -371,14 +397,10 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
       if (!frame_id.has_value()) {
         // v1 (or a header too rotten to carry an id): strict arrival order,
         // evaluated inline — a v1-only client sees exactly the v1 service.
-        api::Result<api::AnyRequest> request = api::wire::decode_request(*frame);
-        if (!request.ok()) {
-          writer.write(api::wire::encode(
-              api::Result<api::AnyResponse>::failure(request.diagnostics())));
-          continue;
-        }
+        api::Result<api::AnyRequest> request = decode(*frame);
         writer.write(api::wire::encode(
-            call_inline(std::move(request).value(), writer, *session, tenant.get())));
+            request.ok() ? call_inline(std::move(request).value(), writer, *tenant)
+                         : api::Result<api::AnyResponse>::failure(request.diagnostics())));
         continue;
       }
       ++stats.pipelined;
@@ -397,52 +419,40 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
         }
         ++inflight.count;
       }
-      api::Result<api::AnyRequest> request = api::wire::decode_request(*frame);
+      api::Result<api::AnyRequest> request = decode(*frame);
+      // A frame answered on this thread replies here and hands its token
+      // back; every other one is submitted and its slot callback does both.
+      std::optional<api::Result<api::AnyResponse>> reply;
       if (!request.ok()) {
-        // Line-numbered decode error, tagged with the frame's id, and the
-        // connection lives on — one malformed frame costs one reply.
-        writer.write(api::wire::encode(
-            api::Result<api::AnyResponse>::failure(request.diagnostics()), *frame_id));
-        std::lock_guard lock{inflight.mutex};
-        --inflight.count;
-        inflight.drained.notify_all();
-        continue;
-      }
-      if (mode == StreamMode::kOrdered) {
+        // Line-numbered decode error (or a refused target), tagged with the
+        // frame's id, and the connection lives on — one malformed frame
+        // costs one reply.
+        reply = api::Result<api::AnyResponse>::failure(request.diagnostics());
+      } else if (mode == StreamMode::kOrdered) {
         // --replay/--warm: evaluate inline so the reply order (and the
         // cache fill order) reproduces the recorded submission order
         // byte-for-byte; the reply still carries its v2 tag.
-        writer.write(api::wire::encode(
-            call_inline(std::move(request).value(), writer, *session, tenant.get()), *frame_id));
-        std::lock_guard lock{inflight.mutex};
-        --inflight.count;
-        inflight.drained.notify_all();
-        continue;
-      }
-      if (tenant != nullptr && tenant->quota.max_inflight > 0) {
+        reply = call_inline(std::move(request).value(), writer, *tenant);
+      } else if (tenant->quota.max_inflight > 0 &&
+                 tenant->inflight.fetch_add(1, std::memory_order_acq_rel) >=
+                     tenant->quota.max_inflight) {
         // The tenant's cap composes with the stream cap above — but where
         // the stream cap *blocks* (backpressure to this client only), the
         // tenant cap *rejects*: blocking here would let one capped tenant
         // hold reader threads hostage while other tenants' frames queue
         // behind it. fetch_add-then-check keeps the cap exact across the
         // tenant's concurrent connections.
-        if (tenant->inflight.fetch_add(1, std::memory_order_acq_rel) >=
-            tenant->quota.max_inflight) {
-          tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
-          tenant->shed.fetch_add(1, std::memory_order_relaxed);
-          ++stats.shed;
-          writer.write(api::wire::encode(
-              tenant_cap_failure(tenant->context.name, tenant->quota.max_inflight), *frame_id));
-          std::lock_guard lock{inflight.mutex};
-          --inflight.count;
-          inflight.drained.notify_all();
-          continue;
-        }
+        tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
+        tenant->shed.fetch_add(1, std::memory_order_relaxed);
+        ++stats.shed;
+        reply = tenant_cap_failure(tenant->context.name, tenant->quota.max_inflight);
       }
-      api::AnyRequest req = std::move(request).value();
-      req.trace = tracer_.begin(tenant ? tenant->context.name : kDefaultTenantName,
-                                api::to_string(api::kind_of(req)), req.target);
-      submit_pipelined(std::move(req), *frame_id, writer, inflight, *session, tenant);
+      if (reply) {
+        writer.write(api::wire::encode(*reply, *frame_id));
+        inflight.release();
+        continue;
+      }
+      submit_pipelined(std::move(request).value(), *frame_id, writer, inflight, *tenant);
     } catch (const std::exception& e) {
       reply_error(writer, std::string{"internal error handling frame: "} + e.what());
     }
@@ -463,52 +473,41 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
 }
 
 api::Result<api::AnyResponse> Service::call_inline(api::AnyRequest request, Writer& writer,
-                                                   api::Session& session, Tenant* tenant) {
-  const api::RequestKind kind = api::kind_of(request);
-  request.trace = tracer_.begin(tenant != nullptr ? tenant->context.name : kDefaultTenantName,
-                                api::to_string(kind), request.target);
-  const std::shared_ptr<obs::TraceContext> trace = request.trace;
+                                                   Tenant& tenant) {
+  const Traced traced = begin_trace(request, tenant);
   writer.flush();
-  api::Result<api::AnyResponse> result = session.call(request);
-  observe_done(trace, kind, tenant, result.ok());
+  api::Result<api::AnyResponse> result = tenant.session->call(request);
+  observe_done(traced, tenant, result.ok());
   return result;
 }
 
 void Service::submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, Writer& writer,
-                               Inflight& inflight, api::Session& session,
-                               std::shared_ptr<Tenant> tenant) {
-  const api::RequestKind kind = api::kind_of(request);
-  std::shared_ptr<obs::TraceContext> trace = request.trace;
+                               Inflight& inflight, Tenant& tenant) {
+  Traced traced = begin_trace(request, tenant);
   std::vector<api::AnyRequest> one;
   one.push_back(std::move(request));
   // The handle is deliberately discarded: the slot's task keeps the batch
   // state alive, the callback below is the delivery path, and serve_stream
   // drains the inflight count before its stack (writer, inflight) unwinds.
-  // The tenant's in-flight token (acquired by the caller) releases here too.
-  (void)session.submit(
+  // The tenant outlives the stream, so the callback holds it by reference
+  // and never co-owns its session (or, through it, the executor).
+  (void)tenant.session->submit(
       std::move(one),
-      [this, &writer, &inflight, frame_id, kind, trace = std::move(trace),
-       tenant = std::move(tenant)](std::size_t, const api::Result<api::AnyResponse>& result,
-                                   std::string_view frame) mutable {
+      [this, &writer, &inflight, &tenant, frame_id, traced = std::move(traced)](
+          std::size_t, const api::Result<api::AnyResponse>& result, std::string_view frame) {
         // Trace completion before the reply streams: by the time the client
         // reads the frame (or serve_stream returns), the record is in the
         // ring and every counter reflects this request.
-        observe_done(trace, kind, tenant.get(), result.ok());
+        observe_done(traced, tenant, result.ok());
         // A cached result's stored frame, retagged, is the reply: a hit
         // (delivered on this stream's reading thread, where the write is
         // held) is never encoded again.
         writer.write(frame.empty() ? api::wire::encode(result, frame_id)
                                    : api::wire::retag(frame, frame_id));
-        if (tenant && tenant->quota.max_inflight > 0) {
-          tenant->inflight.fetch_sub(1, std::memory_order_acq_rel);
+        if (tenant.quota.max_inflight > 0) {
+          tenant.inflight.fetch_sub(1, std::memory_order_acq_rel);
         }
-        // Let go of the tenant before serve_stream can return: its session
-        // co-owns the executor, and this worker must never hold the pool's
-        // last reference once the Service is gone (it would join itself).
-        tenant.reset();
-        std::lock_guard lock{inflight.mutex};
-        --inflight.count;
-        inflight.drained.notify_all();
+        inflight.release();
       });
 }
 
@@ -538,7 +537,7 @@ void Service::record_frame(const std::string& frame) {
 }
 
 void Service::handle_batch(std::size_t slots, std::istream& in, Writer& writer,
-                           api::Session& session, Tenant* tenant) {
+                           Tenant& tenant) {
   // Sanity-cap the client-supplied count before allocating anything for
   // it — a corrupt header must not be able to abort the shared server.
   constexpr std::size_t kMaxBatchSlots = 65'536;
@@ -560,31 +559,27 @@ void Service::handle_batch(std::size_t slots, std::istream& in, Writer& writer,
       break;
     }
     record_frame(*frame);
-    decoded.push_back(api::wire::decode_request(*frame));
+    decoded.push_back(decode(*frame));
   }
 
   // Evaluate the well-formed slots as one submit; merge decode failures
   // back into their original positions. Every slot gets its own trace —
   // batch traffic counts toward the same request/latency instruments as
   // single-frame traffic.
-  const std::string& tenant_name = tenant != nullptr ? tenant->context.name : kDefaultTenantName;
   std::vector<api::AnyRequest> requests;
   std::vector<std::size_t> positions;
-  std::vector<std::pair<std::shared_ptr<obs::TraceContext>, api::RequestKind>> traces;
+  std::vector<Traced> traces;
   for (std::size_t i = 0; i < decoded.size(); ++i) {
     if (decoded[i].ok()) {
-      api::AnyRequest req = std::move(decoded[i]).value();
-      const api::RequestKind kind = api::kind_of(req);
-      req.trace = tracer_.begin(tenant_name, api::to_string(kind), req.target);
-      traces.emplace_back(req.trace, kind);
-      requests.push_back(std::move(req));
+      requests.push_back(std::move(decoded[i]).value());
+      traces.push_back(begin_trace(requests.back(), tenant));
       positions.push_back(i);
     }
   }
-  auto handle = session.submit(std::move(requests));
-  const std::vector<api::Result<api::AnyResponse>> landed = handle.wait();
+  const std::vector<api::Result<api::AnyResponse>> landed =
+      tenant.session->submit(std::move(requests)).wait();
   for (std::size_t j = 0; j < traces.size(); ++j) {
-    observe_done(traces[j].first, traces[j].second, tenant, landed[j].ok());
+    observe_done(traces[j], tenant, landed[j].ok());
   }
 
   std::vector<api::Result<api::AnyResponse>> results;
@@ -690,7 +685,8 @@ void Service::handle_cache_control(const api::wire::ControlCommand& control, Wri
 }
 
 void Service::handle_control(const api::wire::ControlCommand& control, Writer& writer,
-                             api::Session& session) {
+                             Tenant& tenant) {
+  api::Session& session = *tenant.session;
   if (control.command == "ping") {
     reply_info(writer, "pong");
     return;
@@ -748,6 +744,10 @@ void Service::handle_control(const api::wire::ControlCommand& control, Writer& w
   if (control.command == "load") {
     if (control.args.empty()) {
       reply_error(writer, "'load' requires a model spec");
+      return;
+    }
+    if (const auto refused = refuse(control.args.front())) {
+      reply_error(writer, *refused);
       return;
     }
     const std::vector<std::string> options(control.args.begin() + 1, control.args.end());

@@ -5,7 +5,10 @@
 // Every connection shares ONE Session over ONE ModelStore and executor, so
 // a model any client loads (or names via a request's target spec) is built
 // once, its synthesis setup is memoized once, and the result cache serves
-// every client. Frames (see api/wire.hpp):
+// every client. A target or `load` spec must name a registry model (a
+// curated builtin or a `sweep/` corpus name): anything else is refused with
+// a typed api-unknown-builtin error, so no client can make the server open
+// a file. Frames (see api/wire.hpp):
 //
 //   request v1 <kind> ... end      one envelope, answered in arrival order
 //   request v2 <kind> <id> ...     pipelined envelope: handed to
@@ -164,7 +167,7 @@ class Service {
   StreamStats serve_stream(std::istream& in, std::ostream& out,
                            StreamMode mode = StreamMode::kPipelined);
 
-  [[nodiscard]] api::Session& session() noexcept { return session_; }
+  [[nodiscard]] api::Session& session() noexcept { return *default_tenant_.session; }
   [[nodiscard]] const std::shared_ptr<api::ModelStore>& store() const noexcept { return store_; }
 
   /// The Prometheus text exposition — what the `metrics` control and the
@@ -198,6 +201,9 @@ class Service {
     std::mutex mutex;
     std::condition_variable drained;
     std::size_t count = 0;
+    /// Hands back one v2 frame's token, waking a reader held at the cap
+    /// (and the drain at the end of the stream).
+    void release();
   };
 
   /// One instrument handle per request kind, indexed by RequestKind — the
@@ -208,13 +214,15 @@ class Service {
   /// One tenant's service-side state: the view/session pair every
   /// connection bound to this tenant shares, plus in-flight accounting for
   /// the per-tenant cap. Created at startup (configured tenants) or on
-  /// first hello (ad hoc tenants) and kept for the service's lifetime.
+  /// first hello (ad hoc tenants) and kept for the service's lifetime. The
+  /// default tenant — tag 0, named `default`, what a stream without a hello
+  /// evaluates as — is one too, held outside tenants_.
   struct Tenant {
     api::TenantContext context;
     api::TenantQuota quota;
     std::shared_ptr<api::StoreView> view;
     std::shared_ptr<api::Session> session;
-    std::atomic<std::size_t> inflight{0};    ///< v2 slots evaluating now
+    std::atomic<std::size_t> inflight{0};    ///< v2 slots evaluating now (capped tenants)
     std::atomic<std::uint64_t> shed{0};      ///< frames rejected at the cap
     /// Resolved once at tenant creation: spivar_requests_total /
     /// spivar_request_errors_total{tenant=...,kind=...}.
@@ -222,34 +230,43 @@ class Service {
     KindCounters errors{};
   };
 
+  /// A request's trace and kind, kept for observe_done once the request
+  /// itself has moved into the session.
+  struct Traced {
+    std::shared_ptr<obs::TraceContext> trace;
+    api::RequestKind kind;
+  };
+
   void record_frame(const std::string& frame);
-  void handle_batch(std::size_t slots, std::istream& in, Writer& writer, api::Session& session,
-                    Tenant* tenant);
-  void handle_control(const api::wire::ControlCommand& control, Writer& writer,
-                      api::Session& session);
+  void handle_batch(std::size_t slots, std::istream& in, Writer& writer, Tenant& tenant);
+  void handle_control(const api::wire::ControlCommand& control, Writer& writer, Tenant& tenant);
   void handle_cache_control(const api::wire::ControlCommand& control, Writer& writer);
   void reply_info(Writer& writer, const std::string& text);
   void reply_error(Writer& writer, const support::DiagnosticList& diagnostics);
   void reply_error(Writer& writer, const std::string& message);
+  /// Mints the request's trace, labelled with its tenant, kind and target —
+  /// the one place the v1, v2 and batch paths start a trace.
+  Traced begin_trace(api::AnyRequest& request, const Tenant& tenant);
   /// Evaluates one decoded frame on the reading thread (v1 frames, and v2
   /// frames in StreamMode::kOrdered): mints its trace, sends the held
   /// replies before the call can block, and records the outcome.
   api::Result<api::AnyResponse> call_inline(api::AnyRequest request, Writer& writer,
-                                            api::Session& session, Tenant* tenant);
-  /// Submits one decoded v2 frame to the stream's session; the slot
-  /// callback writes the tagged reply and releases the inflight tokens
-  /// (stream-level, and the tenant's when one is bound).
+                                            Tenant& tenant);
+  /// Submits one decoded v2 frame to the tenant's session; the slot
+  /// callback writes the tagged reply and releases the in-flight tokens
+  /// (the stream's, and the tenant's when it is capped).
   void submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, Writer& writer,
-                        Inflight& inflight, api::Session& session,
-                        std::shared_ptr<Tenant> tenant);
-  /// Resolves a hello: "default" maps to the shared default session
-  /// (returns null with *error empty); an unknown name is provisioned with
-  /// default quotas; a configured token must match (*error set otherwise).
-  std::shared_ptr<Tenant> authenticate(const std::string& name, const std::string& token,
-                                       std::string* error);
+                        Inflight& inflight, Tenant& tenant);
+  /// Resolves a hello: "default" is the default tenant; an unknown name is
+  /// provisioned with default quotas; null when a configured token does not
+  /// match.
+  Tenant* authenticate(const std::string& name, const std::string& token);
+  /// Fills in a tenant record: its view and bound session over the shared
+  /// store, its request counters and its cache cap. Registered tenants are
+  /// provisioned under tenants_mutex_.
+  void provision(Tenant& tenant, api::TenantContext context, const api::TenantQuota& quota);
   /// Creates (and registers) a tenant. Caller holds tenants_mutex_.
-  std::shared_ptr<Tenant> create_tenant_locked(const std::string& name,
-                                               const api::TenantQuota& quota);
+  Tenant& create_tenant_locked(const std::string& name, const api::TenantQuota& quota);
   /// Per-tenant cache rows ("tenant <name>  entries ... hit-rate ...") for
   /// the `cache-stats` and `cache stats` controls.
   [[nodiscard]] std::string render_tenant_cache_stats();
@@ -265,12 +282,11 @@ class Service {
   /// Completes a request's trace and bumps the request/error/latency
   /// instruments. Idempotent per trace (Tracer::finish latches), so the
   /// pipelined callback and inline paths can't double-count a request.
-  void observe_done(const std::shared_ptr<obs::TraceContext>& trace, api::RequestKind kind,
-                    Tenant* tenant, bool ok);
+  void observe_done(const Traced& traced, Tenant& tenant, bool ok);
 
   std::shared_ptr<api::ModelStore> store_;
   std::shared_ptr<api::Executor> executor_;
-  api::Session session_;
+  Tenant default_tenant_;
   std::size_t max_inflight_;
   std::shared_ptr<api::AdmissionController> admission_;  ///< null = shedding off
   std::atomic<bool> shutdown_{false};
@@ -280,7 +296,7 @@ class Service {
   std::atomic<bool> record_suspended_{false};  ///< true while warming
 
   std::mutex tenants_mutex_;  ///< guards tenants_ and next_tag_
-  std::map<std::string, std::shared_ptr<Tenant>> tenants_;
+  std::map<std::string, std::unique_ptr<Tenant>> tenants_;
   std::uint32_t next_tag_ = 1;  ///< 0 is the default tenant, never assigned
 
   // --- observability ---------------------------------------------------------
@@ -288,8 +304,6 @@ class Service {
   // both create_tenant_locked and the collector follow it.
   obs::MetricsRegistry registry_;
   obs::Tracer tracer_;
-  KindCounters default_requests_{};  ///< the default tenant's counters
-  KindCounters default_errors_{};
   std::array<obs::Histogram*, kKinds> latency_{};  ///< per-kind, all tenants
   obs::Counter* batches_ = nullptr;
   /// Stream totals accumulated as each serve_stream returns (per-stream

@@ -66,8 +66,8 @@ TEST_P(CacheBitIdentical, HitMatchesColdEvalAcrossEveryEvalPath) {
   Session cached;
   cached.enable_cache({.capacity = 64});
 
-  const auto cold_model = cold.load_builtin(GetParam());
-  const auto cached_model = cached.load_builtin(GetParam());
+  const auto cold_model = cold.load(api::ModelSpec{GetParam()});
+  const auto cached_model = cached.load(api::ModelSpec{GetParam()});
   ASSERT_TRUE(cold_model.ok() && cached_model.ok());
 
   api::SimulateRequest simulate{.model = cold_model.value().id};
@@ -122,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(Builtins, CacheBitIdentical,
 TEST(ResultCache, DistinctRequestsMissAndIdenticalRequestsHit) {
   Session session;
   session.enable_cache();
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   api::SimulateRequest request{.model = loaded.value().id};
@@ -146,7 +146,7 @@ TEST(ResultCache, SessionsSharingAStoreShareTheCache) {
   store->enable_cache();
   Session a{store};
   Session b{store, api::make_executor(2)};
-  const auto loaded = a.load_builtin("fig2");
+  const auto loaded = a.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   const api::SimulateRequest request{.model = loaded.value().id};
@@ -161,7 +161,7 @@ TEST(ResultCache, SessionsSharingAStoreShareTheCache) {
 TEST(ResultCache, BatchesAreFrontedToo) {
   Session session{api::make_executor(4)};
   session.enable_cache();
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   std::vector<api::AnyRequest> sweep;
@@ -190,8 +190,8 @@ TEST(ResultCache, BatchesAreFrontedToo) {
 TEST(ResultCache, TwoLoadsOfOneModelShareEntries) {
   Session session;
   session.enable_cache();
-  const auto first = session.load_builtin("fig2");
-  const auto second = session.load_builtin("fig2");
+  const auto first = session.load(api::ModelSpec{"fig2"});
+  const auto second = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(first.ok() && second.ok());
   ASSERT_NE(first.value().id.value(), second.value().id.value());
 
@@ -203,7 +203,7 @@ TEST(ResultCache, TwoLoadsOfOneModelShareEntries) {
   EXPECT_EQ(stats->entries, 1u);
 
   Session uncached;
-  const auto reference = uncached.load_builtin("fig2");
+  const auto reference = uncached.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(frame_of(shared), frame_of(uncached.simulate({.model = reference.value().id})));
 }
@@ -211,7 +211,7 @@ TEST(ResultCache, TwoLoadsOfOneModelShareEntries) {
 TEST(ResultCache, UnloadThenReloadReHitsByteIdentical) {
   Session session;
   session.enable_cache();
-  const auto first = session.load_builtin("fig1");
+  const auto first = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(first.ok());
   const auto cold = session.simulate({.model = first.value().id});  // miss
   ASSERT_TRUE(cold.ok());
@@ -220,7 +220,7 @@ TEST(ResultCache, UnloadThenReloadReHitsByteIdentical) {
   EXPECT_EQ(session.unload(first.value().id), api::UnloadStatus::kUnloaded);
   EXPECT_EQ(session.cache_stats()->entries, 1u);
 
-  const auto second = session.load_builtin("fig1");
+  const auto second = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second.value().id.value(), first.value().id.value());
   const auto warm = session.simulate({.model = second.value().id});
@@ -294,7 +294,7 @@ TEST(ResultCache, EvalPathsChargeMeasuredCost) {
   // only the accounting invariants are asserted.)
   Session session;
   session.enable_cache({.capacity = 64});
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
   api::CompareRequest compare{.model = loaded.value().id};
   compare.options.engine = synth::ExploreEngine::kExhaustive;
@@ -315,7 +315,7 @@ TEST(ResultCache, CacheStatsAreNulloptWhenDisabled) {
   session.enable_cache({.capacity = 4});
   EXPECT_TRUE(session.cache_stats().has_value());
   // Idempotent: re-enabling keeps the cache and its counters.
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(session.simulate({.model = loaded.value().id}).ok());
   session.enable_cache({.capacity = 999});
@@ -480,7 +480,7 @@ TEST(CachedReplyFrames, StoredFrameIsTheOneEncodingOfEveryReply) {
   const persist::PersistConfig persist{.dir = dir.string()};
 
   Session reference;
-  const auto model = reference.load_builtin("fig2");
+  const auto model = reference.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(model.ok());
   api::SimulateRequest simulate{.model = model.value().id};
   simulate.options.record_trace = true;

@@ -1,5 +1,5 @@
 // Session::compare (the strategy-comparison endpoint) and the typed
-// per-model option plumbing of load_builtin.
+// per-model option plumbing of load(ModelSpec).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,7 @@ class CompareOrdering : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CompareOrdering, VariantAwareBeatsSuperpositionBeatsSerialized) {
   Session session;
-  const auto loaded = session.load_builtin(GetParam());
+  const auto loaded = session.load(api::ModelSpec{GetParam()});
   ASSERT_TRUE(loaded.ok()) << loaded.error_summary();
 
   api::CompareRequest request{.model = loaded.value().id};
@@ -59,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(PaperModels, CompareOrdering,
 
 TEST(ApiCompare, Fig2ReproducesTable1Totals) {
   Session session;
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   api::CompareRequest request{.model = loaded.value().id};
@@ -82,7 +82,7 @@ TEST(ApiCompare, Fig2ReproducesTable1Totals) {
 
 TEST(ApiCompare, AllOrdersSweepsPermutationsAndAccumulatesEffort) {
   Session session;
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   api::CompareRequest identity{.model = loaded.value().id};
@@ -110,7 +110,7 @@ TEST(ApiCompare, AllOrdersSweepsPermutationsAndAccumulatesEffort) {
 
 TEST(ApiCompare, PerOrderOutcomeListExposesOrderSensitivity) {
   Session session;
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   api::CompareRequest request{.model = loaded.value().id};
@@ -161,7 +161,7 @@ TEST(ApiCompare, PerOrderOutcomeListExposesOrderSensitivity) {
 
 TEST(ApiCompare, MultiObjectiveRankingOrdersByTheObjectiveChain) {
   Session session;
-  const auto loaded = session.load_builtin("multistandard_tv");
+  const auto loaded = session.load(api::ModelSpec{"multistandard_tv"});
   ASSERT_TRUE(loaded.ok());
 
   api::CompareRequest request{.model = loaded.value().id};
@@ -231,7 +231,7 @@ TEST(StrategyKinds, MultiObjectiveOutcomeComparison) {
 
 TEST(ApiCompare, MaxOrdersCapsThePermutationSweep) {
   Session session;
-  const auto loaded = session.load_builtin("multistandard_tv");  // 3 applications
+  const auto loaded = session.load(api::ModelSpec{"multistandard_tv"});  // 3 applications
   ASSERT_TRUE(loaded.ok());
 
   api::CompareRequest request{.model = loaded.value().id};
@@ -245,7 +245,7 @@ TEST(ApiCompare, MaxOrdersCapsThePermutationSweep) {
 
 TEST(ApiCompare, SubsetIsDeduplicatedAndOrdered) {
   Session session;
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   api::CompareRequest request{.model = loaded.value().id};
@@ -265,7 +265,7 @@ TEST(ApiCompare, UnknownModelAndBadLibraryComeBackAsDiagnostics) {
     ASSERT_FALSE(orphan.ok());
     EXPECT_TRUE(orphan.diagnostics().has_code(api::diag::kUnknownModel));
 
-    const auto loaded = session.load_builtin("fig2");
+    const auto loaded = session.load(api::ModelSpec{"fig2"});
     ASSERT_TRUE(loaded.ok());
     api::CompareRequest request{.model = loaded.value().id};
     request.library = synth::ImplLibrary{};  // empty: no entry for any element
@@ -277,7 +277,7 @@ TEST(ApiCompare, UnknownModelAndBadLibraryComeBackAsDiagnostics) {
 
 TEST(ApiCompare, RenderedTableMentionsEveryStrategy) {
   Session session;
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
   const auto compared = session.compare({.model = loaded.value().id});
   ASSERT_TRUE(compared.ok());
@@ -315,8 +315,8 @@ TEST(StrategyKinds, ApplicationOrdersIdentityFirstAndCapped) {
 
 TEST(BuiltinOptions, NonDefaultSpecChangesTheLoadedModel) {
   Session session;
-  const auto plain = session.load_builtin("synthetic");
-  const auto wide = session.load_builtin(api::LoadBuiltinRequest{
+  const auto plain = session.load(api::ModelSpec{"synthetic"});
+  const auto wide = session.load(api::ModelSpec{
       .name = "synthetic",
       .options = models::SyntheticSpec{.interfaces = 2, .variants = 4}});
   ASSERT_TRUE(plain.ok() && wide.ok());
@@ -327,9 +327,9 @@ TEST(BuiltinOptions, NonDefaultSpecChangesTheLoadedModel) {
 
 TEST(BuiltinOptions, OptionsChangeSimulatedBehavior) {
   Session session;
-  const auto quiet = session.load_builtin(api::LoadBuiltinRequest{
+  const auto quiet = session.load(api::ModelSpec{
       .name = "fig1", .options = models::Fig1Options{.tagged = false}});
-  const auto tagged = session.load_builtin("fig1");
+  const auto tagged = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(quiet.ok() && tagged.ok());
   const auto runs =
       session.call_batch({{.payload = api::SimulateRequest{.model = quiet.value().id}},
@@ -343,7 +343,7 @@ TEST(BuiltinOptions, OptionsChangeSimulatedBehavior) {
 TEST(BuiltinOptions, MismatchedStructFailsWithDiagnostics) {
   Session session;
   EXPECT_NO_THROW({
-    const auto wrong = session.load_builtin(api::LoadBuiltinRequest{
+    const auto wrong = session.load(api::ModelSpec{
         .name = "fig2", .options = models::VideoOptions{}});
     ASSERT_FALSE(wrong.ok());
     EXPECT_TRUE(wrong.diagnostics().has_code(api::diag::kModelError));

@@ -241,8 +241,8 @@ TEST(ExecutorScheduling, PrioritizedSessionBatchesStayBitIdentical) {
   // high-priority deadline batch returns exactly the serial results.
   Session serial;
   Session pooled{api::make_executor(4)};
-  const auto serial_model = serial.load_builtin("fig2");
-  const auto pooled_model = pooled.load_builtin("fig2");
+  const auto serial_model = serial.load(api::ModelSpec{"fig2"});
+  const auto pooled_model = pooled.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(serial_model.ok() && pooled_model.ok());
 
   std::vector<api::SimulateRequest> batch;
@@ -269,7 +269,7 @@ TEST(SessionSemantics, SessionsAreMovableNotCopyable) {
   static_assert(std::is_move_assignable_v<Session>);
 
   Session original;
-  const auto loaded = original.load_builtin("fig1");
+  const auto loaded = original.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   Session moved{std::move(original)};
   const auto run = moved.simulate({.model = loaded.value().id});
@@ -293,8 +293,8 @@ TEST_P(ParallelDeterminism, BatchAndCompareMatchSerialBitForBit) {
   Session serial;  // SerialExecutor by default
   Session pooled{api::make_executor(4)};
 
-  const auto serial_model = serial.load_builtin(GetParam());
-  const auto pooled_model = pooled.load_builtin(GetParam());
+  const auto serial_model = serial.load(api::ModelSpec{GetParam()});
+  const auto pooled_model = pooled.load(api::ModelSpec{GetParam()});
   ASSERT_TRUE(serial_model.ok() && pooled_model.ok());
   ASSERT_EQ(serial_model.value().id.value(), pooled_model.value().id.value());
 
@@ -353,7 +353,7 @@ INSTANTIATE_TEST_SUITE_P(Builtins, ParallelDeterminism,
 
 TEST(ParallelBatch, FailingSlotsStayIsolatedUnderThePool) {
   Session pooled{api::make_executor(4)};
-  const auto loaded = pooled.load_builtin("fig1");
+  const auto loaded = pooled.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   std::vector<api::SimulateRequest> batch;
@@ -431,7 +431,7 @@ TEST(ExecutorStats, PoolRecordsMissesAcrossRunAndSubmit) {
 
 TEST(ExecutorStats, SessionExposesItsExecutorsTelemetry) {
   Session session{api::make_executor(2)};
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   // Per-slot options: the expired-deadline (high priority) slots miss, the
   // deadline-free ones never do.
@@ -453,7 +453,7 @@ TEST(ExecutorStats, SessionExposesItsExecutorsTelemetry) {
 
 TEST(ParallelBatch, ConcurrentBatchesFromSeveralThreadsInterleaveSafely) {
   Session pooled{api::make_executor(4)};
-  const auto loaded = pooled.load_builtin("fig1");
+  const auto loaded = pooled.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   const auto batch = envelopes(std::vector<api::SimulateRequest>(8, {.model = loaded.value().id}));
 

@@ -4,10 +4,17 @@
 // entry point, batch evaluation over scenario sets, and *no exception
 // crossing the boundary* — failures come back as diagnostics.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "api/api.hpp"
+#include "models/fig1.hpp"
 #include "sim/engine.hpp"
 #include "spi/builder.hpp"
 #include "spi/graph.hpp"
@@ -34,7 +41,7 @@ class RoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RoundTrip, LoadValidateSimulateExplore) {
   Session session;
-  const auto loaded = session.load_builtin(GetParam());
+  const auto loaded = session.load(api::ModelSpec{GetParam()});
   ASSERT_TRUE(loaded.ok()) << loaded.error_summary();
   const ModelId id = loaded.value().id;
   EXPECT_GT(loaded.value().processes, 0u);
@@ -65,12 +72,12 @@ INSTANTIATE_TEST_SUITE_P(Builtins, RoundTrip,
 
 TEST(ApiSession, TextRoundTripPreservesBehavior) {
   Session session;
-  const auto original = session.load_builtin("fig1");
+  const auto original = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(original.ok());
   const auto text = session.write_text(original.value().id);
   ASSERT_TRUE(text.ok());
 
-  const auto reparsed = session.load_text(text.value(), "fig1-reparsed");
+  const auto reparsed = session.load(api::ModelText{text.value(), "fig1-reparsed"});
   ASSERT_TRUE(reparsed.ok()) << reparsed.error_summary();
   EXPECT_EQ(reparsed.value().name, "fig1-reparsed");
   EXPECT_EQ(reparsed.value().processes, original.value().processes);
@@ -84,7 +91,7 @@ TEST(ApiSession, TextRoundTripPreservesBehavior) {
 
 TEST(ApiSession, ExploreFig2ReproducesTable1JointCost) {
   Session session;
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().interfaces, 1u);
   EXPECT_EQ(loaded.value().clusters, 2u);
@@ -104,7 +111,7 @@ TEST(ApiSession, GranularityOverrideFallsBackToDerivedLibrary) {
   // cluster-atomic override must switch to the derived library (with
   // aggregated per-cluster entries) instead of failing on missing elements.
   Session session;
-  const auto loaded = session.load_builtin("emission_control");
+  const auto loaded = session.load(api::ModelSpec{"emission_control"});
   ASSERT_TRUE(loaded.ok());
   api::ExploreRequest request{.model = loaded.value().id};
   request.problem =
@@ -119,7 +126,7 @@ TEST(ApiSession, GranularityOverrideFallsBackToDerivedLibrary) {
 
 TEST(ApiSession, BatchIsolatesFailingScenarios) {
   Session session;
-  const auto fig1 = session.load_builtin("fig1");
+  const auto fig1 = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(fig1.ok());
 
   // Middle request uses a bogus handle: its slot fails, neighbors succeed.
@@ -141,7 +148,7 @@ TEST(ApiSession, BatchIsolatesFailingScenarios) {
 
 TEST(ApiSession, BatchSeedSweepIsDeterministic) {
   Session session;
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   std::vector<api::AnyRequest> sweep;
@@ -166,15 +173,21 @@ TEST(ApiSession, ErrorsComeBackAsDiagnosticsNotExceptions) {
   Session session;
 
   EXPECT_NO_THROW({
-    const auto garbage = session.load_text("queue without a model header !!");
+    const auto garbage = session.load(api::ModelText{"queue without a model header !!"});
     ASSERT_FALSE(garbage.ok());
     EXPECT_TRUE(garbage.diagnostics().has_code(api::diag::kParseError));
 
-    const auto unknown = session.load_builtin("does-not-exist");
+    // A name the registry does not know is read as a .spit path...
+    const auto unknown = session.load(api::ModelSpec{"does-not-exist"});
     ASSERT_FALSE(unknown.ok());
-    EXPECT_TRUE(unknown.diagnostics().has_code(api::diag::kUnknownBuiltin));
+    EXPECT_TRUE(unknown.diagnostics().has_code(api::diag::kIoError));
 
-    const auto missing = session.load_file("/no/such/file.spit");
+    // ...unless it carries typed options, which only a registry model takes.
+    const auto typed = session.load(api::ModelSpec{"does-not-exist", models::Fig1Options{}});
+    ASSERT_FALSE(typed.ok());
+    EXPECT_TRUE(typed.diagnostics().has_code(api::diag::kUnknownBuiltin));
+
+    const auto missing = session.load(api::ModelSpec{"/no/such/file.spit"});
     ASSERT_FALSE(missing.ok());
     EXPECT_TRUE(missing.diagnostics().has_code(api::diag::kIoError));
 
@@ -184,9 +197,130 @@ TEST(ApiSession, ErrorsComeBackAsDiagnosticsNotExceptions) {
   });
 }
 
+// --- the load table ----------------------------------------------------------
+//
+// Every model source through every layer that loads. Each row renders as
+// "ok <name> <origin> <processes>/<channels>/<interfaces>/<clusters>
+// <content fingerprint>" or as its error summary. The expected columns were
+// recorded through the per-source load methods that load(LoadRequest)
+// replaced; the one row that changed is `does-not-exist`, which follows the
+// spec rule (a registry name, else a .spit path) and is now a missing file.
+
+using Loader = std::function<api::Result<api::ModelInfo>(api::LoadRequest)>;
+
+std::string load_column(const Loader& load, const std::string& path, const std::string& text) {
+  const std::vector<api::LoadRequest> rows = {
+      api::ModelSpec{"fig2"},
+      api::ModelSpec{"synthetic", models::SyntheticSpec{.variants = 3}},
+      api::ModelSpec{"fig2", models::VideoOptions{}},
+      api::ModelSpec{"sweep/i2v2c2-s7"},
+      api::ModelSpec{"sweep/zz"},
+      api::ModelSpec{"sweep/i9v2-s1"},
+      api::ModelSpec{path},
+      api::ModelSpec{"/no/such/file.spit"},
+      api::ModelSpec{"does-not-exist"},
+      api::ModelSpec{"does-not-exist", models::Fig1Options{}},
+      api::ModelText{text},
+      api::ModelText{"queue without a model header !!"},
+      api::ModelText{text, "renamed"},
+      api::BuiltModel{variant::VariantModel{models::make_fig1()}, "handmade"},
+  };
+  std::string column;
+  for (const api::LoadRequest& row : rows) {
+    const auto loaded = load(row);
+    std::string line = loaded.error_summary();
+    if (loaded.ok()) {
+      const api::ModelInfo& info = loaded.value();
+      char fingerprint[17];
+      std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
+                    static_cast<unsigned long long>(info.content_fingerprint));
+      line = "ok " + info.name + " " + info.origin + " " + std::to_string(info.processes) + "/" +
+             std::to_string(info.channels) + "/" + std::to_string(info.interfaces) + "/" +
+             std::to_string(info.clusters) + " " + fingerprint;
+    }
+    if (const auto at = line.find(path); at != std::string::npos) {
+      line.replace(at, path.size(), "<file>");  // the temp path differs per run
+    }
+    column += line + "\n";
+  }
+  return column;
+}
+
+TEST(LoadTable, EveryLayerAndSourceKeepsItsOutcome) {
+  Session source;
+  const std::string text =
+      source.write_text(source.load(api::ModelSpec{"fig1"}).value().id).value();
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("spivar_load_table_" + std::to_string(::getpid()) + ".spit"))
+                               .string();
+  std::ofstream{path} << source.write_text(source.load(api::ModelSpec{"fig2"}).value().id).value();
+
+  const std::string kUnsalted = R"(ok fig2 builtin:fig2 9/7/1/2 b64d973ad528d609
+ok synthetic builtin:synthetic 15/12/1/3 aba34b1dd2883498
+api-model-error: option struct does not belong to builtin 'fig2'
+ok sweep/i2v2c2-s7 builtin:sweep/i2v2c2-s7 14/11/2/4 fa0490ab490522ac
+api-unknown-builtin: unknown knob 'z' in 'sweep/zz' (grammar: sweep/[p<n>][i<n>][v<n>][c<n>][m<n>][d<n>][b|t|r][-s<seed>])
+api-unknown-builtin: 'sweep/i9v2-s1': variants^interfaces = 2^9 applications is over the limit of 256
+ok fig2 <file> 9/7/1/2 b64d973ad528d609
+api-io-error: '/no/such/file.spit' is not a readable file
+api-io-error: 'does-not-exist' is not a readable file
+api-unknown-builtin: no built-in model 'does-not-exist' (see Session::builtins())
+ok fig1 text 4/3/0/0 86abfb9b627b6c1e
+api-parse-error: line 1: unknown channel attribute 'a'
+ok renamed text 4/3/0/0 1863c10a22ddd020
+ok fig1 handmade 4/3/0/0 86abfb9b627b6c1e
+)";
+  // The store, and an unbound session loading straight into its store.
+  api::ModelStore store;
+  EXPECT_EQ(load_column([&](api::LoadRequest r) { return store.load(std::move(r)); }, path, text),
+            kUnsalted);
+  Session session;
+  EXPECT_EQ(
+      load_column([&](api::LoadRequest r) { return session.load(std::move(r)); }, path, text),
+      kUnsalted);
+
+  // Two live models fill the view's quota: every later load is refused
+  // before its source is read.
+  api::StoreView view{std::make_shared<api::ModelStore>(), {.name = "alpha", .tag = 1},
+                      {.max_models = 2}};
+  std::string quota_column = R"(ok fig2 builtin:fig2 9/7/1/2 6967bfcdbce22423
+ok synthetic builtin:synthetic 15/12/1/3 2f5352f3e1721637
+)";
+  for (int row = 2; row < 14; ++row) {
+    quota_column +=
+        "api-quota-exceeded: tenant 'alpha' is at its model quota (2 live models); "
+        "unload one first\n";
+  }
+  EXPECT_EQ(load_column([&](api::LoadRequest r) { return view.load(std::move(r)); }, path, text),
+            quota_column);
+
+  // A bound session loads through its tenant's view: the same outcomes
+  // under the tenant's salted fingerprints.
+  Session bound;
+  bound.bind_tenant(std::make_shared<api::StoreView>(bound.store(),
+                                                     api::TenantContext{.name = "beta", .tag = 2}));
+  EXPECT_EQ(load_column([&](api::LoadRequest r) { return bound.load(std::move(r)); }, path, text),
+            R"(ok fig2 builtin:fig2 9/7/1/2 46aac95c066ec4e0
+ok synthetic builtin:synthetic 15/12/1/3 41ee68bb12e86f04
+api-model-error: option struct does not belong to builtin 'fig2'
+ok sweep/i2v2c2-s7 builtin:sweep/i2v2c2-s7 14/11/2/4 f2395737289b8fa1
+api-unknown-builtin: unknown knob 'z' in 'sweep/zz' (grammar: sweep/[p<n>][i<n>][v<n>][c<n>][m<n>][d<n>][b|t|r][-s<seed>])
+api-unknown-builtin: 'sweep/i9v2-s1': variants^interfaces = 2^9 applications is over the limit of 256
+ok fig2 <file> 9/7/1/2 46aac95c066ec4e0
+api-io-error: '/no/such/file.spit' is not a readable file
+api-io-error: 'does-not-exist' is not a readable file
+api-unknown-builtin: no built-in model 'does-not-exist' (see Session::builtins())
+ok fig1 text 4/3/0/0 3dc85ce1e86eec30
+api-parse-error: line 1: unknown channel attribute 'a'
+ok renamed text 4/3/0/0 6ed79fa493a7cc65
+ok fig1 handmade 4/3/0/0 3dc85ce1e86eec30
+)");
+  std::filesystem::remove(path);
+}
+
 TEST(ApiSession, ModelErrorInsideOperationSurfacesAsDiagnostic) {
   Session session;
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   // A request-supplied library missing the model's elements makes the cost
@@ -206,7 +340,8 @@ TEST(ApiSession, ValidationFindingsArePayloadNotFailure) {
   spi::Graph broken{"broken"};
   broken.add_process(spi::Process{.name = "no_modes"});
   Session session;
-  const auto loaded = session.load(variant::VariantModel{std::move(broken)}, "test");
+  const auto loaded =
+      session.load(api::BuiltModel{variant::VariantModel{std::move(broken)}, "test"});
   ASSERT_TRUE(loaded.ok());
 
   const auto validated = session.validate(loaded.value().id);
@@ -217,7 +352,7 @@ TEST(ApiSession, ValidationFindingsArePayloadNotFailure) {
 
 TEST(ApiSession, UnloadInvalidatesHandle) {
   Session session;
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   // Three-way contract: live -> kUnloaded, tombstone -> kAlreadyUnloaded,
   // and an id the store never issued -> kNeverLoaded.
@@ -232,7 +367,7 @@ TEST(ApiSession, UnloadInvalidatesHandle) {
 
 TEST(ApiSession, ResultValueOnFailureIsTheOneThrow) {
   Session session;
-  const auto bad = session.load_builtin("does-not-exist");
+  const auto bad = session.load(api::ModelSpec{"does-not-exist"});
   ASSERT_FALSE(bad.ok());
   EXPECT_THROW((void)bad.value(), support::ModelError);
   EXPECT_EQ(bad.value_or(api::ModelInfo{.name = "fallback"}).name, "fallback");
@@ -242,7 +377,7 @@ TEST(ApiSession, ResultValueOnFailureIsTheOneThrow) {
 
 TEST(SimulatorContract, SecondRunThrowsModelError) {
   Session session;
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   const auto text = session.write_text(loaded.value().id);
   ASSERT_TRUE(text.ok());
@@ -257,7 +392,7 @@ TEST(SimulatorContract, SessionSimulateIsRepeatable) {
   // The facade constructs a fresh simulator per request, so the once-only
   // engine contract never leaks to api callers.
   Session session;
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   const auto first = session.simulate({.model = loaded.value().id});
   const auto second = session.simulate({.model = loaded.value().id});

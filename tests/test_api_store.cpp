@@ -54,7 +54,7 @@ TEST(ModelStoreSharding, ModelsLoadedByOneSessionAreVisibleToAll) {
   Session loader{store};
   Session evaluator{store, api::make_executor(2)};
 
-  const auto loaded = loader.load_builtin("fig2");
+  const auto loaded = loader.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   // The handle is store-scoped: the other session sees the same model.
@@ -74,7 +74,7 @@ TEST(ModelStoreSharding, ModelsLoadedByOneSessionAreVisibleToAll) {
 TEST(ModelStoreSharding, PrivateStoresStayPrivate) {
   Session a;
   Session b;
-  const auto loaded = a.load_builtin("fig1");
+  const auto loaded = a.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(b.info(loaded.value().id).ok());  // b has its own store
   EXPECT_EQ(b.unload(loaded.value().id), UnloadStatus::kNeverLoaded);
@@ -83,8 +83,8 @@ TEST(ModelStoreSharding, PrivateStoresStayPrivate) {
 TEST(ModelStoreSharding, TwoSessionsRunConcurrentBatchesOverOneStore) {
   auto store = std::make_shared<ModelStore>();
   Session loader{store};
-  const auto fig1 = loader.load_builtin("fig1");
-  const auto fig2 = loader.load_builtin("fig2");
+  const auto fig1 = loader.load(api::ModelSpec{"fig1"});
+  const auto fig2 = loader.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(fig1.ok() && fig2.ok());
 
   std::vector<api::AnyRequest> batch;
@@ -112,7 +112,7 @@ TEST(ModelStoreSharding, TwoSessionsRunConcurrentBatchesOverOneStore) {
 TEST(ModelStoreSharding, DefaultSetupIsMemoizedPerSnapshot) {
   auto store = std::make_shared<ModelStore>();
   Session session{store};
-  const auto loaded = session.load_builtin("fig2");
+  const auto loaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
 
   const auto snapshot = store->find(loaded.value().id);
@@ -134,7 +134,7 @@ TEST(ModelStoreSharding, DefaultSetupIsMemoizedPerSnapshot) {
 TEST(ModelStoreIsolation, InFlightBatchSurvivesConcurrentUnload) {
   auto store = std::make_shared<ModelStore>();
   Session session{store, api::make_executor(2)};
-  const auto loaded = session.load_builtin("synthetic");
+  const auto loaded = session.load(api::ModelSpec{"synthetic"});
   ASSERT_TRUE(loaded.ok());
 
   std::vector<api::AnyRequest> batch;
@@ -155,11 +155,11 @@ TEST(ModelStoreIsolation, InFlightBatchSurvivesConcurrentUnload) {
 }
 
 TEST(ModelStoreIsolation, HandlesOutliveTheSession) {
-  api::BatchHandle<api::AnyResponse> handle;
+  api::BatchHandle handle;
   std::string expected;
   {
     Session session{api::make_executor(2)};
-    const auto loaded = session.load_builtin("fig1");
+    const auto loaded = session.load(api::ModelSpec{"fig1"});
     ASSERT_TRUE(loaded.ok());
     const std::vector<api::AnyRequest> batch(4, simulate_on(loaded.value().id));
     expected = render_batch(session.call_batch(batch));
@@ -176,8 +176,8 @@ TEST(StreamingBatch, SlotsLandBeforeTheBatchCompletes) {
   // A real single-worker pool (make_executor(1) would be serial): slots
   // evaluate in batch order, asynchronously to this thread.
   Session session{std::make_shared<api::ThreadPoolExecutor>(1)};
-  const auto quick = session.load_builtin("fig1");
-  const auto slow = session.load_builtin(api::LoadBuiltinRequest{
+  const auto quick = session.load(api::ModelSpec{"fig1"});
+  const auto slow = session.load(api::ModelSpec{
       .name = "synthetic", .options = models::SyntheticSpec{.variants = 6}});
   ASSERT_TRUE(quick.ok() && slow.ok());
 
@@ -208,11 +208,11 @@ TEST(StreamingBatch, CancelMidBatchDiagnosesUntouchedSlots) {
   // One pool worker evaluates the slots in order; slot 0's callback blocks
   // until the handle exists, then cancels the rest of the batch.
   Session session{std::make_shared<api::ThreadPoolExecutor>(1)};
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   const std::vector<api::AnyRequest> batch(4, simulate_on(loaded.value().id));
-  api::BatchHandle<api::AnyResponse> handle;
+  api::BatchHandle handle;
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
   handle = session.submit(
@@ -241,7 +241,7 @@ TEST(StreamingBatch, CancelMidBatchDiagnosesUntouchedSlots) {
 
 TEST(StreamingBatch, ThrowingCallbackStillLandsEverySlot) {
   Session session{api::make_executor(2)};
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   const std::vector<api::AnyRequest> batch(4, simulate_on(loaded.value().id));
 
@@ -268,7 +268,7 @@ TEST(StreamingBatch, BlockingBatchNestedInsideAPoolTaskCompletes) {
   // parking the worker on futures nobody will fulfil.
   auto store = std::make_shared<ModelStore>();
   Session session{store, std::make_shared<api::ThreadPoolExecutor>(1)};
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   const std::vector<api::AnyRequest> inner(3, simulate_on(loaded.value().id));
@@ -295,7 +295,7 @@ TEST(StreamingBatch, WaitAfterCancelNeverHangsWhenCancelRacesCompletion) {
   // cancel() returns the full vector, repeatably.
   auto store = std::make_shared<ModelStore>();
   Session session{store, api::make_executor(4)};
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   std::vector<api::AnyRequest> requests;
@@ -342,11 +342,11 @@ TEST(StreamingBatch, CancelFromOnSlotRacingManyWorkersLandsEverySlot) {
   // cancellation while sibling workers are evaluating — on_slot still fires
   // exactly once per slot and the landed counter converges.
   Session session{api::make_executor(4)};
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   const std::vector<api::AnyRequest> batch(24, simulate_on(loaded.value().id));
 
-  api::BatchHandle<api::AnyResponse> handle;
+  api::BatchHandle handle;
   std::atomic<std::size_t> streamed{0};
   std::promise<void> handle_ready;
   std::shared_future<void> ready = handle_ready.get_future().share();
@@ -373,7 +373,7 @@ TEST(StreamingBatch, CancelFromOnSlotRacingManyWorkersLandsEverySlot) {
 
 TEST(StreamingBatch, CancelAfterCompletionIsANoOp) {
   Session session;
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   auto handle = session.submit({simulate_on(loaded.value().id)});
   const auto results = handle.wait();
@@ -387,12 +387,12 @@ TEST(StreamingBatch, CancelAfterCompletionIsANoOp) {
 
 TEST(ModelStoreContract, TombstonesNeverForgetAndIdsAreNeverReused) {
   ModelStore store;
-  const auto first = store.load_builtin("fig1");
+  const auto first = store.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(store.unload(first.value().id), UnloadStatus::kUnloaded);
 
   // A later load never resurrects the tombstoned id.
-  const auto second = store.load_builtin("fig1");
+  const auto second = store.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second.value().id.value(), first.value().id.value());
   EXPECT_EQ(store.find(first.value().id), nullptr);

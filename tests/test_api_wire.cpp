@@ -282,8 +282,8 @@ TEST(WireResponse, ErrorResponseCarriesDiagnosticsExactly) {
 class WireResponseRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_ = session_.load_builtin("fig2").value().id;
-    tv_ = session_.load_builtin("multistandard_tv").value().id;
+    model_ = session_.load(api::ModelSpec{"fig2"}).value().id;
+    tv_ = session_.load(api::ModelSpec{"multistandard_tv"}).value().id;
   }
 
   Session session_;
@@ -447,7 +447,7 @@ std::vector<AnyRequest> codec_requests(const std::string& name) {
 /// one element made periodic.
 AnyRequest override_request() {
   api::ModelStore store;
-  const api::ModelId id = store.load_model("fig2").value().id;
+  const api::ModelId id = store.load(api::ModelSpec{"fig2"}).value().id;
   synth::ImplLibrary library = store.find(id)->default_setup()->library;
   synth::ElementImpl periodic = library.elements().begin()->second;
   periodic.period = support::Duration::millis(40);
@@ -746,8 +746,8 @@ class EnvelopeBatch : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(EnvelopeBatch, MixedKindResultsMatchDedicatedEndpointsPerSlot) {
   auto store = std::make_shared<api::ModelStore>();
   Session session{store, api::make_executor(GetParam())};
-  const api::ModelId fig2 = session.load_builtin("fig2").value().id;
-  const api::ModelId tv = session.load_builtin("multistandard_tv").value().id;
+  const api::ModelId fig2 = session.load(api::ModelSpec{"fig2"}).value().id;
+  const api::ModelId tv = session.load(api::ModelSpec{"multistandard_tv"}).value().id;
   const std::vector<AnyRequest> requests = mixed_batch(fig2, tv);
 
   // Blocking heterogeneous batch.
@@ -786,7 +786,7 @@ INSTANTIATE_TEST_SUITE_P(SerialAndPool, EnvelopeBatch, ::testing::Values(1u, 4u)
 TEST(Envelope, SharesCacheEntriesWithDedicatedEndpoints) {
   Session session;
   session.enable_cache({.capacity = 64});
-  const api::ModelId fig2 = session.load_builtin("fig2").value().id;
+  const api::ModelId fig2 = session.load(api::ModelSpec{"fig2"}).value().id;
 
   // Dedicated endpoint populates; the envelope must hit the same entry.
   api::SimulateRequest request{.model = fig2};
@@ -803,7 +803,7 @@ TEST(Envelope, SharesCacheEntriesWithDedicatedEndpoints) {
   EXPECT_EQ(hit_stats.misses, 1u);
 
   // And a mixed batch repeated end-to-end is all hits.
-  const auto tv = session.load_builtin("multistandard_tv").value().id;
+  const auto tv = session.load(api::ModelSpec{"multistandard_tv"}).value().id;
   const auto requests = mixed_batch(fig2, tv);
   (void)session.call_batch(requests);
   const auto cold = *session.cache_stats();

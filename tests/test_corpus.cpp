@@ -141,7 +141,7 @@ TEST(CorpusSweep, DefaultCorpusIsLargeAndUniquelyNamed) {
 
 TEST(CorpusRegistry, SweepNamesLoadAsBuiltins) {
   api::Session session;
-  const auto info = session.load_model("sweep/i2v4c3-s42");
+  const auto info = session.load(api::ModelSpec{"sweep/i2v4c3-s42"});
   ASSERT_TRUE(info.ok()) << api::render_diagnostics(info.diagnostics());
   EXPECT_EQ(info.value().name, "sweep/i2v4c3-s42");
   EXPECT_EQ(info.value().interfaces, 2u);
@@ -150,7 +150,7 @@ TEST(CorpusRegistry, SweepNamesLoadAsBuiltins) {
 
 TEST(CorpusRegistry, MalformedSweepNamesFailWithGrammarDiagnostic) {
   api::Session session;
-  const auto info = session.load_model("sweep/zz");
+  const auto info = session.load(api::ModelSpec{"sweep/zz"});
   ASSERT_FALSE(info.ok());
   EXPECT_NE(api::render_diagnostics(info.diagnostics()).find("grammar"), std::string::npos);
 }
@@ -212,8 +212,8 @@ TEST(CorpusDeterminism, SameSpecAndSeedYieldByteIdenticalSpit) {
   api::Session a;
   api::Session b;
   for (const char* name : {"sweep/p2c1-s42", "sweep/p3c2m2-s42", "sweep/p2c1d1-s42"}) {
-    const auto in_a = a.load_model(name);
-    const auto in_b = b.load_model(name);
+    const auto in_a = a.load(api::ModelSpec{name});
+    const auto in_b = b.load(api::ModelSpec{name});
     ASSERT_TRUE(in_a.ok() && in_b.ok()) << name;
     const auto text_a = a.write_text(in_a.value().id);
     const auto text_b = b.write_text(in_b.value().id);
@@ -224,8 +224,8 @@ TEST(CorpusDeterminism, SameSpecAndSeedYieldByteIdenticalSpit) {
 
 TEST(CorpusDeterminism, DistinctSeedsYieldStructurallyDistinctModels) {
   api::Session session;
-  const auto s42 = session.load_model("sweep/p2c1-s42");
-  const auto s43 = session.load_model("sweep/p2c1-s43");
+  const auto s42 = session.load(api::ModelSpec{"sweep/p2c1-s42"});
+  const auto s43 = session.load(api::ModelSpec{"sweep/p2c1-s43"});
   ASSERT_TRUE(s42.ok() && s43.ok());
   const auto text42 = session.write_text(s42.value().id);
   const auto text43 = session.write_text(s43.value().id);
@@ -251,7 +251,7 @@ TEST(SyntheticKnobs, ModesAddRulesAndStillSimulate) {
   const auto model = models::make_synthetic(spec);
 
   api::Session session;
-  const auto info = session.load(variant::VariantModel{model}, "test");
+  const auto info = session.load(api::BuiltModel{variant::VariantModel{model}, "test"});
   ASSERT_TRUE(info.ok());
   const auto sim = session.simulate({.model = info.value().id});
   ASSERT_TRUE(sim.ok()) << api::render_diagnostics(sim.diagnostics());
@@ -273,7 +273,7 @@ TEST(SyntheticKnobs, PredicateDepthAddsSelectionControlAndStillSimulates) {
   EXPECT_TRUE(has_control);
 
   api::Session session;
-  const auto info = session.load(variant::VariantModel{model}, "test");
+  const auto info = session.load(api::BuiltModel{variant::VariantModel{model}, "test"});
   ASSERT_TRUE(info.ok());
   const auto sim = session.simulate({.model = info.value().id});
   ASSERT_TRUE(sim.ok()) << api::render_diagnostics(sim.diagnostics());
@@ -308,11 +308,11 @@ TEST(ContentIdentity, TextCopiesFingerprintAndAnswerLikeTheirOriginals) {
   std::size_t compared = 0;
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
-    const auto original = session.load_builtin(name);
+    const auto original = session.load(api::ModelSpec{name});
     ASSERT_TRUE(original.ok());
     const auto text = session.write_text(original.value().id);
     ASSERT_TRUE(text.ok());
-    const auto copy = session.load_text(text.value());
+    const auto copy = session.load(api::ModelText{text.value()});
     ASSERT_TRUE(copy.ok());
     ASSERT_NE(original.value().content_fingerprint, 0u);
     EXPECT_EQ(copy.value().content_fingerprint, original.value().content_fingerprint);

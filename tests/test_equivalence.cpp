@@ -37,7 +37,7 @@ Fixture fixture_for(const corpus::CorpusEntry& entry) {
   f.library = models::make_synthetic_library(f.model, corpus::library_options(entry.spec));
 
   api::Session session;
-  const auto info = session.load_model(entry.name);
+  const auto info = session.load(api::ModelSpec{entry.name});
   EXPECT_TRUE(info.ok()) << api::render_diagnostics(info.diagnostics());
   const auto compare = session.compare({.model = info.value().id});
   EXPECT_TRUE(compare.ok()) << api::render_diagnostics(compare.diagnostics());

@@ -348,9 +348,9 @@ TEST(TieredCache, InsertsWriteThroughAndContentlessModelsEvaluateUncached) {
   // its evaluations never reach either tier.
   Session session;
   session.enable_cache({.capacity = 8});
-  const auto text = session.write_text(session.load_builtin("fig1").value().id);
+  const auto text = session.write_text(session.load(api::ModelSpec{"fig1"}).value().id);
   ASSERT_TRUE(text.ok());
-  const auto loaded = session.load_text(text.value(), "no identity");
+  const auto loaded = session.load(api::ModelText{text.value(), "no identity"});
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded.value().content_fingerprint, 0u);
   const auto first = session.simulate({.model = loaded.value().id});
@@ -364,7 +364,7 @@ TEST(TieredCache, InsertsWriteThroughAndContentlessModelsEvaluateUncached) {
 TEST(TieredCache, EvictedEntriesPromoteBackFromDiskBitIdentical) {
   TempDir dir;
   Session reference;  // no cache: the ground truth
-  const auto model = reference.load_builtin("fig1");
+  const auto model = reference.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(model.ok());
   // Single shard, capacity 2, equal costs: seed 1 is deterministically the
   // eviction victim of seed 3's insert. Synchronous spills: the test counts
@@ -426,7 +426,7 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
   {
     Session session;
     session.enable_cache(config);
-    const auto loaded = session.load_builtin("fig2");
+    const auto loaded = session.load(api::ModelSpec{"fig2"});
     ASSERT_TRUE(loaded.ok());
     first_fingerprint = loaded.value().content_fingerprint;
     ASSERT_NE(first_fingerprint, 0u);
@@ -436,7 +436,7 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
 
   Session session;
   session.enable_cache(config);
-  const auto reloaded = session.load_builtin("fig2");
+  const auto reloaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(reloaded.ok());
   // Fresh store id, same content: the restart-stable half of the key.
   EXPECT_EQ(reloaded.value().content_fingerprint, first_fingerprint);
@@ -472,12 +472,12 @@ TEST(TieredCache, AnalyzeFromDiskMatchesTheAskingLifesUncachedFrame) {
   // the reply served from disk must not carry life 1's handle.
   Session second;
   second.enable_cache(config);
-  ASSERT_TRUE(second.load_builtin("fig1").ok());
+  ASSERT_TRUE(second.load(api::ModelSpec{"fig1"}).ok());
   const std::string from_disk = analyze_fig2(second);
   EXPECT_EQ(second.cache_stats()->disk_hits, 1u);
 
   Session uncached;
-  ASSERT_TRUE(uncached.load_builtin("fig1").ok());
+  ASSERT_TRUE(uncached.load(api::ModelSpec{"fig1"}).ok());
   EXPECT_EQ(from_disk, analyze_fig2(uncached));
 }
 
@@ -489,7 +489,7 @@ TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
                                 .async_spill = false};
   Session session;
   session.enable_cache(config);
-  const auto builtin = session.load_builtin("fig2");
+  const auto builtin = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(builtin.ok());
   const auto curated = session.explore({.model = builtin.value().id});
   ASSERT_TRUE(curated.ok()) << curated.error_summary();
@@ -499,7 +499,7 @@ TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
   // derived library — the curated answer on disk is not its answer.
   const auto text = session.write_text(builtin.value().id);
   ASSERT_TRUE(text.ok());
-  const auto copy = session.load_text(text.value());
+  const auto copy = session.load(api::ModelText{text.value()});
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy.value().content_fingerprint, builtin.value().content_fingerprint);
   const auto derived = session.explore({.model = copy.value().id});
@@ -507,7 +507,7 @@ TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
   EXPECT_EQ(derived.value().library_origin, "derived");
 
   Session uncached;
-  const auto reference_copy = uncached.load_text(text.value());
+  const auto reference_copy = uncached.load(api::ModelText{text.value()});
   ASSERT_TRUE(reference_copy.ok());
   const auto reference = uncached.explore({.model = reference_copy.value().id});
   ASSERT_TRUE(reference.ok());
@@ -660,9 +660,9 @@ TEST(AdaptiveWindow, StaysFixedWhenDisabled) {
 TEST(ContentFingerprint, StableAcrossStoresAndDistinctAcrossModels) {
   ModelStore a;
   ModelStore b;
-  const auto fig1_a = a.load_builtin("fig1");
-  const auto fig1_b = b.load_builtin("fig1");
-  const auto fig2_a = a.load_builtin("fig2");
+  const auto fig1_a = a.load(api::ModelSpec{"fig1"});
+  const auto fig1_b = b.load(api::ModelSpec{"fig1"});
+  const auto fig2_a = a.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(fig1_a.ok() && fig1_b.ok() && fig2_a.ok());
 
   EXPECT_NE(fig1_a.value().content_fingerprint, 0u);
@@ -674,7 +674,7 @@ TEST(ContentFingerprint, StableAcrossStoresAndDistinctAcrossModels) {
 
 TEST(ContentFingerprint, MatchesTheCanonicalTextRoundTrip) {
   Session session;
-  const auto loaded = session.load_builtin("video_system");
+  const auto loaded = session.load(api::ModelSpec{"video_system"});
   ASSERT_TRUE(loaded.ok());
   const auto snapshot = session.store()->find(loaded.value().id);
   ASSERT_NE(snapshot, nullptr);

@@ -2,12 +2,14 @@
 // (a slow compare ahead of K fast simulates must not delay their replies),
 // per-connection backpressure at --max-inflight, strict v1 compatibility on
 // the same server, malformed v2 frames and oversized synthetic targets
-// answered without killing the stream, an `end` with stray spaces ending its
-// frame and not the next one, --record/--replay fidelity for pipelined
-// traffic (ids preserved, replay deterministic and byte-identical), and the
-// loop over a real loopback socket (TCP_NODELAY on both ends, no delayed-ACK
-// stall on large replies; cache hits answered on the reading thread at depth
-// 8, byte for byte, ahead of a slow miss and past a half-sent frame).
+// answered without killing the stream, targets that name no registry model
+// refused on every path without a file being read, an `end` with stray
+// spaces ending its frame and not the next one, --record/--replay fidelity
+// for pipelined traffic (ids preserved, replay deterministic and
+// byte-identical), and the loop over a real loopback socket (TCP_NODELAY on
+// both ends, no delayed-ACK stall on large replies; cache hits answered on
+// the reading thread at depth 8, byte for byte, ahead of a slow miss and
+// past a half-sent frame).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -263,6 +266,101 @@ TEST(PipelinedServe, OversizedSyntheticTargetsAnswerATypedErrorAndTheStreamLives
         << frame;
     EXPECT_NE(reply.error_summary().find("over the limit of 256"), std::string::npos) << frame;
   }
+}
+
+// --- the service loads registry models only ----------------------------------
+
+TEST(PipelinedServe, TargetsNamingNoRegistryModelAreRefusedWithoutReadingAFile) {
+  // A file holding a sentinel line, and a valid .spit model named by the
+  // same sentinel. Opened as a target, the first comes back in a parse
+  // error and the second loads and answers under its name.
+  const TempDir dir;
+  const std::string sentinel = "SENTINEL-4f9c2e";
+  const std::string secret = (dir.path() / "secret.txt").string();
+  std::ofstream{secret} << sentinel << "\n";
+  const std::string model = (dir.path() / "model.spit").string();
+  {
+    api::Session source;
+    const auto fig1 = source.load(api::ModelSpec{"fig1"});
+    const auto named =
+        source.load(api::ModelText{source.write_text(fig1.value().id).value(), sentinel});
+    std::ofstream{model} << source.write_text(named.value().id).value();
+  }
+  const auto expect_refused = [&](const std::string& frame) {
+    EXPECT_EQ(frame.find(sentinel), std::string::npos) << frame;
+    const auto reply = api::wire::decode_response(frame);
+    EXPECT_FALSE(reply.ok()) << frame;
+    EXPECT_TRUE(reply.diagnostics().has_code(api::diag::kUnknownBuiltin)) << frame;
+  };
+  const auto expect_answered = [](const std::string& frame) {
+    EXPECT_TRUE(api::wire::decode_response(frame).ok()) << frame;
+  };
+
+  // A v1 frame, a v2 frame, a batch slot and `control load`, each followed
+  // by a registry-named frame on the same stream.
+  service::Service svc{{.jobs = 2}};
+  for (const std::string& target : {secret, model}) {
+    std::string input = api::wire::encode(simulate_envelope(target)) +
+                        api::wire::encode(simulate_envelope("fig1")) +
+                        api::wire::encode(simulate_envelope(target), 1) +
+                        api::wire::encode(simulate_envelope("fig1"), 2);
+    input += api::wire::batch_header(2) + api::wire::encode(simulate_envelope(target)) +
+             api::wire::encode(simulate_envelope("fig1"));
+    input += api::wire::control_frame("load", {target}) +
+             api::wire::control_frame("load", {"fig1"});
+    std::istringstream in{input};
+    std::ostringstream out;
+    svc.serve_stream(in, out);
+
+    std::vector<std::string> v1;
+    std::map<std::uint64_t, std::string> v2;
+    for (const auto& [id, frame] : parse_replies(out.str())) {
+      if (id.has_value()) {
+        v2[*id] = frame;
+      } else {
+        v1.push_back(frame);
+      }
+    }
+    ASSERT_EQ(v1.size(), 7u) << out.str();
+    expect_refused(v1[0]);
+    expect_answered(v1[1]);
+    EXPECT_TRUE(api::wire::parse_batch_header(v1[2]).has_value()) << v1[2];
+    expect_refused(v1[3]);
+    expect_answered(v1[4]);
+    expect_refused(v1[5]);
+    EXPECT_TRUE(api::wire::decode_info(v1[6]).ok()) << v1[6];
+    ASSERT_EQ(v2.size(), 2u) << out.str();
+    expect_refused(v2[1]);
+    expect_answered(v2[2]);
+  }
+
+  // A replay evaluates in arrival order through the same loop.
+  {
+    std::istringstream in{api::wire::encode(simulate_envelope(model), 1) +
+                          api::wire::encode(simulate_envelope(secret), 2) +
+                          api::wire::encode(simulate_envelope("fig1"), 3)};
+    std::ostringstream out;
+    svc.serve_stream(in, out, service::Service::StreamMode::kOrdered);
+    const auto replies = parse_replies(out.str());
+    ASSERT_EQ(replies.size(), 3u) << out.str();
+    expect_refused(replies[0].second);
+    expect_refused(replies[1].second);
+    expect_answered(replies[2].second);
+  }
+  std::vector<std::string> names;
+  for (const api::ModelInfo& info : svc.session().models()) names.push_back(info.name);
+  EXPECT_EQ(names, std::vector<std::string>{"fig1"});
+
+  // --warm discards its replies: nothing but the registry model is loaded.
+  service::Service warmed{{.jobs = 2}};
+  std::istringstream log{api::wire::encode(simulate_envelope(model)) +
+                         api::wire::encode(simulate_envelope(secret), 1) +
+                         api::wire::control_frame("load", {model}) +
+                         api::wire::encode(simulate_envelope("fig1"), 2)};
+  warmed.warm(log);
+  names.clear();
+  for (const api::ModelInfo& info : warmed.session().models()) names.push_back(info.name);
+  EXPECT_EQ(names, std::vector<std::string>{"fig1"});
 }
 
 TEST(PipelinedServe, TerminatorWithStraySpacesEndsItsFrame) {

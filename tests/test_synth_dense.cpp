@@ -78,7 +78,7 @@ std::vector<std::string> catalog() {
 /// The default synthesis setup a session explores for catalog `name`.
 std::shared_ptr<const api::SynthesisSetup> catalog_setup(const std::string& name) {
   api::ModelStore store;
-  const api::Result<api::ModelInfo> info = store.load_model(name);
+  const api::Result<api::ModelInfo> info = store.load(api::ModelSpec{name});
   if (!info.ok()) return nullptr;
   return store.find(info.value().id)->default_setup();
 }

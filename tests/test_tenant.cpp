@@ -62,8 +62,8 @@ TEST(TenantViews, SameNameLoadsAreDistinctModelsWithDistinctIdentity) {
   auto alpha = view_of(store, "alpha", 1);
   auto beta = view_of(store, "beta", 2);
 
-  const auto a = alpha->load_builtin("fig2");
-  const auto b = beta->load_builtin("fig2");
+  const auto a = alpha->load(api::ModelSpec{"fig2"});
+  const auto b = beta->load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(a.ok() && b.ok());
 
   // Distinct ids in the shared store...
@@ -77,7 +77,7 @@ TEST(TenantViews, SameNameLoadsAreDistinctModelsWithDistinctIdentity) {
 
   // The default tenant's identity is the unsalted pre-tenancy one.
   api::Session plain{store};
-  const auto unsalted = plain.load_builtin("fig2");
+  const auto unsalted = plain.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(unsalted.ok());
   EXPECT_NE(unsalted.value().content_fingerprint, a.value().content_fingerprint);
   EXPECT_NE(unsalted.value().content_fingerprint, b.value().content_fingerprint);
@@ -88,9 +88,9 @@ TEST(TenantViews, ContentSaltIsRestartStable) {
   // same tenant re-hits its own disk entries across restarts regardless of
   // who connected first.
   auto first_store = std::make_shared<ModelStore>();
-  const auto first = view_of(first_store, "alpha", 1)->load_builtin("fig2");
+  const auto first = view_of(first_store, "alpha", 1)->load(api::ModelSpec{"fig2"});
   auto second_store = std::make_shared<ModelStore>();
-  const auto second = view_of(second_store, "alpha", 7)->load_builtin("fig2");
+  const auto second = view_of(second_store, "alpha", 7)->load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_EQ(first.value().content_fingerprint, second.value().content_fingerprint);
 }
@@ -100,7 +100,7 @@ TEST(TenantViews, UnloadAndInfoAreTenantScoped) {
   auto alpha = view_of(store, "alpha", 1);
   auto beta = view_of(store, "beta", 2);
 
-  const auto a = alpha->load_builtin("fig1");
+  const auto a = alpha->load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(a.ok());
 
   // Another tenant cannot tombstone — or even observe — the model: a
@@ -124,7 +124,7 @@ TEST(TenantViews, EveryEntryPointRefusesAnotherTenantsId) {
   api::Session beta{store};
   beta.bind_tenant(view_of(store, "beta", 2));
 
-  const auto loaded = beta.load_builtin("fig2");
+  const auto loaded = beta.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(loaded.ok());
   const api::ModelId theirs = loaded.value().id;
   ASSERT_TRUE(beta.validate(theirs).ok());  // the owner sees it
@@ -156,15 +156,15 @@ TEST(TenantViews, ModelQuotaBoundsLiveModelsAndFreesOnUnload) {
   auto store = std::make_shared<ModelStore>();
   auto alpha = view_of(store, "alpha", 1, {.max_models = 1});
 
-  const auto first = alpha->load_builtin("fig1");
+  const auto first = alpha->load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(first.ok());
-  const auto second = alpha->load_builtin("fig2");
+  const auto second = alpha->load(api::ModelSpec{"fig2"});
   ASSERT_FALSE(second.ok());
   EXPECT_TRUE(second.diagnostics().has_code(api::diag::kQuotaExceeded));
 
   // Tombstones free their slot: quota bounds *live* models.
   EXPECT_EQ(alpha->unload(first.value().id), UnloadStatus::kUnloaded);
-  EXPECT_TRUE(alpha->load_builtin("fig2").ok());
+  EXPECT_TRUE(alpha->load(api::ModelSpec{"fig2"}).ok());
 }
 
 // --- result cache: per-tenant accounting and caps ----------------------------
@@ -239,7 +239,7 @@ TEST(TenantCache, TagDoesNotDependOnWhenTheCacheWasEnabled) {
   auto store = std::make_shared<ModelStore>();
   api::Session session{store};
   session.bind_tenant(view_of(store, "alpha", 1));
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
 
   const auto cache = session.enable_cache();

@@ -166,7 +166,7 @@ TEST(Utilization, AgreesWithStrategyOutcome) {
 TEST(CacheStatsRender, TableCarriesCountersAndHitRate) {
   api::Session session;
   session.enable_cache({.capacity = 16});
-  const auto loaded = session.load_builtin("fig1");
+  const auto loaded = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(session.simulate({.model = loaded.value().id}).ok());  // miss
   ASSERT_TRUE(session.simulate({.model = loaded.value().id}).ok());  // hit

@@ -127,7 +127,7 @@ TEST(VariantTextIo, FlatModelsStayPlainAndParseBack) {
   // `variants` section — and graph-only text parses to a flat model, so
   // every pre-existing .spit file stays valid.
   api::Session session;
-  const auto flat = session.load_builtin("fig1");
+  const auto flat = session.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(flat.ok());
   const auto text = session.write_text(flat.value().id);
   ASSERT_TRUE(text.ok());
@@ -151,7 +151,7 @@ TEST(VariantTextIo, DuplicateNamesAreRefusedAtWriteTime) {
   EXPECT_THROW((void)variant::write_text(model), support::ModelError);
 
   api::Session session;
-  const auto loaded = session.load(std::move(model));
+  const auto loaded = session.load(api::BuiltModel{std::move(model)});
   ASSERT_TRUE(loaded.ok());
   const auto text = session.write_text(loaded.value().id);
   ASSERT_FALSE(text.ok());
@@ -179,7 +179,7 @@ TEST(VariantTextIo, OptConfiguredVariantModelRoundTripsThroughTheSession) {
   // strategy comparison — the exact scenario that used to lose the variant
   // structure silently.
   api::Session session;
-  const auto original = session.load_builtin(api::LoadBuiltinRequest{
+  const auto original = session.load(api::ModelSpec{
       .name = "synthetic",
       .options = models::SyntheticSpec{.interfaces = 2, .variants = 3, .cluster_size = 2}});
   ASSERT_TRUE(original.ok());
@@ -188,7 +188,7 @@ TEST(VariantTextIo, OptConfiguredVariantModelRoundTripsThroughTheSession) {
 
   const auto text = session.write_text(original.value().id);
   ASSERT_TRUE(text.ok());
-  const auto reloaded = session.load_text(text.value());
+  const auto reloaded = session.load(api::ModelText{text.value()});
   ASSERT_TRUE(reloaded.ok()) << reloaded.error_summary();
 
   // Structure survives the save/load cycle.

@@ -530,7 +530,7 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
     }
   }
 
-  api::SlotCallback<api::AnyResponse> on_slot;
+  api::SlotCallback on_slot;
   const auto started = std::chrono::steady_clock::now();
   if (has_flag(flags, "--stream")) {
     const std::size_t total = requests.size();
@@ -572,7 +572,7 @@ int cmd_batch(api::Session& session, const std::vector<api::ModelId>& models,
 
 int cmd_demo(const std::string& name) {
   api::Session session;
-  const auto model = session.load_builtin(name);
+  const auto model = session.load(api::ModelSpec{name});
   if (report_failure(model)) return 1;
   // Variant models emit the versioned `variants v1` section, so clusters,
   // interfaces and selection rules round-trip through the text format.
@@ -586,11 +586,11 @@ int cmd_selfcheck() {
   // Full pipeline through the facade: builtin -> text -> parse -> validate ->
   // simulate; compare behavior against the in-memory original.
   api::Session session;
-  const auto original = session.load_builtin("fig1");
+  const auto original = session.load(api::ModelSpec{"fig1"});
   if (report_failure(original)) return 1;
   const auto text = session.write_text(original.value().id);
   if (report_failure(text)) return 1;
-  const auto reparsed = session.load_text(text.value(), "fig1-reparsed");
+  const auto reparsed = session.load(api::ModelText{text.value(), "fig1-reparsed"});
   if (report_failure(reparsed)) return 1;
 
   const auto diags = session.validate(reparsed.value().id);
