@@ -44,7 +44,9 @@
 //     old-version frames decode into line-numbered diag::kWireError
 //     failures. Plus the service frames (batch headers, control commands,
 //     info replies) spoken by tools/spivar_serve and `spivar_cli remote`.
-//     The persistent cache tier stores these same frames on disk.
+//     The persistent cache tier stores these same frames on disk, and each
+//     request kind's one description also yields its cache fingerprint
+//     (api::fingerprint hashes the values it lists).
 //   * ModelStore (store.hpp) — thread-safe, share-by-snapshot model
 //     ownership: load(LoadRequest, TenantContext) — the one place each
 //     model source is handled — produces immutable

@@ -11,77 +11,14 @@
 #include "api/wire.hpp"
 #include "obs/trace.hpp"
 #include "persist/disk_tier.hpp"
-#include "synth/fingerprint.hpp"
 
 namespace spivar::api {
 
-// --- canonical request fingerprints ------------------------------------------
-
-namespace {
-
-using support::Fnv1aHasher;
-
-void hash_sim_options(Fnv1aHasher& hasher, const sim::SimOptions& options) {
-  hasher.u64(static_cast<std::uint64_t>(options.resolution));
-  hasher.u64(options.seed);
-  hasher.i64(options.max_time.count());
-  hasher.i64(options.max_total_firings);
-  hasher.boolean(options.record_trace);
-  hasher.u64(options.trace_limit);
-}
-
-}  // namespace
-
-std::uint64_t fingerprint(const SimulateRequest& request) {
-  Fnv1aHasher hasher;
-  hash_sim_options(hasher, request.options);
-  // render_timeline forces trace recording, so hash the effective option —
-  // a timeline request and an explicit-trace request that resolve to the
-  // same simulation still fingerprint apart via the flag itself.
-  hasher.boolean(request.render_timeline);
-  return hasher.digest();
-}
-
-std::uint64_t fingerprint(const AnalyzeRequest& request) {
-  Fnv1aHasher hasher;
-  hasher.boolean(request.deadlock);
-  hasher.boolean(request.buffers);
-  hasher.boolean(request.structure);
-  hasher.boolean(request.timing);
-  hasher.boolean(request.include_reconfiguration);
-  return hasher.digest();
-}
-
-std::uint64_t fingerprint(const ExploreRequest& request) {
-  Fnv1aHasher hasher;
-  synth::hash_options(hasher, request.options);
-  synth::hash_overrides(hasher, request.problem, request.library);
-  return hasher.digest();
-}
-
-std::uint64_t fingerprint(const ParetoRequest& request) {
-  Fnv1aHasher hasher;
-  synth::hash_options(hasher, request.options);
-  synth::hash_overrides(hasher, request.problem, request.library);
-  return hasher.digest();
-}
-
-std::uint64_t fingerprint(const CompareRequest& request) {
-  Fnv1aHasher hasher;
-  synth::hash_strategies(hasher, request.strategies);
-  synth::hash_options(hasher, request.options);
-  hasher.boolean(request.all_orders);
-  hasher.u64(request.max_orders);
-  synth::hash_objectives(hasher, request.objectives);
-  synth::hash_overrides(hasher, request.problem, request.library);
-  return hasher.digest();
-}
-
 // --- envelope helpers --------------------------------------------------------
 //
-// Envelope fingerprints and kinds delegate to the payload alternative, so an
-// AnyRequest produces exactly the cache key its dedicated v4 endpoint would
-// — mixed-kind batches and the per-kind surface share every cached result.
+// Envelope kinds delegate to the payload alternative, so an AnyRequest
+// produces exactly the cache key its dedicated endpoint would — mixed-kind
+// batches and the per-kind surface share every cached result.
 
 std::optional<RequestKind> parse_request_kind(std::string_view name) {
   if (name == "simulate") return RequestKind::kSimulate;
@@ -94,10 +31,6 @@ std::optional<RequestKind> parse_request_kind(std::string_view name) {
 
 RequestKind kind_of(const AnyRequest& request) noexcept {
   return std::visit([](const auto& payload) { return kind_of(payload); }, request.payload);
-}
-
-std::uint64_t fingerprint(const AnyRequest& request) {
-  return std::visit([](const auto& payload) { return fingerprint(payload); }, request.payload);
 }
 
 ModelId model_of(const RequestPayload& payload) noexcept {
@@ -205,13 +138,11 @@ ResultCache::~ResultCache() {
 }
 
 ResultCache::Key ResultCache::key_of(std::uint64_t content, const RequestPayload& payload) {
-  return std::visit(
-      [content](const auto& request) {
-        return Key{.content = content,
-                   .kind = static_cast<std::uint8_t>(kind_of(request)),
-                   .fingerprint = fingerprint(request)};
-      },
-      payload);
+  const RequestKind kind =
+      std::visit([](const auto& request) { return kind_of(request); }, payload);
+  return Key{.content = content,
+             .kind = static_cast<std::uint8_t>(kind),
+             .fingerprint = fingerprint(payload)};
 }
 
 ResultCache::Value ResultCache::find(const Key& key, std::uint32_t tenant) {

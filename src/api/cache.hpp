@@ -3,7 +3,10 @@
 //
 // An evaluation is a pure function of the model's content and the request,
 // so one key identifies it in both tiers: (StoreEntry::cache_content, request
-// kind, canonical request fingerprint) — persist::DiskKey. Repeated scenario
+// kind, canonical request fingerprint) — persist::DiskKey. The fingerprint
+// is api::fingerprint (requests.hpp): the payload's wire description,
+// hashed value by value, so every field a request carries on the wire is
+// in its key. Repeated scenario
 // sweeps (order sweeps, seed grids, compare re-runs) return the memoized
 // result instead of re-simulating, two loads of the same model content share
 // entries, and an unload leaves them in place, so a re-load re-hits.

@@ -120,21 +120,6 @@ struct CompareRequest {
   std::optional<synth::ImplLibrary> library;
 };
 
-// --- canonical request fingerprints ------------------------------------------
-//
-// 64-bit digests of every outcome-relevant field *except* the model handle
-// (the cache key carries the model's content identity separately).
-// Canonical where semantics allow: duplicate compare strategies collapse,
-// library elements hash in name order; order stays significant where it
-// changes the response (objective chains, strategy presentation order).
-// Implemented in cache.cpp.
-
-[[nodiscard]] std::uint64_t fingerprint(const SimulateRequest& request);
-[[nodiscard]] std::uint64_t fingerprint(const AnalyzeRequest& request);
-[[nodiscard]] std::uint64_t fingerprint(const ExploreRequest& request);
-[[nodiscard]] std::uint64_t fingerprint(const ParetoRequest& request);
-[[nodiscard]] std::uint64_t fingerprint(const CompareRequest& request);
-
 /// The evaluation a request type drives (the cache key's kind column).
 [[nodiscard]] constexpr RequestKind kind_of(const SimulateRequest&) noexcept {
   return RequestKind::kSimulate;
@@ -184,12 +169,27 @@ struct AnyRequest {
   std::shared_ptr<obs::TraceContext> trace;
 };
 
-/// The payload's evaluation kind / canonical fingerprint / model handle —
-/// visitors over the variant, so envelope code never switch-cases by hand.
+/// The payload's evaluation kind / model handle — visitors over the
+/// variant, so envelope code never switch-cases by hand.
 [[nodiscard]] RequestKind kind_of(const AnyRequest& request) noexcept;
-[[nodiscard]] std::uint64_t fingerprint(const AnyRequest& request);
 [[nodiscard]] ModelId model_of(const RequestPayload& payload) noexcept;
 /// Points the payload at `model` (what target resolution writes back).
 void set_model(RequestPayload& payload, ModelId model) noexcept;
+
+// --- canonical request fingerprints ------------------------------------------
+//
+// The request column of the result-cache key: a 64-bit FNV-1a digest of the
+// values the payload's wire description lists (its describe() in wire.cpp,
+// the one list of its fields that also encodes and decodes it), hashed
+// value by value in frame order. The model handle, target and scheduling
+// options are envelope lines, not payload lines, so they never reach the
+// key (the cache key carries the model's content identity separately).
+// Order stays significant where the frame keeps it (objective chains,
+// strategy presentation order); a library lists its elements in name order.
+// One canonicalization: duplicate compare strategies add no row, so they
+// collapse. A typed request converts to RequestPayload. Defined in wire.cpp.
+
+[[nodiscard]] std::uint64_t fingerprint(const RequestPayload& payload);
+[[nodiscard]] std::uint64_t fingerprint(const AnyRequest& request);
 
 }  // namespace spivar::api

@@ -1,5 +1,6 @@
 #include "api/wire.hpp"
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <concepts>
@@ -12,6 +13,8 @@
 #include <type_traits>
 #include <utility>
 #include <variant>
+
+#include "support/hash.hpp"
 
 namespace spivar::api::wire {
 
@@ -256,6 +259,29 @@ void put_token(std::string& out, const auto& value) {
   }
 }
 
+/// Feeds one field's value to a fingerprint as put_token writes it, but by
+/// its bits: a double's bit pattern, not its decimal text. An optional's
+/// value follows a presence mark.
+void hash_token(support::Fnv1aHasher& hasher, const auto& value) {
+  using T = std::remove_cvref_t<decltype(value)>;
+  if constexpr (std::is_convertible_v<T, std::string_view>) {
+    hasher.str(value);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    hasher.boolean(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    hasher.u64(static_cast<std::uint64_t>(value));
+  } else if constexpr (Counted<T>) {
+    hasher.i64(value.count());
+  } else if constexpr (IsOptional<T>) {
+    hasher.presence(value.has_value());
+    if (value) hash_token(hasher, *value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    hasher.f64(value);
+  } else {
+    hasher.u64(static_cast<std::uint64_t>(value));
+  }
+}
+
 /// The enum value whose to_string is the next token.
 template <typename E>
 E parse_name(Args& args, const char* what) {
@@ -367,7 +393,8 @@ struct NoLines {
 // A body line is a key followed by columns. Each column refers to the field
 // it carries (const while encoding, mutable while decoding), writes it with
 // put() and reads it back with get(), naming it in decode errors: "missing
-// seed after 'seed'", "invalid hi-us 'x'".
+// seed after 'seed'", "invalid hi-us 'x'". The columns of request lines also
+// feed their values to a fingerprint with hash().
 
 void put_all(std::string& out, const auto& columns) {
   std::apply([&](const auto&... column) { (column.put(out), ...); }, columns);
@@ -375,6 +402,10 @@ void put_all(std::string& out, const auto& columns) {
 
 void get_all(Args& args, const auto& columns) {
   std::apply([&](const auto&... column) { (column.get(args), ...); }, columns);
+}
+
+void hash_all(support::Fnv1aHasher& hasher, const auto& columns) {
+  std::apply([&](const auto&... column) { (column.hash(hasher), ...); }, columns);
 }
 
 /// One token.
@@ -388,6 +419,7 @@ struct One {
     put_token(out, value);
   }
   void get(Args& args) const { get_token(args, label, value); }
+  void hash(support::Fnv1aHasher& hasher) const { hash_token(hasher, value); }
 };
 
 /// An optional last token, written only when the optional holds a value.
@@ -402,6 +434,7 @@ struct Trailing {
   void get(Args& args) const {
     if (!args.done()) get_token(args, label, value);
   }
+  void hash(support::Fnv1aHasher& hasher) const { hash_token(hasher, value); }
 };
 
 /// A comma-separated list of names in one token, each read by `parse`
@@ -426,6 +459,10 @@ struct Commas {
       if (!value) fail(args.number(), std::string{"unknown "} + label + " '" + name + "'");
       values.push_back(*value);
     }
+  }
+  void hash(support::Fnv1aHasher& hasher) const {
+    hasher.u64(values.size());
+    for (const auto& value : values) hash_token(hasher, value);
   }
 };
 
@@ -501,8 +538,9 @@ constexpr auto trace_event = [](auto& e) {
 //
 // A description lists a type's body lines in frame order through the shapes
 // below. Writer writes every line it lists; Reader runs it once per body
-// line and decodes that line into the one entry carrying its key. Keys are
-// string literals, so a key can also label its line's one column.
+// line and decodes that line into the one entry carrying its key; Hasher
+// feeds the values of every line it lists to one digest. Keys are string
+// literals, so a key can also label its line's one column.
 
 class Writer {
  public:
@@ -642,6 +680,50 @@ class Reader {
   bool probing_ = false;
   sim::Trace* trace_ = nullptr;
   TraceRebuild rebuild_;
+};
+
+/// Feeds the values of the lines a description lists, in frame order, to
+/// one FNV-1a digest: a request's cache fingerprint. Keys are not fed (one
+/// payload kind always lists the same lines); a presence mark goes before
+/// each line_if line and a count before each each and group, so two
+/// different value lists never feed the same words.
+class Hasher {
+ public:
+  [[nodiscard]] std::uint64_t digest() const noexcept { return hasher_.digest(); }
+
+  template <typename... Columns>
+  void line(std::string_view /*key*/, const Columns&... columns) {
+    (columns.hash(hasher_), ...);
+  }
+
+  template <typename... Columns>
+  void line_if(bool present, std::string_view key, const Columns&... columns) {
+    hasher_.presence(present);
+    if (present) line(key, columns...);
+  }
+
+  void field(std::string_view /*key*/, const auto& value) { hash_token(hasher_, value); }
+
+  template <typename C, typename Columns>
+  void each(std::string_view /*key*/, const C& container, const Columns& columns) {
+    const auto& list = entries(container);
+    hasher_.u64(list.size());
+    for (const auto& entry : list) hash_all(hasher_, columns(entry));
+  }
+
+  template <typename C, typename Columns, typename Owned = NoLines>
+  void group(std::string_view /*key*/, const C& container, const Columns& columns,
+             const Owned& owned = {}) {
+    const auto list = owners(container);
+    hasher_.u64(list.size());
+    for (const auto& owner : list) {
+      hash_all(hasher_, columns(owner));
+      owned(*this, owner);
+    }
+  }
+
+ private:
+  support::Fnv1aHasher hasher_;
 };
 
 // --- descriptions ------------------------------------------------------------
@@ -1313,3 +1395,47 @@ std::optional<std::string> read_frame(std::istream& in, const std::function<void
 }
 
 }  // namespace spivar::api::wire
+
+// --- request fingerprints ----------------------------------------------------
+
+namespace spivar::api {
+
+namespace {
+
+/// The digest of the values `describe()` lists for `request`.
+std::uint64_t digest_of(const auto& request) {
+  wire::Hasher io;
+  wire::describe(io, request);
+  return io.digest();
+}
+
+/// Whether some value appears twice in `values`; allocates nothing.
+bool has_duplicates(const auto& values) {
+  for (auto it = values.begin(); it != values.end(); ++it) {
+    if (std::find(values.begin(), it, *it) != it) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::uint64_t fingerprint(const RequestPayload& payload) {
+  const auto* compare = std::get_if<CompareRequest>(&payload);
+  if (compare != nullptr && has_duplicates(compare->strategies)) {
+    // A duplicate strategy adds no row, so it must not add a key: hash the
+    // list compare runs, in first-seen order (it orders the rows).
+    CompareRequest canonical = *compare;
+    canonical.strategies.clear();
+    for (const synth::StrategyKind kind : compare->strategies) {
+      if (std::ranges::find(canonical.strategies, kind) == canonical.strategies.end()) {
+        canonical.strategies.push_back(kind);
+      }
+    }
+    return digest_of(canonical);
+  }
+  return std::visit([](const auto& request) { return digest_of(request); }, payload);
+}
+
+std::uint64_t fingerprint(const AnyRequest& request) { return fingerprint(request.payload); }
+
+}  // namespace spivar::api

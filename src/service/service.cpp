@@ -48,10 +48,6 @@ Service::Service(const ServiceOptions& options)
           .capacity_bytes = options.cache_bytes,
           .fsync_policy = options.fsync ? persist::PersistConfig::FsyncPolicy::kAlways
                                         : persist::PersistConfig::FsyncPolicy::kNever};
-      // --fsync is the durability switch: it also forces every spill to
-      // complete in the inserting thread, so an acknowledged reply implies
-      // its entry is on disk (the kill -9 restart contract).
-      config.async_spill = !options.fsync;
     }
     store_->enable_cache(config);
   }
@@ -107,6 +103,7 @@ void Service::register_collector() {
   // scrape (the cold path) and picks up tenants provisioned after startup.
   registry_.add_collector([this] {
     const api::ExecutorStats ex = executor_->stats();
+    const TenantSnapshot tenants = snapshot_tenants();
     registry_.counter("spivar_executor_completed_total", "tasks run to completion")
         .set(ex.completed);
     registry_.counter("spivar_executor_deadline_misses_total", "tasks finished past deadline")
@@ -161,17 +158,7 @@ void Service::register_collector() {
             .set(cs.disk_dropped_spills);
       }
       // Per-tenant ledger, labeled by tenant *name* (the tag is internal).
-      // Lock order: tenants_mutex_ outer, then the registry's mutex inside
-      // counter()/gauge() — the same order create_tenant_locked takes.
-      std::map<std::uint32_t, std::string> names;
-      {
-        std::lock_guard lock{tenants_mutex_};
-        for (const auto& [name, tenant] : tenants_) names[tenant->context.tag] = name;
-      }
-      for (const api::TenantCacheStats& row : cache->tenant_stats()) {
-        const auto it = names.find(row.tag);
-        const std::string name =
-            it != names.end() ? it->second : "#" + std::to_string(row.tag);
+      for (const auto& [name, row] : tenants.cache) {
         registry_.counter("spivar_tenant_cache_hits_total", "tenant lookups served",
                           {{"tenant", name}})
             .set(row.hits);
@@ -187,15 +174,13 @@ void Service::register_collector() {
       }
     }
 
-    {
-      std::lock_guard lock{tenants_mutex_};
-      for (const auto& [name, tenant] : tenants_) {
-        registry_.gauge("spivar_tenant_inflight", "v2 slots evaluating now", {{"tenant", name}})
-            .set(static_cast<std::int64_t>(tenant->inflight.load(std::memory_order_relaxed)));
-        registry_.counter("spivar_tenant_shed_total", "frames rejected at the in-flight cap",
-                          {{"tenant", name}})
-            .set(tenant->shed.load(std::memory_order_relaxed));
-      }
+    for (const TenantRow& tenant : tenants.tenants) {
+      registry_.gauge("spivar_tenant_inflight", "v2 slots evaluating now",
+                      {{"tenant", tenant.name}})
+          .set(static_cast<std::int64_t>(tenant.inflight));
+      registry_.counter("spivar_tenant_shed_total", "frames rejected at the in-flight cap",
+                        {{"tenant", tenant.name}})
+          .set(tenant.shed);
     }
 
     registry_.counter("spivar_stream_frames_total", "frames read across all streams")
@@ -253,16 +238,31 @@ Service::Tenant& Service::create_tenant_locked(const std::string& name,
   return *tenants_.emplace(name, std::move(tenant)).first->second;
 }
 
-Service::Tenant* Service::authenticate(const std::string& name, const std::string& token) {
-  if (name == "default") return &default_tenant_;
+api::Result<Service::Tenant*> Service::authenticate(const std::string& name,
+                                                   const std::string& token) {
+  using Bound = api::Result<Tenant*>;
+  if (name == "default") return Bound::success(&default_tenant_);
   std::lock_guard lock{tenants_mutex_};
-  const auto it = tenants_.find(name);
-  // Ad hoc tenants get default (unlimited) quotas — isolation without
-  // provisioning. Only configured tenants carry tokens, so nothing
-  // protected is reachable this way.
-  Tenant& tenant = it != tenants_.end() ? *it->second : create_tenant_locked(name, {});
-  if (!tenant.quota.token.empty() && tenant.quota.token != token) return nullptr;
-  return &tenant;
+  Tenant* tenant = nullptr;
+  if (const auto it = tenants_.find(name); it != tenants_.end()) {
+    tenant = it->second.get();
+  } else if (adhoc_tenants_ < kMaxAdhocTenants) {
+    // Ad hoc tenants get default (unlimited) quotas — isolation without
+    // provisioning. Only configured tenants carry tokens, so nothing
+    // protected is reachable this way.
+    ++adhoc_tenants_;
+    tenant = &create_tenant_locked(name, {});
+  } else {
+    // Each tenant keeps a session, counters and metric series for the
+    // service's lifetime, so new names stop at the cap.
+    return Bound::failure(api::diag::kWireError,
+                          "no room for tenant '" + name + "': the service holds at most " +
+                              std::to_string(kMaxAdhocTenants) + " ad hoc tenants");
+  }
+  if (!tenant->quota.token.empty() && tenant->quota.token != token) {
+    return Bound::failure(api::diag::kWireError, "invalid token for tenant '" + name + "'");
+  }
+  return Bound::success(tenant);
 }
 
 Service::~Service() {
@@ -372,12 +372,13 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
       const api::wire::FrameHead head = api::wire::peek_head(*frame);
       if (head.tag != "request") {
         if (const auto hello = api::wire::parse_hello(*frame)) {
-          Tenant* bound = authenticate(hello->tenant, hello->token);
-          if (bound == nullptr) {
-            reply_error(writer, "invalid token for tenant '" + hello->tenant + "'");
+          // A refused hello leaves the stream on its current tenant.
+          const api::Result<Tenant*> bound = authenticate(hello->tenant, hello->token);
+          if (!bound.ok()) {
+            reply_error(writer, bound.diagnostics());
             continue;
           }
-          tenant = bound;
+          tenant = bound.value();
           reply_info(writer, "hello tenant " + hello->tenant + " tag " +
                                  std::to_string(tenant->context.tag));
           continue;
@@ -627,24 +628,35 @@ std::string Service::describe_model(const api::ModelInfo& info) {
   return api::render(info) + "  content-fingerprint " + hex + "\n";
 }
 
-std::string Service::render_tenant_cache_stats() {
+Service::TenantSnapshot Service::snapshot_tenants() {
   const auto cache = store_->cache();
-  if (!cache) return {};
-  const std::vector<api::TenantCacheStats> rows = cache->tenant_stats();
-  if (rows.empty()) return {};
-  // tag -> name, so the breakdown reads by tenant name, not internal tag.
-  std::map<std::uint32_t, std::string> names;
-  {
-    std::lock_guard lock{tenants_mutex_};
-    for (const auto& [name, tenant] : tenants_) names[tenant->context.tag] = name;
+  TenantSnapshot snapshot;
+  std::lock_guard lock{tenants_mutex_};
+  std::map<std::uint32_t, const std::string*> names;
+  for (const auto& [name, tenant] : tenants_) {
+    snapshot.tenants.push_back(
+        {.name = name,
+         .inflight = tenant->inflight.load(std::memory_order_relaxed),
+         .max_inflight = tenant->quota.max_inflight,
+         .shed = tenant->shed.load(std::memory_order_relaxed)});
+    names[tenant->context.tag] = &name;
   }
-  std::string text;
-  for (const api::TenantCacheStats& row : rows) {
-    const auto it = names.find(row.tag);
+  if (cache) {
+    for (const api::TenantCacheStats& row : cache->tenant_stats()) {
+      const auto it = names.find(row.tag);
+      snapshot.cache.emplace_back(it != names.end() ? *it->second : "#" + std::to_string(row.tag),
+                                  row);
+    }
+  }
+  return snapshot;
+}
+
+std::string Service::render_cache_stats(const api::ResultCache& cache) {
+  std::string text = api::render(cache.stats());
+  for (const auto& [name, row] : snapshot_tenants().cache) {
     char rate[16];
     std::snprintf(rate, sizeof rate, "%.3f", row.hit_rate());
-    text += "tenant " + (it != names.end() ? it->second : "#" + std::to_string(row.tag)) +
-            "  entries " + std::to_string(row.entries) +
+    text += "tenant " + name + "  entries " + std::to_string(row.entries) +
             (row.cap > 0 ? "/" + std::to_string(row.cap) : "") + "  hits " +
             std::to_string(row.hits) + "  misses " + std::to_string(row.misses) +
             "  evictions " + std::to_string(row.evictions) + "  hit-rate " + rate + "\n";
@@ -660,7 +672,7 @@ void Service::handle_cache_control(const api::wire::ControlCommand& control, Wri
   }
   const std::string sub = control.args.empty() ? std::string{"stats"} : control.args.front();
   if (sub == "stats") {
-    reply_info(writer, api::render(cache->stats()) + render_tenant_cache_stats());
+    reply_info(writer, render_cache_stats(*cache));
     return;
   }
   if (sub == "persist") {
@@ -711,8 +723,8 @@ void Service::handle_control(const api::wire::ControlCommand& control, Writer& w
     return;
   }
   if (control.command == "cache-stats") {
-    const auto stats = session.cache_stats();
-    reply_info(writer, stats ? api::render(*stats) + render_tenant_cache_stats()
+    const auto cache = store_->cache();
+    reply_info(writer, cache ? render_cache_stats(*cache)
                              : "result cache disabled (start with '--cache N')");
     return;
   }
@@ -727,16 +739,10 @@ void Service::handle_control(const api::wire::ControlCommand& control, Writer& w
       text += "admission admitted " + std::to_string(admission_->admitted()) + "  rejected " +
               std::to_string(admission_->rejected()) + "\n";
     }
-    {
-      std::lock_guard lock{tenants_mutex_};
-      for (const auto& [name, tenant] : tenants_) {
-        text += "tenant " + name + "  inflight " +
-                std::to_string(tenant->inflight.load(std::memory_order_relaxed));
-        if (tenant->quota.max_inflight > 0) {
-          text += "/" + std::to_string(tenant->quota.max_inflight);
-        }
-        text += "  shed " + std::to_string(tenant->shed.load(std::memory_order_relaxed)) + "\n";
-      }
+    for (const TenantRow& row : snapshot_tenants().tenants) {
+      text += "tenant " + row.name + "  inflight " + std::to_string(row.inflight);
+      if (row.max_inflight > 0) text += "/" + std::to_string(row.max_inflight);
+      text += "  shed " + std::to_string(row.shed) + "\n";
     }
     reply_info(writer, text);
     return;

@@ -27,7 +27,9 @@
 //   hello v1 <tenant> [token]      binds the connection to a tenant: later
 //                                  frames evaluate through that tenant's
 //                                  Session/StoreView (scoped ids, quotas,
-//                                  salted content identity). No hello =
+//                                  salted content identity); a new name
+//                                  creates an ad hoc tenant, at most
+//                                  kMaxAdhocTenants of them. No hello =
 //                                  the default tenant = pre-tenancy service
 //                                  behavior, byte for byte.
 //
@@ -63,6 +65,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -70,6 +73,11 @@
 #include "obs/trace.hpp"
 
 namespace spivar::service {
+
+/// The most ad hoc tenants (hello names no configured tenant carries) one
+/// service creates; a hello for another new name is refused. Configured
+/// tenants and `default` do not count. spivar_loadgen --tenants stops here.
+inline constexpr std::size_t kMaxAdhocTenants = 1024;
 
 struct ServiceOptions {
   std::size_t jobs = 1;                        ///< executor workers
@@ -83,8 +91,9 @@ struct ServiceOptions {
   std::size_t max_inflight = 64;
 
   /// Pre-provisioned tenants (quotas, optional tokens). A hello naming an
-  /// unknown tenant is admitted with default (unlimited) quotas — only
-  /// configured tenants can demand a token.
+  /// unknown tenant is admitted with default (unlimited) quotas, up to
+  /// kMaxAdhocTenants such tenants — only configured tenants can demand a
+  /// token.
   struct TenantSpec {
     std::string name;
     api::TenantQuota quota;
@@ -214,9 +223,10 @@ class Service {
   /// One tenant's service-side state: the view/session pair every
   /// connection bound to this tenant shares, plus in-flight accounting for
   /// the per-tenant cap. Created at startup (configured tenants) or on
-  /// first hello (ad hoc tenants) and kept for the service's lifetime. The
-  /// default tenant — tag 0, named `default`, what a stream without a hello
-  /// evaluates as — is one too, held outside tenants_.
+  /// first hello (ad hoc tenants, at most kMaxAdhocTenants) and kept for
+  /// the service's lifetime. The default tenant — tag 0, named `default`,
+  /// what a stream without a hello evaluates as — is one too, held outside
+  /// tenants_.
   struct Tenant {
     api::TenantContext context;
     api::TenantQuota quota;
@@ -228,6 +238,24 @@ class Service {
     /// spivar_request_errors_total{tenant=...,kind=...}.
     KindCounters requests{};
     KindCounters errors{};
+  };
+
+  /// One tenant's in-flight row in `executor-stats` and the collector.
+  struct TenantRow {
+    std::string name;
+    std::size_t inflight = 0;
+    std::size_t max_inflight = 0;  ///< 0 = uncapped
+    std::uint64_t shed = 0;
+  };
+
+  /// The tenant table joined with the cache's per-tenant ledger, read under
+  /// one lock: what `executor-stats`, `cache-stats`, `cache stats` and the
+  /// metrics collector all render.
+  struct TenantSnapshot {
+    std::vector<TenantRow> tenants;  ///< by name
+    /// The ledger's rows by tag, each under its tenant's name (`#<tag>`
+    /// for a tag no tenant holds); empty without a cache.
+    std::vector<std::pair<std::string, api::TenantCacheStats>> cache;
   };
 
   /// A request's trace and kind, kept for observe_done once the request
@@ -258,18 +286,20 @@ class Service {
   void submit_pipelined(api::AnyRequest request, std::uint64_t frame_id, Writer& writer,
                         Inflight& inflight, Tenant& tenant);
   /// Resolves a hello: "default" is the default tenant; an unknown name is
-  /// provisioned with default quotas; null when a configured token does not
-  /// match.
-  Tenant* authenticate(const std::string& name, const std::string& token);
+  /// provisioned with default quotas while fewer than kMaxAdhocTenants ad
+  /// hoc tenants exist. Fails when a configured token does not match, or at
+  /// that cap.
+  api::Result<Tenant*> authenticate(const std::string& name, const std::string& token);
   /// Fills in a tenant record: its view and bound session over the shared
   /// store, its request counters and its cache cap. Registered tenants are
   /// provisioned under tenants_mutex_.
   void provision(Tenant& tenant, api::TenantContext context, const api::TenantQuota& quota);
   /// Creates (and registers) a tenant. Caller holds tenants_mutex_.
   Tenant& create_tenant_locked(const std::string& name, const api::TenantQuota& quota);
-  /// Per-tenant cache rows ("tenant <name>  entries ... hit-rate ...") for
-  /// the `cache-stats` and `cache stats` controls.
-  [[nodiscard]] std::string render_tenant_cache_stats();
+  [[nodiscard]] TenantSnapshot snapshot_tenants();
+  /// The `cache-stats` and `cache stats` reply: the cache's counters, then a
+  /// row per tenant ledger ("tenant <name>  entries ... hit-rate ...").
+  [[nodiscard]] std::string render_cache_stats(const api::ResultCache& cache);
   static std::string describe_model(const api::ModelInfo& info);
 
   /// Resolves the per-kind counter handles for one tenant label value.
@@ -295,13 +325,15 @@ class Service {
   bool record_fsync_ = false;
   std::atomic<bool> record_suspended_{false};  ///< true while warming
 
-  std::mutex tenants_mutex_;  ///< guards tenants_ and next_tag_
+  std::mutex tenants_mutex_;  ///< guards tenants_, next_tag_ and adhoc_tenants_
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
   std::uint32_t next_tag_ = 1;  ///< 0 is the default tenant, never assigned
+  std::size_t adhoc_tenants_ = 0;  ///< tenants created by a hello
 
   // --- observability ---------------------------------------------------------
-  // Lock order: tenants_mutex_ (outer) before the registry mutex (inner) —
-  // both create_tenant_locked and the collector follow it.
+  // Lock order: tenants_mutex_ (outer) before the registry mutex (inner), as
+  // create_tenant_locked takes them. The collector reads the tenant table
+  // through snapshot_tenants and holds no tenant lock in the registry.
   obs::MetricsRegistry registry_;
   obs::Tracer tracer_;
   std::array<obs::Histogram*, kKinds> latency_{};  ///< per-kind, all tenants

@@ -3,9 +3,11 @@
 // FNV-1a over an explicitly serialized byte stream: every field is fed
 // through a typed append (length-prefixed strings, bit-cast doubles), so the
 // digest depends only on the logical value — never on padding, pointer
-// identity, or container addresses. Used by the synth/api fingerprint layer
-// to key the (snapshot, request) result cache; the digest is stable within a
-// process run and across runs on the same platform.
+// identity, or container addresses. The wire codec's hashing io feeds it the
+// values of a request's wire description (api::fingerprint) to key the
+// result cache; model content fingerprints and tenant salts use it too. The
+// digest is stable within a process run and across runs on the same
+// platform.
 #pragma once
 
 #include <bit>

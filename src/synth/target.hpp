@@ -60,8 +60,8 @@ class ImplLibrary {
   [[nodiscard]] bool contains(const std::string& name) const { return elements_.contains(name); }
   [[nodiscard]] std::size_t size() const noexcept { return elements_.size(); }
 
-  /// Name-ordered view over every element (std::map order) — the iteration
-  /// the fingerprint layer relies on for order-insensitive library digests.
+  /// Name-ordered view over every element (std::map order) — the order the
+  /// wire codec lists a library in, so its cache key ignores insertion order.
   [[nodiscard]] const std::map<std::string, ElementImpl>& elements() const noexcept {
     return elements_;
   }

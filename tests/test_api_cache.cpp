@@ -385,6 +385,177 @@ TEST(RequestFingerprint, LibraryOverridesHashByValue) {
   EXPECT_EQ(api::fingerprint(a), api::fingerprint(b));
 }
 
+/// Requests that move each field of every payload's wire description once,
+/// plus requests that must share a key with an earlier one: another model
+/// handle, a reordered library, a duplicate strategy, a field set to its
+/// default.
+std::vector<api::RequestPayload> partition_table() {
+  using synth::RankObjective;
+  using synth::StrategyKind;
+  synth::ImplLibrary library;
+  library.processor_cost = 30.0;
+  library.add("x", {.sw_load = 0.5, .sw_wcet = support::Duration{40}, .hw_cost = 10.0,
+                    .hw_wcet = support::Duration{5}});
+  library.add("y", {.sw_load = 0.25, .hw_cost = 20.0});
+  const auto edited = [&library](auto edit) {
+    synth::ImplLibrary copy = library;
+    edit(copy);
+    return copy;
+  };
+  const auto element = [&edited](auto edit) {
+    return edited([&edit](synth::ImplLibrary& copy) {
+      synth::ElementImpl impl = copy.at("x");
+      edit(impl);
+      copy.add("x", impl);
+    });
+  };
+  const auto simulate = [](auto edit) {
+    api::SimulateRequest request;
+    edit(request);
+    return request;
+  };
+  const auto analyze = [](auto edit) {
+    api::AnalyzeRequest request;
+    edit(request);
+    return request;
+  };
+  const auto explore = [](auto edit) {
+    api::ExploreRequest request;
+    edit(request);
+    return request;
+  };
+  const auto pareto = [](auto edit) {
+    api::ParetoRequest request;
+    edit(request);
+    return request;
+  };
+  const auto compare = [](auto edit) {
+    api::CompareRequest request;
+    edit(request);
+    return request;
+  };
+  synth::ImplLibrary reordered;
+  reordered.processor_cost = 30.0;
+  reordered.add("y", library.at("y"));
+  reordered.add("x", library.at("x"));
+
+  return {
+      // simulate: 0-9
+      api::SimulateRequest{},
+      simulate([](auto& r) { r.options.resolution = sim::Resolution::kRandom; }),
+      simulate([](auto& r) { r.options.seed = 99; }),
+      simulate([](auto& r) { r.options.max_time = support::TimePoint{5'000}; }),
+      simulate([](auto& r) { r.options.max_total_firings = 500; }),
+      simulate([](auto& r) { r.options.record_trace = true; }),
+      simulate([](auto& r) { r.options.trace_limit = 16; }),
+      simulate([](auto& r) { r.render_timeline = true; }),
+      simulate([](auto& r) { r.model = api::ModelId{42}; }),  // = 0
+      simulate([](auto& r) { r.options.seed = 1; }),           // = 0: the default
+      // analyze: 10-15
+      api::AnalyzeRequest{},
+      analyze([](auto& r) { r.deadlock = false; }),
+      analyze([](auto& r) { r.buffers = false; }),
+      analyze([](auto& r) { r.structure = false; }),
+      analyze([](auto& r) { r.timing = false; }),
+      analyze([](auto& r) { r.include_reconfiguration = true; }),
+      // explore: 16-39
+      api::ExploreRequest{},
+      explore([](auto& r) { r.options.engine = synth::ExploreEngine::kAnnealing; }),
+      explore([](auto& r) { r.options.seed = 7; }),
+      explore([](auto& r) { r.options.exhaustive_limit = 8; }),
+      explore([](auto& r) { r.options.annealing_trials_per_element = 50; }),
+      explore([](auto& r) { r.options.annealing_initial_temperature = 5.0; }),
+      explore([](auto& r) { r.options.infeasibility_penalty = 10.0; }),
+      explore([](auto& r) { r.problem = synth::ProblemOptions{}; }),
+      explore([](auto& r) { r.problem = synth::ProblemOptions{.granularity = synth::ElementGranularity::kProcess}; }),
+      explore([](auto& r) { r.problem = synth::ProblemOptions{.skip_virtual = false}; }),
+      explore([&](auto& r) { r.library = library; }),
+      explore([&](auto& r) { r.library = edited([](auto& l) { l.processor_cost = 31.0; }); }),
+      explore([&](auto& r) { r.library = edited([](auto& l) { l.processor_budget = 0.5; }); }),
+      explore([&](auto& r) {
+        r.library = edited([](auto& l) {
+          l = synth::ImplLibrary{};
+          l.processor_cost = 30.0;
+          l.add("z", {.sw_load = 0.5, .sw_wcet = support::Duration{40}, .hw_cost = 10.0,
+                      .hw_wcet = support::Duration{5}});
+          l.add("y", {.sw_load = 0.25, .hw_cost = 20.0});
+        });
+      }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.sw_load = 0.75; }); }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.sw_wcet = support::Duration{41}; }); }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.hw_cost = 11.0; }); }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.hw_wcet = support::Duration{6}; }); }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.can_sw = false; }); }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.can_hw = false; }); }),
+      explore([&](auto& r) { r.library = element([](auto& e) { e.period = support::Duration{100}; }); }),
+      explore([&](auto& r) { r.library = reordered; }),                  // = 26
+      explore([&](auto& r) {
+        r.library = library;
+        r.model = api::ModelId{3};
+      }),  // = 26
+      explore([](auto& r) { r.library = synth::ImplLibrary{}; }),
+      // pareto: 40-47
+      api::ParetoRequest{},
+      pareto([](auto& r) { r.options.exhaustive_limit = 4; }),
+      pareto([](auto& r) { r.options.samples = 64; }),
+      pareto([](auto& r) { r.options.seed = 9; }),
+      pareto([](auto& r) { r.problem = synth::ProblemOptions{.granularity = synth::ElementGranularity::kProcess}; }),
+      pareto([&](auto& r) { r.library = library; }),
+      pareto([&](auto& r) { r.library = reordered; }),  // = 45
+      pareto([](auto& r) { r.options.samples = 4096; }),  // = 40: the default
+      // compare: 48-68
+      api::CompareRequest{},
+      compare([](auto& r) { r.strategies = {StrategyKind::kSerialized, StrategyKind::kIndependent}; }),
+      compare([](auto& r) { r.strategies = {StrategyKind::kIndependent, StrategyKind::kSerialized}; }),
+      compare([](auto& r) {
+        r.strategies = {StrategyKind::kSerialized, StrategyKind::kIndependent,
+                        StrategyKind::kSerialized};
+      }),  // = 49
+      compare([](auto& r) { r.strategies = {StrategyKind::kWithVariants}; }),
+      compare([](auto& r) { r.options.engine = synth::ExploreEngine::kExhaustive; }),
+      compare([](auto& r) { r.options.seed = 5; }),
+      compare([](auto& r) { r.options.exhaustive_limit = 12; }),
+      compare([](auto& r) { r.options.annealing_trials_per_element = 10; }),
+      compare([](auto& r) { r.options.annealing_initial_temperature = 2.5; }),
+      compare([](auto& r) { r.options.infeasibility_penalty = 1.0; }),
+      compare([](auto& r) { r.all_orders = true; }),
+      compare([](auto& r) { r.max_orders = 6; }),
+      compare([](auto& r) { r.objectives = {RankObjective::kTotalCost, RankObjective::kDesignTime}; }),
+      compare([](auto& r) { r.objectives = {RankObjective::kDesignTime, RankObjective::kTotalCost}; }),
+      compare([](auto& r) { r.objectives = {RankObjective::kWorstUtilization}; }),
+      compare([](auto& r) { r.problem = synth::ProblemOptions{.skip_virtual = false}; }),
+      compare([&](auto& r) { r.library = library; }),
+      compare([&](auto& r) { r.library = element([](auto& e) { e.period = support::Duration{100}; }); }),
+      compare([](auto& r) { r.max_orders = 24; }),                 // = 48: the default
+      compare([](auto& r) { r.model = api::ModelId{5}; }),         // = 48
+  };
+}
+
+TEST(RequestFingerprint, EveryDescribedFieldSplitsTheKeyAndNothingElseDoes) {
+  // Entry i's expected value is the index of the first entry whose cache
+  // key (kind, fingerprint) equals entry i's: i itself when the key is new.
+  // The field-by-field hashers that predate the description-driven
+  // fingerprint gave this same partition.
+  const std::vector<std::size_t> expected = {
+      0,  1,  2,  3,  4,  5,  6,  7,  0,  0,                          // simulate
+      10, 11, 12, 13, 14, 15,                                          // analyze
+      16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,  // explore
+      32, 33, 34, 35, 36, 26, 26, 39,                                  //
+      40, 41, 42, 43, 44, 45, 45, 40,                                  // pareto
+      48, 49, 50, 49, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63,  // compare
+      64, 65, 66, 48, 48};
+  const std::vector<api::RequestPayload> table = partition_table();
+  std::vector<std::pair<api::RequestKind, std::uint64_t>> keys;
+  std::vector<std::size_t> first_equal;
+  for (const api::RequestPayload& payload : table) {
+    const api::AnyRequest request{.payload = payload};
+    keys.emplace_back(api::kind_of(request), api::fingerprint(request));
+    first_equal.push_back(
+        static_cast<std::size_t>(std::find(keys.begin(), keys.end(), keys.back()) - keys.begin()));
+  }
+  EXPECT_EQ(first_equal, expected);
+}
+
 // --- tombstone-aware spec cache ----------------------------------------------
 
 TEST(SpecCache, ReusesLiveHandlesAndReloadsTombstonedOnes) {

@@ -3,9 +3,9 @@
 // cache keys in both tiers), the per-tenant three-way unload contract, model
 // quotas, per-tenant cache caps that evict only the owner's entries,
 // deterministic lateness-driven overload shedding, and hello/token binding
-// over the wire loop. The concurrent cases double as ThreadSanitizer targets
-// for the cache's tenant ledger (CI runs this binary under
-// -fsanitize=thread).
+// (with the cap on ad hoc tenants) over the wire loop. The concurrent cases
+// double as ThreadSanitizer targets for the cache's tenant ledger (CI runs
+// this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -418,6 +418,55 @@ TEST(ServiceTenancy, HelloBindsTenantAndTokensAreEnforced) {
     ASSERT_TRUE(first.has_value());
     EXPECT_TRUE(api::wire::decode_info(*first).ok()) << *first;
   }
+}
+
+TEST(ServiceTenancy, AdhocTenantsStopAtTheCapAndExistingTenantsStillBind) {
+  service::ServiceOptions options;
+  options.jobs = 1;
+  options.tenants.push_back({"configured", {}});
+  service::Service svc{options};
+
+  // Every new name up to the cap becomes a tenant; the configured one does
+  // not count toward it.
+  std::string hellos;
+  for (std::size_t i = 0; i < service::kMaxAdhocTenants; ++i) {
+    hellos += api::wire::hello_frame("t" + std::to_string(i));
+  }
+  {
+    std::istringstream replies{run_stream(svc, hellos)};
+    std::size_t admitted = 0;
+    while (const auto frame = api::wire::read_frame(replies)) {
+      admitted += api::wire::decode_info(*frame).ok() ? 1 : 0;
+    }
+    EXPECT_EQ(admitted, service::kMaxAdhocTenants);
+  }
+
+  // One more new name gets an error reply, as a bad token does: the stream
+  // stays on t0 (its `models` still lists what t0 loaded) and lives on, and
+  // tenants that exist, configured or ad hoc, still bind.
+  std::istringstream replies{run_stream(
+      svc, api::wire::hello_frame("t0") + api::wire::control_frame("load", {"fig2"}) +
+               api::wire::hello_frame("one-too-many") + api::wire::control_frame("models", {}) +
+               api::wire::hello_frame("t1") + api::wire::hello_frame("configured") +
+               api::wire::hello_frame("default"))};
+  std::vector<std::string> frames;
+  while (const auto frame = api::wire::read_frame(replies)) frames.push_back(*frame);
+  ASSERT_EQ(frames.size(), 7u);
+  const auto refused = api::wire::decode_response(frames[2]);
+  ASSERT_FALSE(refused.ok()) << frames[2];
+  EXPECT_NE(api::render_diagnostics(refused.diagnostics()).find("one-too-many"),
+            std::string::npos);
+  const auto models = api::wire::decode_info(frames[3]);
+  ASSERT_TRUE(models.ok()) << frames[3];
+  EXPECT_NE(models.value().find("fig2"), std::string::npos) << models.value();
+  for (const std::size_t i : {0u, 1u, 4u, 5u, 6u}) {
+    EXPECT_TRUE(api::wire::decode_info(frames[i]).ok()) << frames[i];
+  }
+
+  // The refused name never became a tenant.
+  const std::string stats = run_stream(svc, api::wire::control_frame("executor-stats", {}));
+  EXPECT_NE(stats.find("tenant t1023 "), std::string::npos);
+  EXPECT_EQ(stats.find("one-too-many"), std::string::npos);
 }
 
 TEST(ServiceTenancy, TenantsSeeOnlyTheirOwnModels) {

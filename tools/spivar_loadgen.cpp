@@ -56,6 +56,7 @@
 
 #include "api/api.hpp"
 #include "api/wire.hpp"
+#include "service/service.hpp"
 #include "service/tcp.hpp"
 #include "support/json.hpp"
 #include "support/latency_histogram.hpp"
@@ -404,7 +405,7 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--seed-space") {
       options.seed_space = std::max<std::uint64_t>(number_of(i, 1'000'000'000), 1);
     } else if (args[i] == "--tenants") {
-      options.tenants = number_of(i, 1'024);
+      options.tenants = number_of(i, service::kMaxAdhocTenants);
     } else if (args[i] == "--json") {
       options.json = value_of(i);
     } else {

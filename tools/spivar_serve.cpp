@@ -29,7 +29,9 @@
 // tokens. SPEC is comma-separated `name[:key=value...]` entries with keys
 // token, max-models, cache-entries, max-inflight; FILE holds one such entry
 // per line ('#' comments). Clients bind with a `hello v1 <tenant> [token]`
-// frame; unknown tenants are admitted ad hoc with unlimited quotas.
+// frame; unknown tenants are admitted ad hoc with unlimited quotas, up to
+// service::kMaxAdhocTenants (1024) of them, and a hello past that is
+// refused with an error reply.
 // --overload-miss-rate X sheds requests (typed api-overload + retry-after)
 // while the executor's projected deadline-miss rate sits at or above X;
 // --overload-retry-after-ms sets the hint on those replies.
@@ -92,9 +94,13 @@ int usage() {
                "       frames evaluating per connection; --tenants pre-provisions\n"
                "       tenants ('name[:token=T][:max-models=N][:cache-entries=N]\n"
                "       [:max-inflight=N]', comma-separated, or a file with one per\n"
-               "       line); --overload-miss-rate sheds load above the projected\n"
-               "       deadline-miss-rate bound; SIGTERM drains gracefully within\n"
-               "       --drain-timeout-ms; --metrics-port serves the Prometheus text\n"
+               "       line); a hello naming any other tenant creates it with\n"
+               "       unlimited quotas, up to "
+            << service::kMaxAdhocTenants
+            << " such tenants; --overload-miss-rate\n"
+               "       sheds load above the projected deadline-miss-rate bound;\n"
+               "       SIGTERM drains gracefully within --drain-timeout-ms;\n"
+               "       --metrics-port serves the Prometheus text\n"
                "       exposition on 127.0.0.1:N (0 picks an ephemeral port, printed\n"
                "       as 'metrics on 127.0.0.1:P'); --trace-log appends a JSONL\n"
                "       record for every request at least --trace-slow-us micros\n"
