@@ -42,8 +42,9 @@
 //     every AnyRequest/Result<AnyResponse> (error responses included)
 //     round-trips bit-identically as a plain-text frame; malformed and
 //     old-version frames decode into line-numbered diag::kWireError
-//     failures. Plus the service frames (batch headers, control commands,
-//     info replies) spoken by tools/spivar_serve and `spivar_cli remote`.
+//     failures. Plus the service frames (control commands, hellos, info
+//     replies) spoken by tools/spivar_serve and `spivar_cli remote`, and
+//     read_frame, which a server calls with a byte limit.
 //     The persistent cache tier stores these same frames on disk, and each
 //     request kind's one description also yields its cache fingerprint
 //     (api::fingerprint hashes the values it lists).

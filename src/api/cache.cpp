@@ -112,12 +112,10 @@ ResultCache::ResultCache(CacheConfig config, persist::DiagnosticSink sink)
     // cache then runs memory-only rather than failing enable_cache.
     if (tier->ready()) tier_ = std::move(tier);
   }
-  // Background spill drain: only with a tier, only when asked, and never
-  // under FsyncPolicy::kAlways — fsync-per-write durability promises the
-  // entry is on stable storage when the insert returns, which a queue
-  // cannot keep.
-  if (tier_ && config.async_spill &&
-      config.persist->fsync_policy == persist::PersistConfig::FsyncPolicy::kNever) {
+  // Background spill drain: only with a tier, and never under
+  // FsyncPolicy::kAlways — fsync-per-write durability promises the entry is
+  // on stable storage when the insert returns, which a queue cannot keep.
+  if (tier_ && config.persist->fsync_policy == persist::PersistConfig::FsyncPolicy::kNever) {
     async_spill_ = true;
     spill_queue_limit_ = std::max<std::size_t>(config.spill_queue, 1);
     spill_thread_ = std::thread{[this] { drain_loop(); }};

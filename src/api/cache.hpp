@@ -106,16 +106,14 @@ struct CacheConfig {
   /// process re-hits results computed by an earlier life (keys are content
   /// fingerprints, not store ids). A directory that cannot be provisioned
   /// disables the tier with a diagnostic; the memory tier is unaffected.
+  /// Spills follow the tier's fsync policy. Under FsyncPolicy::kNever,
+  /// write-through and eviction spills drain through a bounded queue on a
+  /// background thread, so the request path does not pay the tier's I/O
+  /// (~85 µs per insert) in the caller's thread; drain_spills() waits for
+  /// the queue. Under kAlways every spill runs in the inserting thread: an
+  /// insert returning implies its entry is on disk (fsync-per-write
+  /// durability is meaningless from a lossy async queue).
   std::optional<persist::PersistConfig> persist;
-  /// Spill execution. true (the default) drains write-through and eviction
-  /// spills through a bounded queue on a background thread, so the request
-  /// path no longer pays the tier's I/O (~85 µs per insert) in the caller's
-  /// thread. false performs every spill synchronously in the inserting
-  /// thread — the durability mode: an insert returning implies its entry is
-  /// on disk. FsyncPolicy::kAlways forces synchronous spills regardless
-  /// (fsync-per-write durability is meaningless from a lossy async queue).
-  /// Ignored without `persist`.
-  bool async_spill = true;
   /// Bounded async spill queue capacity: an enqueue beyond it *drops* the
   /// spill (counted in CacheStats::disk_dropped_spills) instead of blocking
   /// the request path or growing without bound — the entry stays served

@@ -1210,12 +1210,6 @@ std::optional<std::uint64_t> frame_id_at(const std::vector<Token>& tokens, const
 
 }  // namespace
 
-std::optional<std::uint64_t> request_frame_id(std::string_view frame) {
-  // `request v2 <kind> <id>`
-  const auto tokens = head_tokens(frame);
-  return tokens ? frame_id_at(*tokens, "request", 3) : std::nullopt;
-}
-
 std::optional<std::uint64_t> response_frame_id(std::string_view frame) {
   // `response v2 <id> <status> ...`
   const auto tokens = head_tokens(frame);
@@ -1227,7 +1221,7 @@ FrameHead peek_head(std::string_view frame) {
   const auto tokens = head_tokens(frame);
   if (!tokens || tokens->empty() || tokens->front().quoted) return head;
   head.tag = tokens->front().text;
-  head.request_id = frame_id_at(*tokens, "request", 3);
+  head.request_id = frame_id_at(*tokens, "request", 3);  // `request v2 <kind> <id>`
   return head;
 }
 
@@ -1235,8 +1229,8 @@ FrameHead peek_head(std::string_view frame) {
 
 namespace {
 
-/// Shared shape of the one-payload-line service frames (`batch`,
-/// `control`): a header line plus the terminating `end`. The `end` is what
+/// Shared shape of the one-payload-line service frames (`control`,
+/// `hello`): a header line plus the terminating `end`. The `end` is what
 /// lets read_frame treat *every* frame uniformly — a typo'd tag consumes
 /// exactly one frame and produces exactly one error reply instead of
 /// desynchronizing the request/reply pairing. For backward-leniency the
@@ -1255,23 +1249,6 @@ std::optional<Line> service_frame_header(std::string_view frame, const char* tag
 }
 
 }  // namespace
-
-std::string batch_header(std::size_t slots) {
-  return "batch v" + std::to_string(kVersion) + " " + std::to_string(slots) + "\nend\n";
-}
-
-std::optional<std::size_t> parse_batch_header(std::string_view frame) {
-  try {
-    const std::optional<Line> header = service_frame_header(frame, "batch");
-    if (!header) return std::nullopt;
-    Args args{*header, 2};
-    const std::size_t slots = args.u64("slot count");
-    args.finish();
-    return slots;
-  } catch (const FrameError&) {
-    return std::nullopt;
-  }
-}
 
 std::string control_frame(std::string_view command, const std::vector<std::string>& args) {
   std::string out = "control v" + std::to_string(kVersion) + " " + std::string{command};
@@ -1338,25 +1315,35 @@ Result<std::string> decode_info(std::string_view frame) {
 
 namespace {
 
-/// std::getline(in, line), except that a set `before_wait` runs whenever the
-/// next byte is not buffered yet — before each read that could block.
-bool next_line(std::istream& in, std::string& line, const std::function<void()>& before_wait) {
-  if (!before_wait) return static_cast<bool>(std::getline(in, line));
+/// Reads one line into `line` as std::getline does and returns its length,
+/// nullopt at the end of input. With a `before_wait` or a `room`, it reads
+/// byte by byte: a set `before_wait` runs whenever the next byte is not
+/// buffered yet, before each read that could block, and only the first
+/// `room` characters are stored (the rest of a longer line is read and
+/// dropped, and counts in the length).
+std::optional<std::size_t> next_line(std::istream& in, std::string& line,
+                                     const std::function<void()>& before_wait,
+                                     std::size_t room) {
+  if (!before_wait && room == std::string::npos) {
+    if (!std::getline(in, line)) return std::nullopt;
+    return line.size();
+  }
   using Traits = std::istream::traits_type;
   line.clear();
   const std::istream::sentry ok{in, /*noskipws=*/true};
-  if (!ok) return false;
+  if (!ok) return std::nullopt;
   std::streambuf& buffer = *in.rdbuf();
+  std::size_t length = 0;
   while (true) {
-    if (buffer.in_avail() <= 0) before_wait();
+    if (before_wait && buffer.in_avail() <= 0) before_wait();
     const Traits::int_type c = buffer.sbumpc();
     if (Traits::eq_int_type(c, Traits::eof())) {
       // As getline: end of input after some characters is a last line.
-      in.setstate(line.empty() ? std::ios::eofbit | std::ios::failbit : std::ios::eofbit);
-      return !line.empty();
+      in.setstate(length == 0 ? std::ios::eofbit | std::ios::failbit : std::ios::eofbit);
+      return length == 0 ? std::nullopt : std::optional{length};
     }
-    if (Traits::to_char_type(c) == '\n') return true;
-    line.push_back(Traits::to_char_type(c));
+    if (Traits::to_char_type(c) == '\n') return length;
+    if (length++ < room) line.push_back(Traits::to_char_type(c));
   }
 }
 
@@ -1370,27 +1357,33 @@ bool is_end(std::string_view line) {
 
 }  // namespace
 
-std::optional<std::string> read_frame(std::istream& in, const std::function<void()>& before_wait) {
-  // Every frame — envelope, info, batch header, control, or a typo'd tag —
-  // is `end`-terminated, so the reader needs no per-tag knowledge and a
+std::optional<std::string> read_frame(std::istream& in, const std::function<void()>& before_wait,
+                                      FrameLimit* limit) {
+  // Every frame — envelope, info, control, hello, or a typo'd tag — is
+  // `end`-terminated, so the reader needs no per-tag knowledge and a
   // malformed frame consumes exactly one frame's worth of lines (one error
   // reply, stream stays in sync).
+  const std::size_t max_bytes = limit != nullptr ? limit->max_bytes : std::string::npos;
+  if (limit != nullptr) limit->exceeded = false;
   std::string frame;
   std::string line;
-  bool started = false;
-  while (next_line(in, line, before_wait)) {
+  std::size_t bytes = 0;  // the frame's bytes so far, newlines included
+  while (const std::optional<std::size_t> length = next_line(in, line, before_wait, max_bytes)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!started) {
-      if (line.empty()) continue;  // skip blank separators between frames
-      started = true;
-      frame = line + "\n";
-      if (is_end(line)) return frame;  // stray terminator: one-line frame
-      continue;
+    if (bytes == 0 && line.empty()) continue;  // skip blank separators between frames
+    bytes += *length + 1;
+    if (bytes <= max_bytes) {
+      frame += line + "\n";
+    } else if (!limit->exceeded) {
+      // Keep the header line, when it fitted, and store nothing more.
+      limit->exceeded = true;
+      if (!frame.empty()) frame.erase(frame.find('\n') + 1);
     }
-    frame += line + "\n";
-    if (is_end(line)) return frame;
+    // `end` closes the frame (alone, it is a one-line frame: a stray
+    // terminator); a line over the limit never does.
+    if (*length <= max_bytes && is_end(line)) return frame;
   }
-  if (started) return frame;  // truncated frame: let the decoder report it
+  if (bytes > 0) return frame;  // truncated frame: let the decoder report it
   return std::nullopt;
 }
 

@@ -33,10 +33,11 @@
 // adding a field is one line there.
 //
 // The service front end (tools/spivar_serve) speaks three more one-purpose
-// frames on top of the envelope pair: `batch v1 <n>` prefixing n request
-// frames evaluated as one heterogeneous Session::submit, `control v1
-// <command> ...` for session management (load/unload/stats/shutdown), and
-// `info v1` carrying a control reply's rendered text.
+// frames on top of the envelope pair: `control v1 <command> ...` for session
+// management (load/unload/stats/shutdown), `hello v1 <tenant>` binding a
+// connection to a tenant, and `info v1` carrying a control reply's rendered
+// text. A batch is n request frames: each v2 frame carries its own priority,
+// deadline and id.
 //
 // Version 2 adds *pipelining*: a v2 request header carries a client-chosen
 // frame id and its reply echoes it, so a server may stream replies out of
@@ -92,7 +93,7 @@ inline constexpr int kVersionPipelined = 2;
 [[nodiscard]] std::string encode(const Result<AnyResponse>& result, std::uint64_t frame_id);
 
 /// Parses one request frame (either version; a v2 header's frame id is
-/// validated and skipped — peek it with request_frame_id). Malformed input
+/// validated and skipped — peek it with peek_head). Malformed input
 /// fails with diag::kWireError and a "line N: ..." message; omitted payload
 /// keys keep their designated-initializer defaults, so hand-written frames
 /// stay terse.
@@ -103,13 +104,6 @@ inline constexpr int kVersionPipelined = 2;
 /// decodes as that failure; a malformed frame fails with diag::kWireError
 /// (line-numbered).
 [[nodiscard]] Result<AnyResponse> decode_response(std::string_view frame);
-
-/// The frame id of a v2 request header, nullopt for v1 frames or headers
-/// too malformed to carry one (`request v2 <kind> <id>` — the id must be a
-/// plain u64). A cheap header peek: body lines are not examined, so a
-/// frame with a readable id but a rotten body still yields the id the
-/// error reply should be tagged with.
-[[nodiscard]] std::optional<std::uint64_t> request_frame_id(std::string_view frame);
 
 /// The frame id of a v2 response header (`response v2 <id> ...`), nullopt
 /// for v1 responses or unreadable headers.
@@ -124,8 +118,11 @@ inline constexpr int kVersionPipelined = 2;
 
 /// A frame's header line, tokenized once so a server can dispatch on it:
 /// the frame tag (the first token; empty when the line does not tokenize or
-/// starts with a quoted string) and, for a `request v2 <kind> <id>` header,
-/// the id request_frame_id() would return.
+/// starts with a quoted string) and the frame id of a `request v2 <kind>
+/// <id>` header, nullopt for v1 frames or headers too malformed to carry one
+/// (the id must be a plain u64). Body lines are not examined, so a frame
+/// with a readable id but a rotten body still yields the id its error reply
+/// should be tagged with.
 struct FrameHead {
   std::string tag;
   std::optional<std::uint64_t> request_id;
@@ -133,16 +130,6 @@ struct FrameHead {
 [[nodiscard]] FrameHead peek_head(std::string_view frame);
 
 // --- service frames ----------------------------------------------------------
-
-/// Frame announcing `slots` request frames evaluated as one heterogeneous
-/// streaming batch ("batch v1 <n>\nend\n" — like every frame, it is
-/// `end`-terminated).
-[[nodiscard]] std::string batch_header(std::size_t slots);
-
-/// Slot count of a batch header frame; nullopt when `frame` is not a
-/// well-formed batch header of this version (a bare header without `end`
-/// is accepted for hand-written logs).
-[[nodiscard]] std::optional<std::size_t> parse_batch_header(std::string_view frame);
 
 /// Control frame: "control v1 <command> [quoted args...]\nend\n".
 [[nodiscard]] std::string control_frame(std::string_view command,
@@ -176,6 +163,14 @@ struct HelloCommand {
 
 // --- stream utilities --------------------------------------------------------
 
+/// A byte limit for read_frame. A frame's bytes are counted from its first
+/// line, newlines included, as they are read, so one endless line is cut
+/// off too.
+struct FrameLimit {
+  std::size_t max_bytes = 0;
+  bool exceeded = false;  ///< the frame read last was over max_bytes
+};
+
 /// Reads the next frame from `in`: skips blank lines, then accumulates
 /// lines through the terminating `end`, a line whose only token is `end` as
 /// the decoders read it (every frame kind is `end`-terminated, so one
@@ -184,9 +179,14 @@ struct HelloCommand {
 /// straight into the decoders. When `before_wait` is set, it runs every
 /// time the next byte is not yet buffered in the stream, that is, before
 /// each read that could block: a server uses it to send the replies it has
-/// held back.
+/// held back. With a `limit`, a frame over limit->max_bytes is read through
+/// its `end` without being stored: the result is its header line alone
+/// (empty when that line is over the limit itself) and limit->exceeded is
+/// set. A line over the limit never ends a frame. Without one, a frame may
+/// be any size.
 [[nodiscard]] std::optional<std::string> read_frame(
-    std::istream& in, const std::function<void()>& before_wait = {});
+    std::istream& in, const std::function<void()>& before_wait = {},
+    FrameLimit* limit = nullptr);
 
 /// Quotes `text` for a frame line: wraps in double quotes, escaping
 /// backslash, quote, newline, carriage return and tab.

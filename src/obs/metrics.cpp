@@ -1,7 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
+
+#include "support/hash.hpp"
 
 namespace spivar::obs {
 
@@ -18,22 +19,28 @@ support::LatencyHistogram Histogram::snapshot() const noexcept {
   return snapshot;
 }
 
+std::size_t MetricsRegistry::LabelsHash::operator()(const Labels& labels) const noexcept {
+  support::Fnv1aHasher hasher;
+  for (const Label& label : labels) hasher.str(label.key).str(label.value);
+  return hasher.digest();
+}
+
 template <typename T>
 T& MetricsRegistry::instrument(const std::string& name, const std::string& help, Labels&& labels,
                                Type type, std::deque<T>& storage) {
   std::lock_guard lock{mutex_};
-  auto family = std::lower_bound(
-      families_.begin(), families_.end(), name,
-      [](const auto& entry, const std::string& key) { return entry.first < key; });
-  if (family == families_.end() || family->first != name) {
-    family = families_.insert(family, {name, Family{help, type, {}}});
+  const auto [entry, new_family] = families_.try_emplace(name);
+  Family& family = entry->second;
+  if (new_family) {
+    family.help = help;
+    family.type = type;
   }
-  for (const Instrument& existing : family->second.instruments) {
-    if (existing.labels == labels) return storage[existing.slot];
+  const auto [slot, created] = family.slots.try_emplace(std::move(labels), storage.size());
+  if (created) {
+    storage.emplace_back();
+    family.created.push_back(&*slot);
   }
-  storage.emplace_back();
-  family->second.instruments.push_back({std::move(labels), storage.size() - 1});
-  return storage.back();
+  return storage[slot->second];
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, const std::string& help,
@@ -116,29 +123,29 @@ std::string MetricsRegistry::render() {
       // buckets; 4096 of them per series is scrape abuse).
       case Type::kHistogram: out += "summary\n"; break;
     }
-    for (const Instrument& instrument : family.instruments) {
+    for (const auto* instrument : family.created) {
+      const auto& [labels, slot] = *instrument;
       switch (family.type) {
         case Type::kCounter:
-          out += name + render_labels(instrument.labels) + " " +
-                 std::to_string(counters_[instrument.slot].value()) + "\n";
+          out += name + render_labels(labels) + " " + std::to_string(counters_[slot].value()) +
+                 "\n";
           break;
         case Type::kGauge:
-          out += name + render_labels(instrument.labels) + " " +
-                 std::to_string(gauges_[instrument.slot].value()) + "\n";
+          out += name + render_labels(labels) + " " + std::to_string(gauges_[slot].value()) + "\n";
           break;
         case Type::kHistogram: {
-          const support::LatencyHistogram snapshot = histograms_[instrument.slot].snapshot();
+          const support::LatencyHistogram snapshot = histograms_[slot].snapshot();
           static constexpr std::pair<const char*, double> kQuantiles[] = {
               {"0.5", 0.50}, {"0.9", 0.90}, {"0.99", 0.99}, {"0.999", 0.999}};
           for (const auto& [label, q] : kQuantiles) {
-            out += name + render_labels(instrument.labels, "quantile", label) + " " +
+            out += name + render_labels(labels, "quantile", label) + " " +
                    std::to_string(snapshot.quantile(q)) + "\n";
           }
           // _sum is reconstructed from bucket midpoints (< 1.6% off) — good
           // enough for rate(sum)/rate(count) dashboards.
-          out += name + "_sum" + render_labels(instrument.labels) + " " +
+          out += name + "_sum" + render_labels(labels) + " " +
                  render_double(snapshot.mean() * static_cast<double>(snapshot.count())) + "\n";
-          out += name + "_count" + render_labels(instrument.labels) + " " +
+          out += name + "_count" + render_labels(labels) + " " +
                  std::to_string(snapshot.count()) + "\n";
           break;
         }

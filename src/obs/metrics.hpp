@@ -37,8 +37,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -133,9 +135,10 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Get-or-create: the same (name, labels) always returns the same
-  /// instrument, so independent call sites share one handle. `help` is kept
-  /// from the first registration. Handles stay valid for the registry's
-  /// lifetime (instruments live in deques and never move).
+  /// instrument, so independent call sites share one handle, found by a
+  /// hash lookup however many series a family holds. `help` is kept from
+  /// the first registration. Handles stay valid for the registry's lifetime
+  /// (instruments live in deques and never move).
   Counter& counter(const std::string& name, const std::string& help, Labels labels = {});
   Gauge& gauge(const std::string& name, const std::string& help, Labels labels = {});
   Histogram& histogram(const std::string& name, const std::string& help, Labels labels = {});
@@ -153,15 +156,19 @@ class MetricsRegistry {
  private:
   enum class Type { kCounter, kGauge, kHistogram };
 
-  struct Instrument {
-    Labels labels;
-    std::size_t slot = 0;  ///< index into the per-type deque
+  struct LabelsHash {
+    std::size_t operator()(const Labels& labels) const noexcept;
   };
 
   struct Family {
     std::string help;
     Type type = Type::kCounter;
-    std::vector<Instrument> instruments;
+    /// Each label set's index into the per-type deque: the get-or-create
+    /// lookup.
+    std::unordered_map<Labels, std::size_t, LabelsHash> slots;
+    /// The entries of `slots` in creation order, the order render() emits
+    /// (a rehash moves no entry).
+    std::vector<const std::pair<const Labels, std::size_t>*> created;
   };
 
   template <typename T>
@@ -169,7 +176,7 @@ class MetricsRegistry {
                 std::deque<T>& storage);
 
   mutable std::mutex mutex_;  ///< guards families_ and the storage deques' structure
-  std::vector<std::pair<std::string, Family>> families_;  ///< name-sorted
+  std::map<std::string, Family> families_;  ///< rendered in name order
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;

@@ -73,7 +73,6 @@ Service::Service(const ServiceOptions& options)
         "spivar_request_latency_us", "end-to-end request latency in microseconds",
         {{"kind", api::to_string(static_cast<api::RequestKind>(k))}});
   }
-  batches_ = &registry_.counter("spivar_batches_total", "batch frames handled");
   register_collector();
   // Configured tenants are provisioned after the cache exists, so their
   // entry caps land on the live cache immediately.
@@ -357,19 +356,30 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
   // loop's lifetime.
   Tenant* tenant = &default_tenant_;
   const std::function<void()> flush = [&writer] { writer.flush(); };
+  api::wire::FrameLimit limit{.max_bytes = kMaxFrameBytes};
   while (!shutdown_requested()) {
     // Held replies go out before any read that could block, including the
     // rest of a frame that is only partly buffered.
-    const auto frame = api::wire::read_frame(in, flush);
+    const auto frame = api::wire::read_frame(in, flush, &limit);
     if (!frame) break;
     ++stats.frames;
     try {
-      record_frame(*frame);
       // One tokenization of the header line picks the handler: a request
       // frame never runs the service-frame parsers, and any other tag
       // (malformed frames included) tries them in turn, then falls through
       // to the request path's error reply.
       const api::wire::FrameHead head = api::wire::peek_head(*frame);
+      if (limit.exceeded) {
+        // Read through its `end` but neither stored nor recorded: one
+        // error reply, tagged when the header line carried a v2 id.
+        const auto refused = api::Result<api::AnyResponse>::failure(
+            api::diag::kWireError,
+            "frame over the limit of " + std::to_string(kMaxFrameBytes) + " bytes");
+        writer.write(head.request_id ? api::wire::encode(refused, *head.request_id)
+                                     : api::wire::encode(refused));
+        continue;
+      }
+      record_frame(*frame);
       if (head.tag != "request") {
         if (const auto hello = api::wire::parse_hello(*frame)) {
           // A refused hello leaves the stream on its current tenant.
@@ -381,11 +391,6 @@ StreamStats Service::serve_stream(std::istream& in, std::ostream& out, StreamMod
           tenant = bound.value();
           reply_info(writer, "hello tenant " + hello->tenant + " tag " +
                                  std::to_string(tenant->context.tag));
-          continue;
-        }
-        if (const auto slots = api::wire::parse_batch_header(*frame)) {
-          writer.flush();
-          handle_batch(*slots, in, writer, *tenant);
           continue;
         }
         if (const auto control = api::wire::parse_control(*frame)) {
@@ -535,73 +540,6 @@ void Service::record_frame(const std::string& frame) {
     left -= static_cast<std::size_t>(wrote);
   }
   if (record_fsync_) ::fsync(record_fd_);
-}
-
-void Service::handle_batch(std::size_t slots, std::istream& in, Writer& writer,
-                           Tenant& tenant) {
-  // Sanity-cap the client-supplied count before allocating anything for
-  // it — a corrupt header must not be able to abort the shared server.
-  constexpr std::size_t kMaxBatchSlots = 65'536;
-  if (slots > kMaxBatchSlots) {
-    reply_error(writer, "batch of " + std::to_string(slots) + " slots exceeds the limit of " +
-                            std::to_string(kMaxBatchSlots));
-    return;
-  }
-  batches_->add();
-  std::vector<api::Result<api::AnyRequest>> decoded;
-  decoded.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    const auto frame = api::wire::read_frame(in);
-    if (!frame) {
-      decoded.push_back(api::Result<api::AnyRequest>::failure(
-          api::diag::kWireError,
-          "batch truncated: expected " + std::to_string(slots) + " request frames, got " +
-              std::to_string(i)));
-      break;
-    }
-    record_frame(*frame);
-    decoded.push_back(decode(*frame));
-  }
-
-  // Evaluate the well-formed slots as one submit; merge decode failures
-  // back into their original positions. Every slot gets its own trace —
-  // batch traffic counts toward the same request/latency instruments as
-  // single-frame traffic.
-  std::vector<api::AnyRequest> requests;
-  std::vector<std::size_t> positions;
-  std::vector<Traced> traces;
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    if (decoded[i].ok()) {
-      requests.push_back(std::move(decoded[i]).value());
-      traces.push_back(begin_trace(requests.back(), tenant));
-      positions.push_back(i);
-    }
-  }
-  const std::vector<api::Result<api::AnyResponse>> landed =
-      tenant.session->submit(std::move(requests)).wait();
-  for (std::size_t j = 0; j < traces.size(); ++j) {
-    observe_done(traces[j], tenant, landed[j].ok());
-  }
-
-  std::vector<api::Result<api::AnyResponse>> results;
-  results.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    results.push_back(api::Result<api::AnyResponse>::failure(
-        api::diag::kWireError, "batch truncated before this slot"));
-  }
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    if (!decoded[i].ok()) {
-      results[i] = api::Result<api::AnyResponse>::failure(decoded[i].diagnostics());
-    }
-  }
-  for (std::size_t j = 0; j < positions.size(); ++j) results[positions[j]] = landed[j];
-
-  // One writer acquisition for the whole reply: the batch header and its n
-  // responses are contiguous on the stream even while pipelined slots of
-  // the same connection are completing concurrently.
-  std::string reply = api::wire::batch_header(slots);
-  for (const auto& result : results) reply += api::wire::encode(result);
-  writer.write(reply);
 }
 
 void Service::reply_info(Writer& writer, const std::string& text) {

@@ -15,10 +15,9 @@
 //                                  Session::submit as soon as it decodes,
 //                                  replied `response v2 <id> ...` the moment
 //                                  the slot completes — out of arrival order
-//                                  when a later request finishes first
-//   batch v1 <n> + n requests      heterogeneous Session::submit; per-slot
-//                                  priorities/deadlines honored -> batch
-//                                  header + n response frames in slot order
+//                                  when a later request finishes first. A
+//                                  batch is n of these, each with its own
+//                                  priority and deadline lines.
 //   control v1 <command> ...       ping | models | load | unload |
 //                                  cache-stats | cache [stats|persist|flush] |
 //                                  executor-stats | metrics |
@@ -33,6 +32,10 @@
 //                                  the default tenant = pre-tenancy service
 //                                  behavior, byte for byte.
 //
+// Any other frame (an unknown tag, `batch` included, or a frame over
+// kMaxFrameBytes) gets one api-wire-error reply: the loop sends exactly one
+// reply per frame, and the stream stays in sync.
+//
 // Pipelining contract per connection: one writer mutex serializes whole
 // reply frames (no reordering buffer — a reply streams the moment its slot
 // lands), and at most `max_inflight` v2 frames are evaluating at once; the
@@ -41,14 +44,16 @@
 // the cache's memory tier is answered on the reading thread, from the
 // cache's stored frame with its header retagged; such replies are held and
 // go out together whenever the reader could block or stall (no complete
-// frame buffered, a backpressure wait, an inline v1/batch/control frame,
-// EOF), so no reply waits while the reader is blocked or busy. A tenant's
-// own max_inflight quota composes with that: at the tenant cap the frame is
+// frame buffered, a backpressure wait, an inline v1/control frame, EOF), so
+// no reply waits while the reader is blocked or busy. A tenant's own
+// max_inflight quota composes with that: at the tenant cap the frame is
 // *rejected* with a typed api-overload reply (and a retry-after hint)
 // instead of blocking the reader — one tenant's burst must not stall
-// another tenant sharing the executor. v1 frames, batches and controls are
-// handled inline, so a v1-only client observes exactly the strict
-// arrival-order behavior of protocol v1.
+// another tenant sharing the executor. Together they bound every
+// evaluation a connection starts: each v2 frame counts against both on
+// arrival, and v1 frames and controls are handled inline, one at a time, so
+// a v1-only client observes exactly the strict arrival-order behavior of
+// protocol v1.
 #pragma once
 
 #include <array>
@@ -78,6 +83,12 @@ namespace spivar::service {
 /// service creates; a hello for another new name is refused. Configured
 /// tenants and `default` do not count. spivar_loadgen --tenants stops here.
 inline constexpr std::size_t kMaxAdhocTenants = 1024;
+
+/// The most bytes one frame a client sends may take, counted as they are
+/// read. The largest request frame the repo's tools and tests encode is
+/// under 400 bytes, so 1 MiB leaves room for any hand-written frame while
+/// bounding what one connection makes the server hold.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
 
 struct ServiceOptions {
   std::size_t jobs = 1;                        ///< executor workers
@@ -120,7 +131,7 @@ struct ServiceOptions {
 /// Per-stream telemetry serve_stream reports when the stream ends — what
 /// the pipelining tests assert on and the tool ignores.
 struct StreamStats {
-  std::uint64_t frames = 0;             ///< frames read (requests, batches, controls)
+  std::uint64_t frames = 0;             ///< frames read (requests, controls, hellos)
   std::uint64_t pipelined = 0;          ///< v2 request frames submitted
   std::uint64_t backpressure_waits = 0; ///< reader stalls at max_inflight
   std::uint64_t shed = 0;               ///< v2 frames rejected at a tenant's in-flight cap
@@ -266,14 +277,13 @@ class Service {
   };
 
   void record_frame(const std::string& frame);
-  void handle_batch(std::size_t slots, std::istream& in, Writer& writer, Tenant& tenant);
   void handle_control(const api::wire::ControlCommand& control, Writer& writer, Tenant& tenant);
   void handle_cache_control(const api::wire::ControlCommand& control, Writer& writer);
   void reply_info(Writer& writer, const std::string& text);
   void reply_error(Writer& writer, const support::DiagnosticList& diagnostics);
   void reply_error(Writer& writer, const std::string& message);
   /// Mints the request's trace, labelled with its tenant, kind and target —
-  /// the one place the v1, v2 and batch paths start a trace.
+  /// the one place the v1 and v2 paths start a trace.
   Traced begin_trace(api::AnyRequest& request, const Tenant& tenant);
   /// Evaluates one decoded frame on the reading thread (v1 frames, and v2
   /// frames in StreamMode::kOrdered): mints its trace, sends the held
@@ -337,7 +347,6 @@ class Service {
   obs::MetricsRegistry registry_;
   obs::Tracer tracer_;
   std::array<obs::Histogram*, kKinds> latency_{};  ///< per-kind, all tenants
-  obs::Counter* batches_ = nullptr;
   /// Stream totals accumulated as each serve_stream returns (per-stream
   /// StreamStats stay the test surface; these are the service-lifetime sums
   /// the registry publishes).

@@ -671,9 +671,7 @@ TEST(CachedReplyFrames, StoredFrameIsTheOneEncodingOfEveryReply) {
   };
 
   {
-    // Synchronous spills: every insert is on disk when it returns.
-    api::ResultCache cache{{.capacity = 16, .shards = 1, .persist = persist,
-                            .async_spill = false}};
+    api::ResultCache cache{{.capacity = 16, .shards = 1, .persist = persist}};
     ASSERT_TRUE(cache.persistent());
     for (std::size_t i = 0; i < replies.size(); ++i) {
       const api::Result<api::AnyResponse>& reply = replies[i];
@@ -688,7 +686,8 @@ TEST(CachedReplyFrames, StoredFrameIsTheOneEncodingOfEveryReply) {
       // A hit hands out the record itself, not a copy.
       EXPECT_EQ(cache.find(key), record);
 
-      // The disk tier holds the same bytes.
+      // The disk tier holds the same bytes, once the write-through lands.
+      cache.drain_spills();
       persist::DiskTier disk{persist};
       const auto stored = disk.load(key, api::to_string(kind));
       ASSERT_TRUE(stored.has_value()) << "reply " << i;

@@ -133,7 +133,7 @@ TEST(WireRequest, BlankAndWhitespaceLinesAreIgnored) {
       api::wire::decode_request("request v1 simulate\n   \nseed 9\n\nend\n");
   ASSERT_TRUE(decoded.ok()) << decoded.error_summary();
   EXPECT_EQ(std::get<api::SimulateRequest>(decoded.value().payload).options.seed, 9u);
-  EXPECT_FALSE(api::wire::parse_batch_header("   \n").has_value());
+  EXPECT_FALSE(api::wire::parse_hello("   \n").has_value());
   EXPECT_FALSE(api::wire::parse_control(" ").has_value());
 }
 
@@ -173,7 +173,7 @@ TEST(WireV2, RequestRoundTripsWithFrameId) {
 
   const std::string frame = api::wire::encode(request, /*frame_id=*/901);
   EXPECT_EQ(frame.rfind("request v2 simulate 901\n", 0), 0u) << frame;
-  EXPECT_EQ(api::wire::request_frame_id(frame), 901u);
+  EXPECT_EQ(api::wire::peek_head(frame).request_id, 901u);
 
   // The body is the v1 body: decode ignores the id and yields the same
   // envelope the v1 encoding would.
@@ -197,17 +197,20 @@ TEST(WireV2, ResponseCarriesItsFrameId) {
 }
 
 TEST(WireV2, FrameIdPeeksAreTotalFunctions) {
-  // request_frame_id / response_frame_id never throw: anything that is not
-  // a well-formed v2 header of the right tag is nullopt — v1 frames,
+  // peek_head / response_frame_id never throw: anything that is not a
+  // well-formed v2 header of the right tag has no id — v1 frames,
   // controls, garbage ids, empty input.
-  EXPECT_EQ(api::wire::request_frame_id("request v1 simulate\nend\n"), std::nullopt);
-  EXPECT_EQ(api::wire::request_frame_id("control v1 ping\n"), std::nullopt);
-  EXPECT_EQ(api::wire::request_frame_id("request v2 simulate banana\nend\n"), std::nullopt);
-  EXPECT_EQ(api::wire::request_frame_id("request v2 simulate\nend\n"), std::nullopt);
-  EXPECT_EQ(api::wire::request_frame_id(""), std::nullopt);
+  const auto request_id = [](std::string_view frame) {
+    return api::wire::peek_head(frame).request_id;
+  };
+  EXPECT_EQ(request_id("request v1 simulate\nend\n"), std::nullopt);
+  EXPECT_EQ(request_id("control v1 ping\n"), std::nullopt);
+  EXPECT_EQ(request_id("request v2 simulate banana\nend\n"), std::nullopt);
+  EXPECT_EQ(request_id("request v2 simulate\nend\n"), std::nullopt);
+  EXPECT_EQ(request_id(""), std::nullopt);
   EXPECT_EQ(api::wire::response_frame_id("response v1 ok simulate\nend\n"), std::nullopt);
   EXPECT_EQ(api::wire::response_frame_id("response v2 x ok simulate\nend\n"), std::nullopt);
-  EXPECT_EQ(api::wire::request_frame_id("request v2 simulate 12\nend\n"), 12u);
+  EXPECT_EQ(request_id("request v2 simulate 12\nend\n"), 12u);
   EXPECT_EQ(api::wire::response_frame_id("response v2 12 ok simulate\nend\n"), 12u);
 }
 
@@ -629,10 +632,13 @@ TEST(WireCodec, MalformedFramesReportExactMessages) {
 
 // --- service frames ----------------------------------------------------------
 
-TEST(WireService, BatchHeaderAndControlRoundTrip) {
-  EXPECT_EQ(api::wire::parse_batch_header(api::wire::batch_header(5)), 5u);
-  EXPECT_FALSE(api::wire::parse_batch_header("batch v0 5\n").has_value());
-  EXPECT_FALSE(api::wire::parse_batch_header("request v1 simulate\n").has_value());
+TEST(WireService, HelloAndControlRoundTrip) {
+  const auto hello = api::wire::parse_hello(api::wire::hello_frame("alpha", "s3cret"));
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->tenant, "alpha");
+  EXPECT_EQ(hello->token, "s3cret");
+  EXPECT_FALSE(api::wire::parse_hello("hello v0 alpha\n").has_value());
+  EXPECT_FALSE(api::wire::parse_hello("request v1 simulate\n").has_value());
 
   const auto control =
       api::wire::parse_control(api::wire::control_frame("load", {"synthetic", "variants=3"}));
@@ -651,16 +657,16 @@ TEST(WireService, InfoFrameRoundTripsText) {
 
 TEST(WireService, ReadFrameSplitsAStream) {
   std::istringstream in{api::wire::control_frame("ping") +
-                        "\nrequest v1 simulate\nseed 3\nend\n\n" + api::wire::batch_header(2)};
+                        "\nrequest v1 simulate\nseed 3\nend\n\n" + api::wire::hello_frame("alpha")};
   const auto control = api::wire::read_frame(in);
   ASSERT_TRUE(control.has_value());
   EXPECT_TRUE(api::wire::parse_control(*control).has_value());
   const auto request = api::wire::read_frame(in);
   ASSERT_TRUE(request.has_value());
   EXPECT_TRUE(api::wire::decode_request(*request).ok());
-  const auto batch = api::wire::read_frame(in);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(api::wire::parse_batch_header(*batch), 2u);
+  const auto hello = api::wire::read_frame(in);
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(api::wire::parse_hello(*hello)->tenant, "alpha");
   EXPECT_FALSE(api::wire::read_frame(in).has_value());  // EOF
 }
 

@@ -367,10 +367,9 @@ TEST(TieredCache, EvictedEntriesPromoteBackFromDiskBitIdentical) {
   const auto model = reference.load(api::ModelSpec{"fig1"});
   ASSERT_TRUE(model.ok());
   // Single shard, capacity 2, equal costs: seed 1 is deterministically the
-  // eviction victim of seed 3's insert. Synchronous spills: the test counts
-  // disk writes at exact points.
+  // eviction victim of seed 3's insert.
   api::ResultCache cache{{.capacity = 2, .shards = 1,
-                          .persist = PersistConfig{.dir = dir.str()}, .async_spill = false}};
+                          .persist = PersistConfig{.dir = dir.str()}}};
   std::vector<std::string> truth;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     api::SimulateRequest request{.model = model.value().id};
@@ -381,6 +380,7 @@ TEST(TieredCache, EvictedEntriesPromoteBackFromDiskBitIdentical) {
     truth.push_back(api::wire::encode(result));
     cache.insert(key_of(seed), std::move(result), 100);
   }
+  cache.drain_spills();  // the test counts disk writes at exact points
   auto stats = cache.stats();
   ASSERT_EQ(stats.evictions, 1u);     // seed 1 left the memory tier...
   ASSERT_EQ(stats.disk_entries, 3u);  // ...but write-through has it on disk
@@ -400,10 +400,7 @@ TEST(TieredCache, EvictedEntriesPromoteBackFromDiskBitIdentical) {
 
 TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
   TempDir dir;
-  // Synchronous spills: the mid-life disk_spills count below is exact.
-  const api::CacheConfig config{.capacity = 64,
-                                .persist = PersistConfig{.dir = dir.str()},
-                                .async_spill = false};
+  const api::CacheConfig config{.capacity = 64, .persist = PersistConfig{.dir = dir.str()}};
 
   const auto run_all = [](Session& session, api::ModelId id) {
     api::SimulateRequest simulate{.model = id};
@@ -425,17 +422,18 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
   std::uint64_t first_fingerprint = 0;
   {
     Session session;
-    session.enable_cache(config);
+    const auto cache = session.enable_cache(config);
     const auto loaded = session.load(api::ModelSpec{"fig2"});
     ASSERT_TRUE(loaded.ok());
     first_fingerprint = loaded.value().content_fingerprint;
     ASSERT_NE(first_fingerprint, 0u);
     first_life = run_all(session, loaded.value().id);
+    cache->drain_spills();  // the mid-life disk_spills count below is exact
     EXPECT_EQ(session.cache_stats()->disk_spills, 5u);  // write-through
   }  // process "dies": only the directory survives
 
   Session session;
-  session.enable_cache(config);
+  const auto cache = session.enable_cache(config);
   const auto reloaded = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(reloaded.ok());
   // Fresh store id, same content: the restart-stable half of the key.
@@ -443,6 +441,7 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
 
   EXPECT_EQ(run_all(session, reloaded.value().id), first_life);
 
+  cache->drain_spills();  // a write-through, had there been one, is counted
   const auto stats = *session.cache_stats();
   EXPECT_EQ(stats.hits, 0u);          // memory was cold the whole time
   EXPECT_EQ(stats.misses, 5u);
@@ -456,17 +455,16 @@ TEST(TieredCache, RestartReHitsEveryKindBitIdenticalWithZeroReEvaluations) {
 
 TEST(TieredCache, AnalyzeFromDiskMatchesTheAskingLifesUncachedFrame) {
   TempDir dir;
-  const api::CacheConfig config{.capacity = 64,
-                                .persist = PersistConfig{.dir = dir.str()},
-                                .async_spill = false};
+  const api::CacheConfig config{.capacity = 64, .persist = PersistConfig{.dir = dir.str()}};
   const auto analyze_fig2 = [](Session& session) {
     return api::wire::encode(
         session.call({.payload = api::AnalyzeRequest{}, .target = "fig2"}));
   };
   {
     Session first;
-    first.enable_cache(config);
+    const auto cache = first.enable_cache(config);
     ASSERT_EQ(analyze_fig2(first).rfind("response v1 ok", 0), 0u);
+    cache->drain_spills();  // on disk before the second life asks
   }
   // Life 2 loads fig1 first, so fig2 gets another handle than in life 1;
   // the reply served from disk must not carry life 1's handle.
@@ -483,17 +481,15 @@ TEST(TieredCache, AnalyzeFromDiskMatchesTheAskingLifesUncachedFrame) {
 
 TEST(TieredCache, CuratedBuiltinAndItsTextCopyNeverShareDiskEntries) {
   TempDir dir;
-  // Synchronous spills: the builtin's entry is on disk before the copy asks.
-  const api::CacheConfig config{.capacity = 64,
-                                .persist = PersistConfig{.dir = dir.str()},
-                                .async_spill = false};
+  const api::CacheConfig config{.capacity = 64, .persist = PersistConfig{.dir = dir.str()}};
   Session session;
-  session.enable_cache(config);
+  const auto cache = session.enable_cache(config);
   const auto builtin = session.load(api::ModelSpec{"fig2"});
   ASSERT_TRUE(builtin.ok());
   const auto curated = session.explore({.model = builtin.value().id});
   ASSERT_TRUE(curated.ok()) << curated.error_summary();
   ASSERT_EQ(curated.value().library_origin, "curated");
+  cache->drain_spills();  // the builtin's entry is on disk before the copy asks
 
   // The text copy has the same text identity, but synthesizes over a
   // derived library — the curated answer on disk is not its answer.
@@ -601,7 +597,7 @@ TEST(AsyncSpill, OverflowDropsSpillsInsteadOfBlockingAndCountsThem) {
 
 TEST(AsyncSpill, FsyncAlwaysForcesSynchronousSpills) {
   TempDir dir;
-  // Durability contract: with FsyncPolicy::kAlways, async_spill is ignored —
+  // Durability contract: with FsyncPolicy::kAlways, spills are synchronous —
   // an insert returns only after its entry is on disk (and fsynced).
   api::ResultCache cache{{.capacity = 8,
                           .persist = PersistConfig{

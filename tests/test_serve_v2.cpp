@@ -1,15 +1,15 @@
 // The pipelined service loop (service::Service): out-of-order v2 completion
 // (a slow compare ahead of K fast simulates must not delay their replies),
 // per-connection backpressure at --max-inflight, strict v1 compatibility on
-// the same server, malformed v2 frames and oversized synthetic targets
-// answered without killing the stream, targets that name no registry model
-// refused on every path without a file being read, an `end` with stray
-// spaces ending its frame and not the next one, --record/--replay fidelity
-// for pipelined traffic (ids preserved, replay deterministic and
-// byte-identical), and the loop over a real loopback socket (TCP_NODELAY on
-// both ends, no delayed-ACK stall on large replies; cache hits answered on
-// the reading thread at depth 8, byte for byte, ahead of a slow miss and
-// past a half-sent frame).
+// the same server, malformed v2 frames, frames over the byte limit and
+// oversized synthetic targets answered without killing the stream, targets
+// that name no registry model refused on every path without a file being
+// read, an `end` with stray spaces ending its frame and not the next one,
+// --record/--replay fidelity for pipelined traffic (ids preserved, replay
+// deterministic and byte-identical), and the loop over a real loopback
+// socket (TCP_NODELAY on both ends, no delayed-ACK stall on large replies;
+// cache hits answered on the reading thread at depth 8, byte for byte,
+// ahead of a slow miss and past a half-sent frame).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -268,6 +268,57 @@ TEST(PipelinedServe, OversizedSyntheticTargetsAnswerATypedErrorAndTheStreamLives
   }
 }
 
+TEST(PipelinedServe, FramesOverTheByteLimitAnswerATypedErrorAndTheStreamLivesOn) {
+  const TempDir dir;
+  const std::string log_path = (dir.path() / "requests.log").string();
+  service::Service svc{{.jobs = 2, .record = log_path}};
+
+  // A v1 frame over the limit, a v2 frame over it, a header line over it on
+  // its own, a frame that fits, and last one endless line: no newline
+  // before the stream ends.
+  const std::string padding(service::kMaxFrameBytes, 'x');
+  std::string input = "request v1 simulate\ntarget \"fig1\"\n" + padding + "\nend\n";
+  input += "request v2 simulate 4\ntarget \"fig1\"\n" + padding + "\nend\n";
+  input += "request v2 simulate 5 " + padding + "\nend\n";
+  input += api::wire::encode(simulate_envelope("fig1"), 6);
+  input += padding + padding;
+  std::istringstream in{input};
+  std::ostringstream out;
+  EXPECT_EQ(svc.serve_stream(in, out).frames, 5u);
+
+  // One reply per frame. Each over-limit one names the limit; only the v2
+  // frame whose header fitted keeps its id.
+  const auto expect_over_limit = [](const std::string& frame) {
+    const auto reply = api::wire::decode_response(frame);
+    ASSERT_FALSE(reply.ok()) << frame;
+    EXPECT_TRUE(reply.diagnostics().has_code(api::diag::kWireError)) << frame;
+    EXPECT_NE(reply.error_summary().find("limit of " + std::to_string(service::kMaxFrameBytes) +
+                                         " bytes"),
+              std::string::npos)
+        << frame;
+  };
+  std::vector<std::string> untagged;
+  std::map<std::uint64_t, std::string> tagged;
+  for (const auto& [id, frame] : parse_replies(out.str())) {
+    if (id.has_value()) {
+      tagged[*id] = frame;
+    } else {
+      untagged.push_back(frame);
+    }
+  }
+  ASSERT_EQ(untagged.size(), 3u) << out.str();
+  for (const std::string& frame : untagged) expect_over_limit(frame);
+  ASSERT_EQ(tagged.size(), 2u) << out.str();
+  expect_over_limit(tagged[4]);
+  EXPECT_TRUE(api::wire::decode_response(tagged[6]).ok()) << tagged[6];
+
+  // Nothing over the limit reached the request log.
+  std::ifstream recorded{log_path};
+  std::vector<std::string> logged;
+  while (const auto frame = api::wire::read_frame(recorded)) logged.push_back(*frame);
+  EXPECT_EQ(logged, std::vector<std::string>{api::wire::encode(simulate_envelope("fig1"), 6)});
+}
+
 // --- the service loads registry models only ----------------------------------
 
 TEST(PipelinedServe, TargetsNamingNoRegistryModelAreRefusedWithoutReadingAFile) {
@@ -296,16 +347,14 @@ TEST(PipelinedServe, TargetsNamingNoRegistryModelAreRefusedWithoutReadingAFile) 
     EXPECT_TRUE(api::wire::decode_response(frame).ok()) << frame;
   };
 
-  // A v1 frame, a v2 frame, a batch slot and `control load`, each followed
-  // by a registry-named frame on the same stream.
+  // A v1 frame, a v2 frame and `control load`, each followed by a
+  // registry-named frame on the same stream.
   service::Service svc{{.jobs = 2}};
   for (const std::string& target : {secret, model}) {
     std::string input = api::wire::encode(simulate_envelope(target)) +
                         api::wire::encode(simulate_envelope("fig1")) +
                         api::wire::encode(simulate_envelope(target), 1) +
                         api::wire::encode(simulate_envelope("fig1"), 2);
-    input += api::wire::batch_header(2) + api::wire::encode(simulate_envelope(target)) +
-             api::wire::encode(simulate_envelope("fig1"));
     input += api::wire::control_frame("load", {target}) +
              api::wire::control_frame("load", {"fig1"});
     std::istringstream in{input};
@@ -321,14 +370,11 @@ TEST(PipelinedServe, TargetsNamingNoRegistryModelAreRefusedWithoutReadingAFile) 
         v1.push_back(frame);
       }
     }
-    ASSERT_EQ(v1.size(), 7u) << out.str();
+    ASSERT_EQ(v1.size(), 4u) << out.str();
     expect_refused(v1[0]);
     expect_answered(v1[1]);
-    EXPECT_TRUE(api::wire::parse_batch_header(v1[2]).has_value()) << v1[2];
-    expect_refused(v1[3]);
-    expect_answered(v1[4]);
-    expect_refused(v1[5]);
-    EXPECT_TRUE(api::wire::decode_info(v1[6]).ok()) << v1[6];
+    expect_refused(v1[2]);
+    EXPECT_TRUE(api::wire::decode_info(v1[3]).ok()) << v1[3];
     ASSERT_EQ(v2.size(), 2u) << out.str();
     expect_refused(v2[1]);
     expect_answered(v2[2]);
@@ -411,7 +457,7 @@ TEST(PipelinedServe, RecordedV2TrafficReplaysInSubmissionOrderWithIds) {
   std::ifstream recorded{log_path};
   std::vector<std::uint64_t> logged;
   while (const auto frame = api::wire::read_frame(recorded)) {
-    const auto id = api::wire::request_frame_id(*frame);
+    const auto id = api::wire::peek_head(*frame).request_id;
     ASSERT_TRUE(id.has_value()) << *frame;
     logged.push_back(*id);
   }

@@ -529,6 +529,21 @@ TEST(ServiceTenancy, TenantInflightCapRejectsWithTypedOverload) {
   }
   EXPECT_TRUE(saw_shed);
   EXPECT_TRUE(saw_slow);
+
+  // A `batch v1 2` header opens no way around the cap: it is an unknown
+  // frame (one error reply), and the two requests behind it are answered
+  // as the v1 frames they are, one at a time and in order.
+  std::istringstream batched{run_stream(
+      svc, api::wire::hello_frame("alpha") + "batch v1 2\nend\n" +
+               api::wire::encode(slow_compare_envelope()) +
+               api::wire::encode(simulate_envelope("fig1")))};
+  ASSERT_TRUE(api::wire::read_frame(batched).has_value());  // hello info
+  std::vector<std::string> heads;
+  while (const auto frame = api::wire::read_frame(batched)) {
+    heads.push_back(frame->substr(0, frame->find('\n')));
+  }
+  EXPECT_EQ(heads, (std::vector<std::string>{"response v1 error", "response v1 ok compare",
+                                             "response v1 ok simulate"}));
 }
 
 TEST(ServiceTenancy, NoHelloStreamMatchesPreTenancyBehavior) {
